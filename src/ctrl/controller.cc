@@ -18,8 +18,11 @@ namespace {
 constexpr uint64_t kSaltCtrlDbVersion = 0xDBE5;
 constexpr uint64_t kSaltCtrlCpu = 0xC901;
 constexpr uint64_t kSaltPatchPending = 0x9A5B;
+constexpr uint64_t kSaltQueuedQuery = 0x9C0A;
 constexpr const char kFpCpuQueue[] =
     "single-server fifo cpu; service order shifts latency only";
+constexpr const char kFpQueryCoalesce[] =
+    "max-merge of queued query attempts; served content is a function of the attempt";
 constexpr const char kFpDbBump[] = "db version bump";
 constexpr const char kFpPatchAccum[] =
     "patch accumulation; delivery is lww-merged at hosts";
@@ -27,6 +30,10 @@ constexpr const char kFpPatchAccum[] =
 uint64_t CtrlEdgeCell(uint64_t mac, const WireLink& l) {
   return footprint::FpKey(mac, footprint::FpKey(std::min(l.uid_a, l.uid_b),
                                                 std::max(l.uid_a, l.uid_b)));
+}
+
+uint64_t QueuedQueryCell(uint64_t mac, uint64_t requester_mac, uint64_t dst_mac) {
+  return footprint::FpKey(mac, kSaltQueuedQuery, footprint::FpKey(requester_mac, dst_mac));
 }
 
 }  // namespace
@@ -139,9 +146,9 @@ Result<TagList> ControllerService::TagsToHost(const HostLocation& dst, Rng* rng)
 }
 
 void ControllerService::BootstrapHosts() {
-  auto directory = std::make_shared<std::vector<HostLocation>>(db_.Directory());
-  std::sort(directory->begin(), directory->end(),
-            [](const HostLocation& a, const HostLocation& b) { return a.mac < b.mac; });
+  // MAC-sorted (TopoDb::Directory), which is what lets every host adopt this one
+  // vector as its shared host base without a private sorted copy.
+  auto directory = std::make_shared<const std::vector<HostLocation>>(db_.Directory());
   HostLocation controller_loc{agent_->mac(), controller_switch_uid_, controller_port_};
   for (const HostLocation& loc : *directory) {
     BootstrapPayload boot;
@@ -195,7 +202,21 @@ bool ControllerService::HandleControl(const Packet& pkt) {
     if (!ready_) {
       return true;  // swallowed; the host's retry will find us ready
     }
-    PathRequestPayload copy = *req;
+    // A host re-asks every request_timeout while its first copy may still wait
+    // behind a backlog. A copy of a query that is already queued is merged into
+    // it — no CPU, no event — keeping the highest attempt, so the one answer
+    // carries the latest retry's re-randomized route. A copy arriving after its
+    // query was served queues (and is served) afresh.
+    const QueryKey key{req->requester_mac, req->dst_mac};
+    DN_FP_COMMUTES(kCtrlCpu, QueuedQueryCell(agent_->mac(), key.first, key.second),
+                   kFpQueryCoalesce);
+    auto [queued, inserted] = queued_queries_.emplace(key, req->attempt);
+    if (!inserted) {
+      queued->second = std::max(queued->second, req->attempt);
+      ++stats_.queries_coalesced;
+      DN_COUNTER_INC("ctrl.queries_coalesced");
+      return true;
+    }
     // The CPU queue head is a read-modify-write, but service order only shifts
     // latency: each query's response content is derived from (requester, dst,
     // attempt), never from the shared rng stream — see ServePathRequest.
@@ -203,7 +224,7 @@ bool ControllerService::HandleControl(const Packet& pkt) {
                    kFpCpuQueue);
     TimeNs start = std::max(sim_->Now(), cpu_free_);
     cpu_free_ = start + config_.query_cost;
-    sim_->ScheduleAt(cpu_free_, [this, copy] { ServePathRequest(copy); });
+    sim_->ScheduleAt(cpu_free_, [this, key] { ServePathRequest(key); });
     return true;
   }
   if (const auto* ev = pkt.As<LinkEventPayload>()) {
@@ -213,8 +234,14 @@ bool ControllerService::HandleControl(const Packet& pkt) {
   return false;
 }
 
-void ControllerService::ServePathRequest(const PathRequestPayload& req) {
-  DN_FP_SCOPE("ctrl.path_serve", req.requester_mac);
+void ControllerService::ServePathRequest(QueryKey key) {
+  DN_FP_SCOPE("ctrl.path_serve", key.first);
+  DN_FP_COMMUTES(kCtrlCpu, QueuedQueryCell(agent_->mac(), key.first, key.second),
+                 kFpQueryCoalesce);
+  auto queued = queued_queries_.find(key);
+  DUMBNET_ASSERT(queued != queued_queries_.end(), "served a path query that was never queued");
+  const PathRequestPayload req{key.first, key.second, queued->second};
+  queued_queries_.erase(queued);
   DN_FP_READ(kCtrlDb, footprint::FpKey(agent_->mac(), kSaltCtrlDbVersion));
   auto requester = db_.LocateHost(req.requester_mac);
   auto dst = db_.LocateHost(req.dst_mac);

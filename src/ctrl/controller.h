@@ -9,8 +9,10 @@
 
 #include <cstdint>
 #include <functional>
+#include <map>
 #include <memory>
 #include <unordered_map>
+#include <utility>
 #include <vector>
 
 #include "src/ctrl/discovery.h"
@@ -40,6 +42,9 @@ struct ControllerConfig {
 struct ControllerStats {
   uint64_t queries_served = 0;
   uint64_t queries_failed = 0;
+  // Copies of a query that arrived while the same (requester, dst) query was
+  // still queued: merged into it, no CPU charged (see HandleControl).
+  uint64_t queries_coalesced = 0;
   uint64_t bootstraps_sent = 0;
   uint64_t link_events = 0;
   uint64_t patches_sent = 0;
@@ -104,8 +109,12 @@ class ControllerService {
   // Converts a built PathGraph to its wire form under the current config.
   std::shared_ptr<WirePathGraph> MakeWireGraph(const PathGraph& pg, uint64_t src_uid,
                                                uint64_t dst_uid);
+  // (requester_mac, dst_mac): a queued path query's exact identity.
+  using QueryKey = std::pair<uint64_t, uint64_t>;
   bool HandleControl(const Packet& pkt);
-  void ServePathRequest(const PathRequestPayload& req);
+  // Takes the queued query `key` (with its highest attempt) off the queue and
+  // answers it.
+  void ServePathRequest(QueryKey key);
   void OnLinkEvent(const LinkEventPayload& ev);
   void FlushPatch();
   void BootstrapHosts();
@@ -144,6 +153,9 @@ class ControllerService {
   PortNum controller_port_ = 0;
   bool ready_ = false;
   TimeNs cpu_free_ = 0;
+  // Path queries waiting in the CPU queue -> the highest attempt seen for each.
+  // An ordered map keyed on the exact MAC pair: no hash, so no collisions.
+  std::map<QueryKey, uint64_t> queued_queries_;
 
   // Pending patch accumulation.
   std::vector<WireLink> pending_removed_;

@@ -536,9 +536,9 @@ void HostAgent::ApplyBootstrap(const BootstrapPayload& bootstrap) {
     RequestPath(controller_mac_);
   }
   if (bootstrap.directory != nullptr) {
-    for (const HostLocation& loc : *bootstrap.directory) {
-      topo_cache_.UpsertHost(loc);
-    }
+    // Shared, not copied: every host bootstrapped from one controller directory
+    // holds the same vector as its host base.
+    topo_cache_.UpsertHosts(bootstrap.directory);
     ComputeGossipPeers(*bootstrap.directory);
   }
   // Anything queued before bootstrap can now be requested — in MAC order, so
@@ -652,6 +652,8 @@ void HostAgent::RequestPath(uint64_t dst_mac) {
     if (attempt >= kMaxPathRequestRetries) {
       outstanding_requests_.erase(dst_mac);
       pending_.erase(dst_mac);
+      ++stats_.path_giveups;
+      DN_COUNTER_INC("host.path_giveups");
       DN_WARN << "host " << mac_ << ": giving up on path to " << dst_mac;
       return;
     }

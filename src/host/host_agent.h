@@ -49,6 +49,7 @@ struct HostAgentStats {
   uint64_t data_blocked = 0;       // queued waiting for a path
   uint64_t path_requests = 0;
   uint64_t path_responses = 0;
+  uint64_t path_giveups = 0;       // retries exhausted; queued packets dropped
   uint64_t probes_replied = 0;
   uint64_t port_events_seen = 0;   // deduplicated fabric notifications
   uint64_t link_events_seen = 0;   // deduplicated host-flood events

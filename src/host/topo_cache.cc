@@ -141,7 +141,12 @@ Result<PathTableEntry> TopoCache::BuildEntry(uint64_t src_uid, uint64_t dst_mac,
 
 size_t TopoCache::ApproxBytes() const {
   // Switches: uid + index maps; links: endpoints + state; hosts: location records.
-  return db_.switch_count() * 24 + db_.link_count() * 20 + db_.host_count() * 24;
+  size_t shared_hosts = 0;
+  if (const auto& base = db_.host_base(); base != nullptr) {
+    shared_hosts = base->size() * 24 / static_cast<size_t>(base.use_count());
+  }
+  return db_.switch_count() * 24 + db_.link_count() * 20 +
+         db_.overlay_host_count() * 24 + shared_hosts;
 }
 
 }  // namespace dumbnet

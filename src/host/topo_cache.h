@@ -53,11 +53,15 @@ class TopoCache {
 
   Result<HostLocation> Locate(uint64_t mac) const { return db_.LocateHost(mac); }
   void UpsertHost(const HostLocation& loc) { db_.UpsertHost(loc); }
+  // Adopts a bootstrap directory as the shared host base (TopoDb::UpsertHosts).
+  void UpsertHosts(TopoDb::HostDirectory directory) { db_.UpsertHosts(std::move(directory)); }
 
   const TopoDb& db() const { return db_; }
   TopoDb& db() { return db_; }
 
-  // Rough memory footprint in bytes (Section 7.3 discusses cache cost).
+  // Rough memory footprint in bytes (Section 7.3 discusses cache cost). The
+  // shared host directory is charged as an equal share per holder, so summing
+  // over every host's cache counts it once.
   size_t ApproxBytes() const;
 
  private:

@@ -1,8 +1,15 @@
 #include "src/routing/topo_db.h"
 
+#include <algorithm>
+
 #include "src/routing/tags.h"
 
 namespace dumbnet {
+namespace {
+
+bool MacLess(const HostLocation& a, const HostLocation& b) { return a.mac < b.mac; }
+
+}  // namespace
 
 uint32_t TopoDb::EnsureSwitch(uint64_t uid, uint8_t num_ports) {
   (void)num_ports;  // the mirror always allocates the full port space
@@ -80,7 +87,65 @@ void TopoDb::UpsertHost(const HostLocation& loc) {
   // Host moves do not touch the mirror, so they leave version() alone: every
   // cache keyed on it derives from the switch graph only, and host locations
   // are looked up fresh on each use.
+  const HostLocation* base = FindInBase(loc.mac);
+  if (base != nullptr && *base == loc) {
+    hosts_.erase(loc.mac);  // the base already says this; keep the overlay small
+    return;
+  }
   hosts_[loc.mac] = loc;
+}
+
+void TopoDb::UpsertHosts(HostDirectory directory) {
+  if (directory == nullptr) {
+    return;
+  }
+  const bool strictly_sorted =
+      std::adjacent_find(directory->begin(), directory->end(),
+                         [](const HostLocation& a, const HostLocation& b) {
+                           return !MacLess(a, b);
+                         }) == directory->end();
+  if (!strictly_sorted) {
+    // Sort once into a private copy; the stable sort keeps duplicates in input
+    // order, so keeping the last of each run is "a later entry wins".
+    std::vector<HostLocation> copy = *directory;
+    std::stable_sort(copy.begin(), copy.end(), MacLess);
+    std::vector<HostLocation> unique;
+    unique.reserve(copy.size());
+    for (size_t i = 0; i < copy.size(); ++i) {
+      if (i + 1 == copy.size() || copy[i + 1].mac != copy[i].mac) {
+        unique.push_back(copy[i]);
+      }
+    }
+    directory = std::make_shared<const std::vector<HostLocation>>(std::move(unique));
+  }
+  // Hosts only the old base knew stay known: they move to the overlay (unless
+  // it already has them). Both vectors are sorted, so one merge walk suffices.
+  if (base_hosts_ != nullptr && base_hosts_ != directory) {
+    auto next = directory->begin();
+    for (const HostLocation& old : *base_hosts_) {
+      while (next != directory->end() && next->mac < old.mac) {
+        ++next;
+      }
+      if (next == directory->end() || next->mac != old.mac) {
+        hosts_.emplace(old.mac, old);
+      }
+    }
+  }
+  base_hosts_ = std::move(directory);
+  // The directory overwrites whatever the overlay said about its hosts.
+  std::erase_if(hosts_, [this](const auto& entry) {
+    return FindInBase(entry.first) != nullptr;
+  });
+}
+
+const HostLocation* TopoDb::FindInBase(uint64_t mac) const {
+  if (base_hosts_ == nullptr) {
+    return nullptr;
+  }
+  auto it = std::lower_bound(
+      base_hosts_->begin(), base_hosts_->end(), mac,
+      [](const HostLocation& loc, uint64_t key) { return loc.mac < key; });
+  return it != base_hosts_->end() && it->mac == mac ? &*it : nullptr;
 }
 
 Status TopoDb::MergePathGraph(const WirePathGraph& graph) {
@@ -104,20 +169,51 @@ Result<uint32_t> TopoDb::IndexOf(uint64_t uid) const {
 }
 
 Result<HostLocation> TopoDb::LocateHost(uint64_t mac) const {
-  auto it = hosts_.find(mac);
-  if (it == hosts_.end()) {
-    return Error(ErrorCode::kNotFound, "unknown host mac " + std::to_string(mac));
+  if (auto it = hosts_.find(mac); it != hosts_.end()) {
+    return it->second;
   }
-  return it->second;
+  if (const HostLocation* base = FindInBase(mac)) {
+    return *base;
+  }
+  return Error(ErrorCode::kNotFound, "unknown host mac " + std::to_string(mac));
 }
 
 std::vector<HostLocation> TopoDb::Directory() const {
-  std::vector<HostLocation> out;
-  out.reserve(hosts_.size());
+  std::vector<HostLocation> overlay;
+  overlay.reserve(hosts_.size());
   for (const auto& [mac, loc] : hosts_) {
-    out.push_back(loc);
+    overlay.push_back(loc);
   }
+  std::sort(overlay.begin(), overlay.end(), MacLess);
+  if (base_hosts_ == nullptr) {
+    return overlay;
+  }
+  // Merge the two sorted runs; on a shared MAC the overlay entry wins.
+  std::vector<HostLocation> out;
+  out.reserve(base_hosts_->size() + overlay.size());
+  auto o = overlay.begin();
+  for (const HostLocation& b : *base_hosts_) {
+    while (o != overlay.end() && o->mac < b.mac) {
+      out.push_back(*o++);
+    }
+    if (o != overlay.end() && o->mac == b.mac) {
+      out.push_back(*o++);
+    } else {
+      out.push_back(b);
+    }
+  }
+  out.insert(out.end(), o, overlay.end());
   return out;
+}
+
+size_t TopoDb::host_count() const {
+  size_t count = base_hosts_ != nullptr ? base_hosts_->size() : 0;
+  for (const auto& [mac, loc] : hosts_) {
+    if (FindInBase(mac) == nullptr) {
+      ++count;
+    }
+  }
+  return count;
 }
 
 bool TopoDb::HasLink(const WireLink& link) const {

@@ -4,10 +4,17 @@
 // is a TopoDb fed by the discovery service; each host's TopoCache wraps a (partial)
 // TopoDb fed by path-graph responses. Internally it maintains a Topology mirror so
 // all routing algorithms (shortest path, k-SP, path graph) run on it unchanged.
+//
+// Host locations live in two layers. The base is an immutable, MAC-sorted
+// directory shared by pointer: every host bootstrapped from one controller
+// directory holds the same vector instead of a private copy of it. The overlay
+// is a small per-instance map of the locations that differ from (or are missing
+// from) the base — host moves, path-response locations — and wins over it.
 #ifndef DUMBNET_SRC_ROUTING_TOPO_DB_H_
 #define DUMBNET_SRC_ROUTING_TOPO_DB_H_
 
 #include <cstdint>
+#include <memory>
 #include <unordered_map>
 #include <vector>
 
@@ -36,8 +43,16 @@ class TopoDb {
   // notification can outrun the patch that introduces the link).
   void SetLinkState(uint64_t uid, PortNum port, bool up);
 
-  // Records (or moves) a host.
+  // Records (or moves) a host, in the overlay.
   void UpsertHost(const HostLocation& loc);
+
+  // Bulk form of UpsertHost over a whole directory, with the same result as
+  // calling it once per entry in order (a later duplicate MAC wins). The
+  // directory becomes the shared base; it is kept by pointer when already
+  // strictly MAC-sorted, otherwise sorted once into a private copy. Null is a
+  // no-op.
+  using HostDirectory = std::shared_ptr<const std::vector<HostLocation>>;
+  void UpsertHosts(HostDirectory directory);
 
   // Merges a path graph received from the controller: its switches and links all
   // become part of this db. New links are inserted up; links already known keep
@@ -50,11 +65,17 @@ class TopoDb {
   Result<uint32_t> IndexOf(uint64_t uid) const;
   uint64_t UidOf(uint32_t index) const { return index_to_uid_[index]; }
   Result<HostLocation> LocateHost(uint64_t mac) const;
+  // Every known host once, MAC-sorted, overlay entries winning over the base.
   std::vector<HostLocation> Directory() const;
 
   size_t switch_count() const { return index_to_uid_.size(); }
-  size_t host_count() const { return hosts_.size(); }
+  size_t host_count() const;
   size_t link_count() const { return mirror_.link_count(); }
+
+  // The shared base directory (null before the first UpsertHosts) and the
+  // number of overlay entries; memory accounting and tests read these.
+  const HostDirectory& host_base() const { return base_hosts_; }
+  size_t overlay_host_count() const { return hosts_.size(); }
 
   // True if a link between (uid_a, port_a) and (uid_b, port_b) is recorded.
   bool HasLink(const WireLink& link) const;
@@ -86,10 +107,15 @@ class TopoDb {
 
  private:
   Result<LinkIndex> FindLinkAt(uint64_t uid, PortNum port) const;
+  // The base's entry for `mac`, or null.
+  const HostLocation* FindInBase(uint64_t mac) const;
 
   Topology mirror_;
   std::unordered_map<uint64_t, uint32_t> uid_to_index_;
   std::vector<uint64_t> index_to_uid_;
+  // Base: shared, immutable, strictly MAC-sorted. Overlay: never holds an
+  // entry equal to the base's for the same MAC.
+  HostDirectory base_hosts_;
   std::unordered_map<uint64_t, HostLocation> hosts_;
   uint64_t version_ = 0;
 };

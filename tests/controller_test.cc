@@ -5,6 +5,8 @@
 
 #include <gtest/gtest.h>
 
+#include <map>
+
 #include "src/analysis/invariants.h"
 #include "src/topo/generators.h"
 #include "tests/test_fabric.h"
@@ -266,6 +268,103 @@ TEST_F(ControllerTest, SsspCacheHitsOnRepeatAndInvalidatesOnLinkEvent) {
           << "path graph still uses the dead link";
     }
   }
+}
+
+// Query coalescing: a controller slow enough (1 ms per query) that a host's
+// retries pile up behind a backlog of other queries.
+class QueryCoalescingTest : public ::testing::Test {
+ protected:
+  void SetUp() override {
+    auto testbed = MakePaperTestbed();
+    ASSERT_TRUE(testbed.ok());
+    fabric_ = std::make_unique<TestFabric>(std::move(testbed.value().topo));
+    ControllerConfig config;
+    config.query_cost = Ms(1);
+    fabric_->BringUpAdopted(kControllerHost, config);  // runs to quiescence
+    controller_ = &fabric_->controller();
+    dst_ = fabric_->agent(12).mac();  // leaf 2
+    for (uint32_t h : {0u, 5u}) {     // leaves 0 and 1
+      fabric_->agent(h).SetControlHandler([this, h](const Packet& pkt) {
+        const auto* resp = pkt.As<PathResponsePayload>();
+        if (resp != nullptr && resp->dst_mac == dst_) {
+          responses_[h].push_back(resp->graph);
+        }
+        return false;  // the agent still installs the response
+      });
+    }
+  }
+
+  void Ask(uint32_t host, uint64_t dst_mac, uint64_t attempt) {
+    HostAgent& agent = fabric_->agent(host);
+    ASSERT_TRUE(agent.SendToController(PathRequestPayload{agent.mac(), dst_mac, attempt}).ok());
+  }
+
+  // Three unrelated queries from host 1, so whatever follows waits ~3 ms.
+  void QueueBacklog() {
+    for (uint32_t h : {18u, 19u, 20u}) {
+      Ask(1, fabric_->agent(h).mac(), 0);
+    }
+  }
+
+  static constexpr uint32_t kControllerHost = 25;
+
+  std::unique_ptr<TestFabric> fabric_;
+  ControllerService* controller_ = nullptr;
+  uint64_t dst_ = 0;
+  std::map<uint32_t, std::vector<std::shared_ptr<const WirePathGraph>>> responses_;
+};
+
+TEST_F(QueryCoalescingTest, QueuedRetriesAreServedOnceWithTheLatestAttempt) {
+  const ControllerStats before = controller_->stats();
+  QueueBacklog();
+  constexpr uint64_t kRetries = 4;
+  for (uint64_t attempt = 0; attempt <= kRetries; ++attempt) {
+    Ask(0, dst_, attempt);
+  }
+  fabric_->Run();
+
+  EXPECT_EQ(controller_->stats().queries_coalesced - before.queries_coalesced, kRetries);
+  EXPECT_EQ(controller_->stats().queries_served - before.queries_served, 3u + 1u);
+  ASSERT_EQ(responses_[0].size(), 1u);
+  ASSERT_NE(responses_[0][0], nullptr);
+
+  // The served graph is memoized per (switch pair, attempt): a lone query with
+  // the highest attempt gets the very same object, attempt 0 a different one.
+  Ask(0, dst_, kRetries);
+  fabric_->Run();
+  ASSERT_EQ(responses_[0].size(), 2u);
+  EXPECT_EQ(responses_[0][1], responses_[0][0]);
+  Ask(0, dst_, 0);
+  fabric_->Run();
+  ASSERT_EQ(responses_[0].size(), 3u);
+  EXPECT_NE(responses_[0][2], responses_[0][0]);
+  EXPECT_EQ(controller_->stats().queries_coalesced - before.queries_coalesced, kRetries);
+}
+
+TEST_F(QueryCoalescingTest, RetryAfterTheAnswerIsServedAgain) {
+  QueueBacklog();
+  Ask(0, dst_, 0);
+  fabric_->Run();
+  ASSERT_EQ(responses_[0].size(), 1u);
+  const ControllerStats before = controller_->stats();
+
+  Ask(0, dst_, 1);  // the earlier copy is already answered: nothing to merge into
+  fabric_->Run();
+  EXPECT_EQ(responses_[0].size(), 2u);
+  EXPECT_EQ(controller_->stats().queries_served, before.queries_served + 1);
+  EXPECT_EQ(controller_->stats().queries_coalesced, before.queries_coalesced);
+}
+
+TEST_F(QueryCoalescingTest, DifferentRequestersAreNotMerged) {
+  const ControllerStats before = controller_->stats();
+  QueueBacklog();
+  Ask(0, dst_, 0);
+  Ask(5, dst_, 0);
+  fabric_->Run();
+  EXPECT_EQ(controller_->stats().queries_coalesced, before.queries_coalesced);
+  EXPECT_EQ(controller_->stats().queries_served - before.queries_served, 3u + 2u);
+  EXPECT_EQ(responses_[0].size(), 1u);
+  EXPECT_EQ(responses_[5].size(), 1u);
 }
 
 }  // namespace

@@ -21,6 +21,8 @@ TEST(SimulatedFabricTest, BringUpViaDiscovery) {
   EXPECT_TRUE(fabric.has_controller());
   for (uint32_t h = 0; h < fabric.host_count(); ++h) {
     EXPECT_TRUE(fabric.agent(h).bootstrapped());
+    // Every warm-up path query was answered before its retries ran out.
+    EXPECT_EQ(fabric.agent(h).stats().path_giveups, 0u) << "host " << h;
   }
 }
 

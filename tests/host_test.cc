@@ -302,5 +302,33 @@ TEST(HostAgentTest, SendOnPathVerifies) {
   EXPECT_EQ(src.stats().verify_failures, 1u);
 }
 
+TEST(HostAgentTest, BootstrappedHostsShareOneDirectory) {
+  auto tb = MakePaperTestbed();
+  ASSERT_TRUE(tb.ok());
+  TestFabric fabric(std::move(tb.value().topo));
+  fabric.BringUpAdopted(25);
+
+  const TopoDb::HostDirectory& shared = fabric.agent(0).topo_cache().db().host_base();
+  ASSERT_NE(shared, nullptr);
+  EXPECT_EQ(shared->size(), fabric.host_count());
+  size_t directory_share_sum = 0;
+  for (uint32_t h = 0; h < fabric.host_count(); ++h) {
+    const TopoCache& cache = fabric.agent(h).topo_cache();
+    EXPECT_EQ(cache.db().host_base(), shared) << "host " << h;
+    EXPECT_EQ(cache.db().host_count(), fabric.host_count()) << "host " << h;
+    for (uint32_t other = 0; other < fabric.host_count(); ++other) {
+      auto loc = cache.Locate(fabric.agent(other).mac());
+      ASSERT_TRUE(loc.ok()) << "host " << h << " cannot locate host " << other;
+      EXPECT_EQ(loc.value(), fabric.agent(other).self_location());
+    }
+    EXPECT_EQ(cache.db().overlay_host_count(), 0u) << "host " << h;
+    directory_share_sum += cache.ApproxBytes() - cache.db().switch_count() * 24 -
+                           cache.db().link_count() * 20;
+  }
+  // Summed over every holder, the shared directory is charged once, not once
+  // per host.
+  EXPECT_EQ(directory_share_sum, shared->size() * 24);
+}
+
 }  // namespace
 }  // namespace dumbnet

@@ -9,6 +9,7 @@
 #include "src/routing/path_graph.h"
 #include "src/routing/shortest_path.h"
 #include "src/routing/tags.h"
+#include "src/routing/topo_db.h"
 #include "src/topo/generators.h"
 
 namespace dumbnet {
@@ -480,6 +481,77 @@ TEST(PathGraphBatchTest, UnreachableDestinationYieldsErrorEntry) {
   EXPECT_TRUE(batch[0].ok());
   EXPECT_FALSE(batch[1].ok());
   EXPECT_TRUE(batch[2].ok());
+}
+
+// --- TopoDb host store: shared base + overlay ---------------------------------------
+
+TopoDb::HostDirectory SortedDirectory() {
+  return std::make_shared<const std::vector<HostLocation>>(
+      std::vector<HostLocation>{{10, 100, 1}, {20, 100, 2}, {30, 101, 1}});
+}
+
+TEST(TopoDbHostsTest, SortedDirectoryIsSharedNotCopied) {
+  TopoDb::HostDirectory dir = SortedDirectory();
+  TopoDb a;
+  TopoDb b;
+  a.UpsertHosts(dir);
+  b.UpsertHosts(dir);
+  EXPECT_EQ(a.host_base(), dir);
+  EXPECT_EQ(b.host_base(), dir);
+  EXPECT_EQ(a.overlay_host_count(), 0u);
+  EXPECT_EQ(a.host_count(), 3u);
+  for (const HostLocation& loc : *dir) {
+    auto found = a.LocateHost(loc.mac);
+    ASSERT_TRUE(found.ok()) << loc.mac;
+    EXPECT_EQ(found.value(), loc);
+  }
+  EXPECT_FALSE(a.LocateHost(40).ok());
+}
+
+TEST(TopoDbHostsTest, OverlayMoveWinsOverBase) {
+  TopoDb db;
+  db.UpsertHosts(SortedDirectory());
+  const HostLocation moved{20, 101, 5};
+  db.UpsertHost(moved);
+  db.UpsertHost(HostLocation{25, 102, 1});  // a host the base never had
+  EXPECT_EQ(db.LocateHost(20).value(), moved);
+  EXPECT_EQ(db.host_count(), 4u);
+  EXPECT_EQ(db.Directory(), (std::vector<HostLocation>{
+                                {10, 100, 1}, moved, {25, 102, 1}, {30, 101, 1}}));
+
+  // Moving back to the base's location leaves nothing in the overlay for it.
+  db.UpsertHost(HostLocation{20, 100, 2});
+  EXPECT_EQ(db.overlay_host_count(), 1u);
+  EXPECT_EQ(db.LocateHost(20).value(), (HostLocation{20, 100, 2}));
+  EXPECT_EQ(db.host_count(), 4u);
+}
+
+TEST(TopoDbHostsTest, BulkUpsertMatchesOneByOne) {
+  // Unsorted, with a duplicate MAC whose later entry must win.
+  auto unsorted = std::make_shared<const std::vector<HostLocation>>(std::vector<HostLocation>{
+      {30, 101, 1}, {10, 100, 1}, {20, 100, 2}, {10, 102, 9}});
+  TopoDb bulk;
+  bulk.UpsertHost(HostLocation{10, 103, 3});  // overwritten by the directory
+  bulk.UpsertHost(HostLocation{50, 103, 4});  // kept
+  bulk.UpsertHosts(unsorted);
+  TopoDb one_by_one;
+  one_by_one.UpsertHost(HostLocation{10, 103, 3});
+  one_by_one.UpsertHost(HostLocation{50, 103, 4});
+  for (const HostLocation& loc : *unsorted) {
+    one_by_one.UpsertHost(loc);
+  }
+  EXPECT_NE(bulk.host_base(), unsorted);  // sorted into a private copy
+  EXPECT_EQ(bulk.Directory(), one_by_one.Directory());
+  EXPECT_EQ(bulk.host_count(), 4u);
+  EXPECT_EQ(bulk.LocateHost(10).value(), (HostLocation{10, 102, 9}));
+
+  // A second directory replaces the base; hosts only the old one knew stay.
+  bulk.UpsertHosts(std::make_shared<const std::vector<HostLocation>>(
+      std::vector<HostLocation>{{20, 104, 1}, {40, 104, 2}}));
+  one_by_one.UpsertHost(HostLocation{20, 104, 1});
+  one_by_one.UpsertHost(HostLocation{40, 104, 2});
+  EXPECT_EQ(bulk.Directory(), one_by_one.Directory());
+  EXPECT_EQ(bulk.host_count(), 5u);
 }
 
 }  // namespace

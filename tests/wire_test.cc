@@ -3,11 +3,13 @@
 // splits, and one end-to-end boot of a real UDS fabric.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstdint>
 #include <string>
 #include <vector>
 
 #include "src/net/packet.h"
+#include "src/routing/topo_db.h"
 #include "src/routing/wire_types.h"
 #include "src/wire/frame.h"
 #include "src/wire/runtime.h"
@@ -191,6 +193,37 @@ TEST(FrameTest, PacketSidecarsSurvive) {
   ASSERT_NE(data, nullptr);
   EXPECT_EQ(data->flow_id, 7u);
   EXPECT_TRUE(data->ecn);
+}
+
+// The codec keeps a directory's wire order; a host store fed an unsorted one
+// (the sample's is) must still resolve every MAC from its private sorted copy.
+TEST(FrameTest, DecodedUnsortedDirectoryResolvesEveryMac) {
+  for (const Packet& pkt : SamplePackets()) {
+    const auto* boot = pkt.As<BootstrapPayload>();
+    if (boot == nullptr) {
+      continue;
+    }
+    auto decoded = DecodePacketBody(BodyOf(EncodePacketFrame(pkt)));
+    ASSERT_TRUE(decoded.ok());
+    const auto* got = decoded.value().As<BootstrapPayload>();
+    ASSERT_NE(got, nullptr);
+    ASSERT_NE(got->directory, nullptr);
+    ASSERT_EQ(*got->directory, *boot->directory);
+    ASSERT_FALSE(std::is_sorted(got->directory->begin(), got->directory->end(),
+                                [](const HostLocation& a, const HostLocation& b) {
+                                  return a.mac < b.mac;
+                                }));
+    TopoDb db;
+    db.UpsertHosts(got->directory);
+    EXPECT_EQ(db.host_count(), got->directory->size());
+    for (const HostLocation& loc : *got->directory) {
+      auto found = db.LocateHost(loc.mac);
+      ASSERT_TRUE(found.ok()) << loc.mac;
+      EXPECT_EQ(found.value(), loc);
+    }
+    return;
+  }
+  FAIL() << "no bootstrap sample";
 }
 
 TEST(FrameTest, PacketRejectsEveryTruncation) {
