@@ -16,7 +16,10 @@ namespace {
 // direction commute up to per-packet latency: the final next_free / occupancy are
 // order-independent (sums and maxes), only which packet serializes first shifts.
 // Control-plane convergence must not depend on that order — the host/controller
-// layers merge via LWW, so the annotation is a claim the explorer can test.
+// layers merge via LWW, so the annotation is a claim the explorer can test. The
+// in-flight FIFO's push (Transmit) and pop (DeliverHead) share the cell: an
+// enqueue and the head's delivery at one instant leave the same queue and file
+// the same next delivery in either order.
 constexpr const char kFpLinkFifo[] =
     "fifo link queue; occupancy and next_free are order-independent sums";
 uint64_t DirCell(LinkIndex li, bool from_a) {
@@ -42,15 +45,15 @@ Network::Network(Simulator* sim, Topology* topo, NetworkConfig config)
   host_nodes_.assign(topo_->host_count(), nullptr);
   switch_origin_seq_.assign(topo_->switch_count(), 0);
   host_origin_seq_.assign(topo_->host_count(), 0);
-  stats_shards_.resize(1);
+  shard_local_.resize(1);
   topo_->AddLinkObserver([this](LinkIndex li, bool up) { OnLinkStateChange(li, up); });
 }
 
 void Network::AttachShards(ShardSet* shards, const ShardPlan* plan) {
   shards_ = shards;
   plan_ = plan;
-  stats_shards_.clear();
-  stats_shards_.resize(shards->shard_count());
+  shard_local_.clear();
+  shard_local_.resize(shards->shard_count());
 }
 
 void Network::RegisterSwitchNode(uint32_t sw, NetNode* node) { switch_nodes_[sw] = node; }
@@ -68,7 +71,7 @@ void Network::SendFromSwitch(uint32_t sw, PortNum port, Packet pkt) {
 
 void Network::SendFromHost(uint32_t host, Packet pkt) {
   if (host >= topo_->host_count()) {
-    ++stats_shards_[0].stats.dropped_unwired;
+    ++shard_local_[0].stats.dropped_unwired;
     return;
   }
   LinkIndex li = topo_->host_at(host).link;
@@ -96,9 +99,11 @@ void Network::StampPacketId(const NodeId& from, Packet& pkt) {
 }
 
 void Network::Transmit(LinkIndex li, const NodeId& from, Packet pkt) {
-  // Per-packet fast path: id stamp, queue admission, and serialization timing
-  // must not allocate. The declared-cold ends are the drop branches (counter /
-  // trace bookkeeping) and the tail that materializes the delivery event.
+  // Per-packet fast path: id stamp, queue admission, serialization timing and
+  // the in-flight FIFO push must not allocate. The declared-cold ends are the
+  // drop branches (counter / trace bookkeeping), the storage-growth branch,
+  // and the per-packet delivery closure of cross-shard and out-of-order
+  // arrivals.
   DN_HOT_SCOPE("net.transmit");
   Simulator& sim = SimFor(from);
   StampPacketId(from, pkt);
@@ -111,6 +116,7 @@ void Network::Transmit(LinkIndex li, const NodeId& from, Packet pkt) {
     return;
   }
   const bool from_a = (link.a.node == from);
+  // Covers the admission state and the in-flight FIFO push below.
   DN_FP_COMMUTES(kLinkQueue, DirCell(li, from_a), kFpLinkFifo);
   DirState& dir = dirs_[li][from_a ? 0 : 1];
 
@@ -147,25 +153,73 @@ void Network::Transmit(LinkIndex li, const NodeId& from, Packet pkt) {
   dir.next_free = tx_done;
   dir.queued_bytes += size;
 
+  const Endpoint to = from_a ? link.b : link.a;
+  const bool crosses =
+      shards_ != nullptr && plan_->ShardOf(from) != plan_->ShardOf(to.node);
+  // The FIFO holds strictly ascending arrivals. An arrival at or before the
+  // tail's (zero serialization time on a very fast link, or a cable shortened
+  // mid-flight) takes the per-packet event path below instead.
+  const bool queue = !crosses && (dir.flight.empty() || arrival > dir.flight.back_arrival());
+  FlightQueue::Pool& nodes = LocalFor(from).flights;
+  const bool pending_full = dir.pending.size() == dir.pending.capacity();
+  const bool node_short = queue && !nodes.HasSpare();
+  const bool slot_short = queue && dir.flight.empty() && !sim.SlotReady();
+  if (pending_full || node_short || slot_short) {
+    DN_HOT_EXEMPT("storage growth: pending-drain capacity, in-flight nodes, an event slot");
+    if (pending_full) {
+      dir.pending.reserve(std::max<size_t>(1, 2 * dir.pending.capacity()));
+    }
+    if (node_short) {
+      nodes.Grow();
+    }
+    if (slot_short) {
+      sim.ReserveSlot();
+    }
+  }
+
   // Queue occupancy drains when serialization finishes. The drain is lazy
   // (see DirState in network.h); AllocSeq burns the seq the drain event used
   // to take here, so all later events keep their exact tie-break order.
-  DN_HOT_EXEMPT("delivery enqueue: pending-drain record + event closure allocate");
-  dir.pending.push_back({tx_done, sim.AllocSeq(), static_cast<int32_t>(size)});
+  dir.AddPending(tx_done, sim.AllocSeq(), static_cast<int32_t>(size));
 
-  const Endpoint to = from_a ? link.b : link.a;
+  const uint8_t side = from_a ? 0 : 1;
+  if (queue) {
+    // The delivery's seq is burned the same way; only the direction's head
+    // delivery sits in the wheel, and DeliverHead files the rest in turn.
+    const uint64_t seq = sim.AllocSeq();
+    const bool file_head = dir.flight.empty();
+    dir.flight.Push(nodes, arrival, seq, std::move(pkt));
+    if (file_head) {
+      sim.ScheduleAtSeq(arrival, seq, [this, li, side, to] { DeliverHead(li, side, to); });
+    }
+    return;
+  }
+  DN_HOT_EXEMPT("per-packet delivery: the event closure carries the packet");
   EventFn deliver = [this, to, pkt = std::move(pkt)]() mutable {
     DN_FP_SCOPE("net.deliver", to.node.index);
     Deliver(to, std::move(pkt));
   };
-  if (shards_ != nullptr) {
-    const uint32_t src_shard = plan_->ShardOf(from);
-    const uint32_t dst_shard = plan_->ShardOf(to.node);
+  if (crosses) {
     // Cross-shard arrival >= now + propagation >= window start + lookahead: the
     // link crosses the cut, so its propagation is >= the plan's minimum.
-    shards_->Post(src_shard, dst_shard, arrival, std::move(deliver));
+    shards_->Post(plan_->ShardOf(from), plan_->ShardOf(to.node), arrival, std::move(deliver));
   } else {
     sim.ScheduleAt(arrival, std::move(deliver));
+  }
+}
+
+void Network::DeliverHead(LinkIndex li, uint8_t side, const Endpoint& to) {
+  DN_FP_SCOPE("net.deliver", to.node.index);
+  DN_FP_COMMUTES(kLinkQueue, DirCell(li, side == 0), kFpLinkFifo);
+  DirState& dir = dirs_[li][side];
+  // Delivered in place: the handler may transmit, even on this direction,
+  // without invalidating the head (nodes never move).
+  Deliver(to, std::move(dir.flight.front().pkt));
+  dir.flight.Pop(LocalFor(to.node).flights);
+  if (!dir.flight.empty()) {
+    const FlightQueue::Entry& next = dir.flight.front();
+    SimFor(to.node).ScheduleAtSeq(next.arrival, next.seq,
+                                  [this, li, side, to] { DeliverHead(li, side, to); });
   }
 }
 
@@ -209,7 +263,7 @@ void Network::DrainDir(DirState& dir, TimeNs now, const Simulator& sim) {
 
 NetworkStats Network::stats() const {
   NetworkStats total;
-  for (const PaddedStats& s : stats_shards_) {
+  for (const ShardLocal& s : shard_local_) {
     total.delivered += s.stats.delivered;
     total.dropped_link_down += s.stats.dropped_link_down;
     total.dropped_queue_full += s.stats.dropped_queue_full;

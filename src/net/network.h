@@ -5,10 +5,10 @@
 // Sharded mode (AttachShards): every node belongs to one shard of a ShardSet and
 // all of its events run on that shard's simulator. The per-direction egress
 // queue state is owned by the sending side, so transmit bookkeeping is always
-// shard-local; only the delivery event can cross a shard boundary, and then it
-// travels through the ShardSet's SPSC channel with an arrival time at least one
-// propagation delay in the future — which is exactly the conservative-lookahead
-// bound the window barrier relies on (DESIGN.md §12).
+// shard-local; only a delivery on a direction that crosses the cut leaves the
+// shard, and then it travels through the ShardSet's SPSC channel with an
+// arrival time at least one propagation delay in the future — which is exactly
+// the conservative-lookahead bound the window barrier relies on (DESIGN.md §12).
 #ifndef DUMBNET_SRC_NET_NETWORK_H_
 #define DUMBNET_SRC_NET_NETWORK_H_
 
@@ -16,6 +16,7 @@
 #include <cstdint>
 #include <vector>
 
+#include "src/net/flight_queue.h"
 #include "src/net/packet.h"
 #include "src/net/shard_plan.h"
 #include "src/sim/shard_set.h"
@@ -132,13 +133,22 @@ class Network {
 
  private:
   void Transmit(LinkIndex li, const NodeId& from, Packet pkt);
+  // The delivery event of direction (li, side), whose far end is `to`:
+  // delivers the FIFO head and files the next head under its burned seq.
+  void DeliverHead(LinkIndex li, uint8_t side, const Endpoint& to);
   void Deliver(const Endpoint& to, Packet&& pkt);
   void OnLinkStateChange(LinkIndex li, bool up);
-  // Stats bucket for events executing on `node`'s shard.
-  NetworkStats& StatsFor(const NodeId& node) {
-    return shards_ != nullptr ? stats_shards_[plan_->ShardOf(node)].stats
-                              : stats_shards_[0].stats;
+  // Counters and in-flight node pool, one per shard so workers never share a
+  // cache line or a free list.
+  struct alignas(64) ShardLocal {
+    NetworkStats stats;
+    FlightQueue::Pool flights;
+  };
+  // The ShardLocal of the shard `node`'s events execute on.
+  ShardLocal& LocalFor(const NodeId& node) {
+    return shard_local_[shards_ != nullptr ? plan_->ShardOf(node) : 0];
   }
+  NetworkStats& StatsFor(const NodeId& node) { return LocalFor(node).stats; }
 
   // Egress queue occupancy per link direction (0: a->b, 1: b->a). Owned by the
   // sending side's shard; the two directions of one link may belong to
@@ -158,11 +168,22 @@ class Network {
     uint64_t seq = 0;   // the seq that drain event would have carried
     int32_t size = 0;
   };
+  // Packets on the wire wait in `flight`, not in the timer wheel: only the
+  // head has a delivery event filed, and each delivery files the next under
+  // the seq burned for it at transmit (Simulator::ScheduleAtSeq), so every
+  // delivery runs at the (arrival, seq) a per-packet event would have had.
+  // Directions that cross a shard cut post a per-packet closure instead.
   struct DirState {
+    FlightQueue flight;  // arrival and seq both ascend
     TimeNs next_free = 0;
     int64_t queued_bytes = 0;
     std::vector<PendingTx> pending;  // FIFO: `done` and `seq` both ascend
     uint32_t head = 0;               // first unretired entry
+
+    // Appends within the capacity Transmit's storage-growth branch reserved.
+    void AddPending(TimeNs done, uint64_t seq, int32_t size) {
+      pending.push_back({done, seq, size});
+    }
   };
   static bool PendingDone(const PendingTx& p, TimeNs now, uint64_t cur_seq) {
     return p.done < now || (p.done == now && p.seq < cur_seq);
@@ -170,19 +191,17 @@ class Network {
   // Retires every pending entry whose virtual drain event precedes the one
   // executing on `sim` right now.
   static void DrainDir(DirState& dir, TimeNs now, const Simulator& sim);
-  struct alignas(64) PaddedStats {
-    NetworkStats stats;
-  };
 
   Simulator* sim_;
   Topology* topo_;
   NetworkConfig config_;
   ShardSet* shards_ = nullptr;
   const ShardPlan* plan_ = nullptr;
+  // Declared before dirs_: the flight queues' nodes live in these pools.
+  std::vector<ShardLocal> shard_local_;
   std::vector<std::array<DirState, 2>> dirs_;
   std::vector<NetNode*> switch_nodes_;
   std::vector<NetNode*> host_nodes_;
-  std::vector<PaddedStats> stats_shards_;
   // Per-origin packet-id counters (see StampPacketId). Each cell is only ever
   // touched from its node's shard.
   std::vector<uint64_t> switch_origin_seq_;

@@ -122,6 +122,21 @@ void Simulator::RewindAndRefile(TimeNs new_wheel_time) {
 }
 
 EventHandle Simulator::ScheduleAt(TimeNs at, EventFn fn) {
+  return Insert(at, next_seq_++, std::move(fn));
+}
+
+EventHandle Simulator::ScheduleAtSeq(TimeNs at, uint64_t seq, EventFn fn) {
+  assert(seq < next_seq_ && "ScheduleAtSeq takes a seq burned by AllocSeq");
+  return Insert(at, seq, std::move(fn));
+}
+
+void Simulator::ReserveSlot() {
+  if (!SlotReady()) {
+    pool_.reserve(std::max<size_t>(64, 2 * pool_.capacity()));
+  }
+}
+
+EventHandle Simulator::Insert(TimeNs at, uint64_t seq, EventFn&& fn) {
   if (at < now_) {
     at = now_;  // a timestamp in the past fires immediately; time never rewinds
   }
@@ -133,7 +148,7 @@ EventHandle Simulator::ScheduleAt(TimeNs at, EventFn fn) {
   uint32_t idx = AllocSlot();
   Slot& slot = pool_[idx];
   slot.at = at;
-  slot.seq = next_seq_++;
+  slot.seq = seq;
   slot.fn = std::move(fn);
   FileSlot(idx);
   ++queued_;

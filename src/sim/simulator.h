@@ -68,6 +68,22 @@ class Simulator {
   // Schedules `fn` to run `delay` ns from now.
   EventHandle ScheduleAfter(TimeNs delay, EventFn fn);
 
+  // Files `fn` at `at` under `seq`, a number burned earlier with AllocSeq.
+  // For components that keep burned events outside the wheel and file each
+  // one only when it is the next they must run (the network's per-direction
+  // in-flight FIFO): the event runs at exactly the (at, seq) position a
+  // ScheduleAt at burn time would have given it. Preconditions: seq < the next
+  // seq to be allocated, and if `at`'s batch is already formed (the executing
+  // one, or one an early-stopped RunUntil or PeekNextTime drained), seq is
+  // above every seq in it — as a seq burned just now always is.
+  EventHandle ScheduleAtSeq(TimeNs at, uint64_t seq, EventFn fn);
+
+  // Allocation-free fast paths (DN_HOT_SCOPE) use these to fence the one case
+  // in which scheduling allocates: no idle slot and the pool at capacity.
+  // ReserveSlot grows the pool geometrically so the next schedule cannot.
+  bool SlotReady() const { return !free_.empty() || pool_.size() < pool_.capacity(); }
+  void ReserveSlot();
+
   // Cancels a pending event; no-op if it already ran or was cancelled. O(1).
   void Cancel(EventHandle handle);
 
@@ -168,6 +184,7 @@ class Simulator {
 
   uint32_t AllocSlot();
   void ReclaimSlot(uint32_t idx);
+  EventHandle Insert(TimeNs at, uint64_t seq, EventFn&& fn);
   // Threads `idx` into the wheel relative to wheel_time_.
   void FileSlot(uint32_t idx);
   // Rewinds the wheel to `new_wheel_time` and re-files every queued event. Needed

@@ -1,5 +1,7 @@
 #include "src/switch/dumb_switch.h"
 
+#include <bitset>
+
 #include "src/analysis/audit.h"
 #include "src/sim/footprint.h"
 #include "src/telemetry/flight_recorder.h"
@@ -186,15 +188,28 @@ void DumbSwitch::EmitAlarm(PortNum port, bool up) {
 }
 
 void DumbSwitch::FloodNotification(const Packet& pkt, PortNum skip) {
-  for (PortNum p = 1; p <= num_ports_; ++p) {
-    if (p == skip || !PortIsUp(p)) {
-      continue;
+  // One event sends on every port, in ascending port order. That is
+  // order-equivalent to one event per port: those would have had adjacent
+  // seqs at one timestamp, so nothing could run between them. The port set is
+  // captured now: a port that comes up before the event fires is not used,
+  // and one that goes down meanwhile is dropped by the network.
+  std::bitset<256> ports;
+  for (uint32_t p = 1; p <= num_ports_; ++p) {
+    if (p != skip && PortIsUp(static_cast<PortNum>(p))) {
+      ports.set(p);
     }
-    sim_->ScheduleAfter(config_.forwarding_delay, [this, p, pkt] {
-      DN_FP_SCOPE("switch.tx", uid_);
-      net_->SendFromSwitch(index_, p, pkt);
-    });
   }
+  if (ports.none()) {
+    return;
+  }
+  sim_->ScheduleAfter(config_.forwarding_delay, [this, ports, pkt] {
+    DN_FP_SCOPE("switch.tx", uid_);
+    for (uint32_t p = 1; p <= num_ports_; ++p) {
+      if (ports.test(p)) {
+        net_->SendFromSwitch(index_, static_cast<PortNum>(p), pkt);
+      }
+    }
+  });
 }
 
 }  // namespace dumbnet

@@ -72,8 +72,9 @@ class DumbSwitch : public NetNode {
   // (0 for self-generated packets such as ID replies).
   void ForwardTagged(Packet pkt, uint64_t transit_probe_id, PortNum in_port);
 
-  // Floods a hop-limited notification out every wired, up port except `skip`
-  // (kPathEndTag = no skip).
+  // Floods a hop-limited notification out every wired port except `skip`
+  // (kPathEndTag = no skip) that is up now, from one event after the
+  // forwarding delay.
   void FloodNotification(const Packet& pkt, PortNum skip);
 
   void EmitAlarm(PortNum port, bool up);

@@ -400,7 +400,8 @@ void WireNode::InstallPingService() {
       if (pkt.sent_time != 0) {
         // Same process, same CLOCK_MONOTONIC, shared epoch: sender virtual
         // time is directly comparable with ours.
-        DN_HISTOGRAM_RECORD("wire.oneway_ns", Elapsed() - pkt.sent_time);
+        DN_HISTOGRAM_RECORD("wire.oneway_ns",
+                            static_cast<double>(Elapsed() - pkt.sent_time));
       }
       DataPayload reply;
       reply.flow_id = data.flow_id;

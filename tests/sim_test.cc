@@ -3,6 +3,7 @@
 #include <gtest/gtest.h>
 
 #include <functional>
+#include <string>
 #include <utility>
 #include <vector>
 
@@ -155,6 +156,91 @@ TEST(SimulatorTest, TraceHookReportsEveryExecutedEvent) {
   sim.ScheduleAt(Ms(10), [] {});
   sim.Run();
   EXPECT_EQ(trace.size(), 4u);
+}
+
+// A chain of deliveries whose seqs are burned up front (AllocSeq) but filed one
+// at a time, each by its predecessor (ScheduleAtSeq) — the network's in-flight
+// FIFO pattern — must replay the exact (at, seq) stream and handler order of
+// scheduling every delivery at burn time, including ties with other events.
+struct SeqRun {
+  std::vector<std::pair<TimeNs, uint64_t>> trace;
+  std::vector<std::string> order;
+};
+
+SeqRun RunDeliveryChain(bool file_late) {
+  Simulator sim;
+  SeqRun run;
+  sim.SetTraceHook([&](TimeNs at, uint64_t seq) { run.trace.emplace_back(at, seq); });
+  const std::vector<TimeNs> arrivals = {50, 100, 150, 151};
+  std::vector<uint64_t> seqs(arrivals.size());
+  std::function<void(size_t)> deliver = [&](size_t i) {
+    run.order.push_back("D" + std::to_string(i));
+    if (file_late && i + 1 < arrivals.size()) {
+      sim.ScheduleAtSeq(arrivals[i + 1], seqs[i + 1], [&deliver, i] { deliver(i + 1); });
+    }
+  };
+  sim.ScheduleAt(0, [&] {
+    // Other events interleave with the chain at the same timestamps, on both
+    // sides of each delivery's seq.
+    sim.ScheduleAt(100, [&] { run.order.push_back("X100"); });
+    for (size_t i = 0; i < arrivals.size(); ++i) {
+      if (file_late) {
+        seqs[i] = sim.AllocSeq();
+        if (i == 0) {
+          sim.ScheduleAtSeq(arrivals[0], seqs[0], [&deliver] { deliver(0); });
+        }
+      } else {
+        sim.ScheduleAt(arrivals[i], [&deliver, i] { deliver(i); });
+      }
+      if (i == 0) {
+        sim.ScheduleAt(50, [&] { run.order.push_back("X50"); });
+      }
+    }
+    sim.ScheduleAt(150, [&] { run.order.push_back("X150"); });
+  });
+  sim.Run();
+  return run;
+}
+
+TEST(SimulatorTest, ScheduleAtSeqReplaysBurnTimeOrder) {
+  const SeqRun eager = RunDeliveryChain(false);
+  const SeqRun late = RunDeliveryChain(true);
+  EXPECT_EQ(late.trace, eager.trace);
+  EXPECT_EQ(late.order, eager.order);
+  EXPECT_EQ(eager.order, (std::vector<std::string>{"D0", "X50", "X100", "D1", "D2", "X150",
+                                                   "D3"}));
+}
+
+TEST(SimulatorTest, ScheduleAtSeqSameTimeBatchIsFifoBySeq) {
+  Simulator sim;
+  std::vector<char> order;
+  const uint64_t a = sim.AllocSeq();
+  sim.ScheduleAt(Us(1), [&] { order.push_back('b'); });
+  const uint64_t c = sim.AllocSeq();
+  sim.ScheduleAt(Us(1), [&] { order.push_back('d'); });
+  // Filed out of order, after a later-seq event is already queued.
+  sim.ScheduleAtSeq(Us(1), c, [&] { order.push_back('c'); });
+  sim.ScheduleAtSeq(Us(1), a, [&] { order.push_back('a'); });
+  EXPECT_EQ(sim.mem_stats().queued_events, 4u);
+  EXPECT_EQ(sim.Run(), 4u);
+  EXPECT_EQ(order, (std::vector<char>{'a', 'b', 'c', 'd'}));
+}
+
+TEST(SimulatorTest, ScheduleAtSeqRewindsAfterEarlyStoppedRunUntil) {
+  Simulator sim;
+  std::vector<std::pair<TimeNs, char>> ran;
+  const uint64_t early = sim.AllocSeq();
+  sim.ScheduleAt(Us(10), [&] { ran.emplace_back(sim.Now(), 'x'); });
+  // Stops with the Us(10) batch drained into the wheel's due list.
+  sim.RunUntil(Us(5));
+  ASSERT_EQ(sim.Now(), Us(5));
+  // Below the wheel's position: takes the RewindAndRefile path.
+  sim.ScheduleAtSeq(Us(7), early, [&] { ran.emplace_back(sim.Now(), 'a'); });
+  // At the drained batch's time with a fresh seq: runs after it.
+  const uint64_t fresh = sim.AllocSeq();
+  sim.ScheduleAtSeq(Us(10), fresh, [&] { ran.emplace_back(sim.Now(), 'y'); });
+  EXPECT_EQ(sim.Run(), 3u);
+  EXPECT_EQ(ran, (std::vector<std::pair<TimeNs, char>>{{Us(7), 'a'}, {Us(10), 'x'}, {Us(10), 'y'}}));
 }
 
 }  // namespace

@@ -217,5 +217,52 @@ TEST(DumbSwitchTest, AlarmSuppressionLimitsRate) {
   EXPECT_GE(f.switches[1]->stats().notifications_sent, 2u);
 }
 
+TEST(DumbSwitchTest, FloodIsOneEventOverPortsUpWhenScheduled) {
+  // S0 with five hosts: H0 on the ingress port, H1 up, H2 down throughout,
+  // H3 down when the flood is scheduled but up before it fires, H4 up when it
+  // is scheduled but down before it fires.
+  Topology topo;
+  topo.AddSwitch(8);
+  std::vector<LinkIndex> links;
+  for (PortNum port = 1; port <= 5; ++port) {
+    const uint32_t h = topo.AddHost();
+    topo.AttachHost(h, 0, port).value();
+    links.push_back(topo.LinkAtPort(0, port));
+  }
+  topo.SetLinkUp(links[2], false);
+  topo.SetLinkUp(links[3], false);
+  Simulator sim;
+  Network net(&sim, &topo);
+  DumbSwitch sw(&net, 0);
+  std::vector<std::unique_ptr<SinkHost>> hosts;
+  for (uint32_t h = 0; h < 5; ++h) {
+    hosts.push_back(std::make_unique<SinkHost>(&net, h));
+  }
+
+  Packet note;
+  note.eth.src_mac = 0x77;
+  note.eth.dst_mac = kBroadcastMac;
+  note.eth.ether_type = kEtherTypeDumbNet;
+  note.payload = PortEventPayload{0x99, 3, false, 2, 1, 0};
+  sw.HandlePacket(note, PortNum{1});
+  EXPECT_EQ(sw.stats().notifications_relayed, 1u);
+  // One event for the whole flood, not one per port.
+  EXPECT_EQ(sim.mem_stats().queued_events, 1u);
+
+  topo.SetLinkUp(links[3], true);
+  topo.SetLinkUp(links[4], false);
+  // Stop before the 1 ms loss-of-signal detection reacts to those flaps.
+  sim.RunUntil(Us(100));
+  EXPECT_EQ(sim.executed_events(), 2u);  // the flood and H1's delivery
+  ASSERT_EQ(hosts[1]->received.size(), 1u);
+  ASSERT_NE(hosts[1]->received[0].As<PortEventPayload>(), nullptr);
+  EXPECT_EQ(hosts[1]->received[0].As<PortEventPayload>()->hops_left, 1);
+  for (uint32_t h : {0u, 2u, 3u, 4u}) {
+    EXPECT_TRUE(hosts[h]->received.empty()) << "host " << h;
+  }
+  // H4's copy was sent into the dead link and dropped there.
+  EXPECT_EQ(net.stats().dropped_link_down, 1u);
+}
+
 }  // namespace
 }  // namespace dumbnet
