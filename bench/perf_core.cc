@@ -12,6 +12,7 @@
 //   events_per_sec        cancel-heavy drain, new core vs legacy priority queue
 //   path_graphs_per_sec   one-source/many-destination batch vs legacy loop
 //   bring_up_wall         full discovery + bootstrap wall-clock, 1k/4k/16k hosts
+//   host_routes_per_sec   TopoCache::BuildEntry over every edge-switch pair
 #include <algorithm>
 #include <chrono>
 #include <cstdio>
@@ -26,6 +27,7 @@
 #include "bench/bench_util.h"
 #include "src/analysis/contracts.h"
 #include "src/core/fabric.h"
+#include "src/host/topo_cache.h"
 #include "src/routing/path_graph.h"
 #include "src/routing/shortest_path.h"
 #include "src/topo/generators.h"
@@ -578,6 +580,69 @@ ShardWorkloadResult RunShardWorkload(uint32_t shards, int pings_per_host) {
   return r;
 }
 
+// ---------------------------------------------------------------------------
+// Workload 5: host route computation. A TopoCache holding the whole fat-tree
+// k=8 (every link, every host) builds the k=4 entry from each edge switch to a
+// host on every other edge switch. The cold pass runs on a fresh copy of the
+// cache, so each pair costs one Yen run; the warm pass repeats the pairs on
+// that copy, where every Yen result comes from the snapshot's memo and only the
+// tags are compiled.
+// ---------------------------------------------------------------------------
+struct HostRoutesResult {
+  double cold_per_sec = 0;
+  double warm_per_sec = 0;
+  size_t pairs = 0;
+  size_t failures = 0;
+};
+
+HostRoutesResult RunHostRoutes(int repeats) {
+  FatTreeConfig config;
+  config.k = 8;
+  auto ft = MakeFatTree(config);
+  const Topology& topo = ft.value().topo;
+  TopoCache filled;
+  for (LinkIndex li = 0; li < topo.link_count(); ++li) {
+    const Link& l = topo.link_at(li);
+    if (l.a.node.is_switch() && l.b.node.is_switch()) {
+      (void)filled.db().AddLink(WireLink{topo.switch_at(l.a.node.index).uid, l.a.port,
+                                         topo.switch_at(l.b.node.index).uid, l.b.port});
+    }
+  }
+  // (edge switch uid, mac of one host attached to it)
+  std::vector<std::pair<uint64_t, uint64_t>> edges;
+  for (uint32_t h = 0; h < topo.host_count(); ++h) {
+    const Endpoint up = topo.HostUplink(h).value();
+    const uint64_t uid = topo.switch_at(up.node.index).uid;
+    filled.UpsertHost(HostLocation{topo.host_at(h).mac, uid, up.port});
+    if (std::none_of(edges.begin(), edges.end(),
+                     [uid](const auto& e) { return e.first == uid; })) {
+      edges.emplace_back(uid, topo.host_at(h).mac);
+    }
+  }
+
+  HostRoutesResult r;
+  auto pass = [&r, &edges](const TopoCache& cache) {
+    for (const auto& src : edges) {
+      for (const auto& [dst_uid, dst_mac] : edges) {
+        if (dst_uid != src.first && !cache.BuildEntry(src.first, dst_mac, 4).ok()) {
+          ++r.failures;
+        }
+      }
+    }
+  };
+  r.pairs = edges.size() * (edges.size() - 1);
+  double cold = 0;
+  double warm = 0;
+  for (int rep = 0; rep < repeats; ++rep) {
+    TopoCache cache = filled;  // empty memo
+    cold += WallSeconds([&] { pass(cache); });
+    warm += WallSeconds([&] { pass(cache); });
+  }
+  r.cold_per_sec = static_cast<double>(r.pairs) * repeats / cold;
+  r.warm_per_sec = static_cast<double>(r.pairs) * repeats / warm;
+  return r;
+}
+
 }  // namespace
 
 int main(int argc, char** argv) {
@@ -716,16 +781,42 @@ int main(int argc, char** argv) {
   report.Add("perf_core", "hot_scope_allocs", static_cast<double>(ping_allocs),
              "allocs", {{"section", "shard_ping_pong"}});
 
+  // --- 5. host route computation ------------------------------------------
+  const int route_repeats = args.quick ? 3 : 12;
+  HostRoutesResult routes;
+  // On a thread of its own, so the section starts from a cold thread-local Yen
+  // scratch: growth an earlier section already paid for cannot hide here.
+  const uint64_t route_allocs = HotAllocsDuring([&] {
+    std::thread worker([&] { routes = RunHostRoutes(route_repeats); });
+    worker.join();
+  });
+  std::printf("\nhost routes (fat-tree k=8 TopoCache, k=4, %zu edge-switch pairs x %d "
+              "repeats):\n",
+              routes.pairs, route_repeats);
+  std::printf("  cold (one Yen run per pair)  %12.0f routes/s\n", routes.cold_per_sec);
+  std::printf("  warm (memo hits)             %12.0f routes/s\n", routes.warm_per_sec);
+  if (routes.failures != 0) {
+    std::fprintf(stderr, "host routes: %zu BuildEntry calls failed\n", routes.failures);
+    return 1;
+  }
+  report.Add("perf_core", "host_routes_per_sec", routes.cold_per_sec, "routes/s",
+             {{"topology", "fattree8"}, {"k", "4"}, {"pass", "cold"}});
+  report.Add("perf_core", "host_routes_per_sec", routes.warm_per_sec, "routes/s",
+             {{"topology", "fattree8"}, {"k", "4"}, {"pass", "warm"}});
+  report.Add("perf_core", "hot_scope_allocs", static_cast<double>(route_allocs),
+             "allocs", {{"section", "host_routes"}});
+
   if (args.quick) {
     std::printf("\n(quick mode: reduced event count, repeats, and host sweep)\n");
   }
   std::printf("\nhot-scope allocations (contract checker%s): drain=%lu batch=%lu "
-              "bring_up=%lu pings=%lu\n",
+              "bring_up=%lu pings=%lu routes=%lu\n",
               dumbnet::contracts::kCompiledIn ? "" : " COMPILED OUT",
               static_cast<unsigned long>(drain_allocs),
               static_cast<unsigned long>(batch_allocs),
               static_cast<unsigned long>(bring_up_allocs),
-              static_cast<unsigned long>(ping_allocs));
+              static_cast<unsigned long>(ping_allocs),
+              static_cast<unsigned long>(route_allocs));
   dumbnet::contracts::PublishTelemetry();
   if (!report.WriteTo(args.json_path)) {
     return 1;

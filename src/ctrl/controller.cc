@@ -131,8 +131,8 @@ Result<TagList> ControllerService::TagsToHost(const HostLocation& dst, Rng* rng)
   }
   // Per-call randomized Dijkstra (scratch-based, so no allocation): response tags
   // must re-randomize on every retry so repeated queries dodge links the
-  // controller has not yet learned are dead. The SSSP-tree cache is reserved for
-  // bulk work over a settled topology (bootstraps, batch precompute).
+  // controller has not yet learned are dead. The SSSP-tree cache serves only the
+  // batch precompute (PrecomputePathGraphs).
   auto path = ShortestPathScaled(RoutingGraph(), src_idx.value(), dst_idx.value(), rng,
                                  tags_scratch_, nullptr);
   if (!path.ok()) {

@@ -670,7 +670,14 @@ Status HostAgent::InstallRoutesFor(uint64_t dst_mac) {
   // Commutes: the installed entry is recomputed from the (order-converged) topo
   // cache, so concurrent recomputes for one destination land on the same routes.
   DN_FP_COMMUTES(kPathTable, footprint::FpKey(mac_, dst_mac), kFpRouteRecompute);
+  const TopoCache::RouteStats before = topo_cache_.route_stats();
   auto entry = topo_cache_.BuildEntry(self_.switch_uid, dst_mac, config_.k_paths);
+  const uint64_t runs = topo_cache_.route_stats().ksp_runs - before.ksp_runs;
+  const uint64_t hits = topo_cache_.route_stats().ksp_memo_hits - before.ksp_memo_hits;
+  stats_.ksp_runs += runs;
+  stats_.ksp_memo_hits += hits;
+  DN_COUNTER_INC_N("host.ksp_runs", runs);
+  DN_COUNTER_INC_N("host.ksp_memo_hits", hits);
   if (!entry.ok()) {
     return entry.error();
   }

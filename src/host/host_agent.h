@@ -60,6 +60,8 @@ struct HostAgentStats {
   uint64_t link_repairs = 0;       // RepairAfterLinkChange invocations
   uint64_t reroutes = 0;           // flows moved to a new route by a repair
   uint64_t path_divergence = 0;    // provenance mismatches on received data
+  uint64_t ksp_runs = 0;           // route installs that ran Yen on the topo cache
+  uint64_t ksp_memo_hits = 0;      // route installs that reused a memoized Yen run
   uint64_t notifications_delayed = 0;  // chaos interceptor deferred a copy
   uint64_t notifications_dropped = 0;  // chaos interceptor ate a copy
 };

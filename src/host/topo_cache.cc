@@ -1,7 +1,6 @@
 #include "src/host/topo_cache.h"
 
 #include "src/routing/graph.h"
-#include "src/routing/shortest_path.h"
 
 namespace dumbnet {
 
@@ -55,6 +54,7 @@ const SwitchGraph& TopoCache::RoutingGraph() const {
   if (graph_cache_ == nullptr || graph_version_ != db_.version()) {
     graph_cache_ = std::make_shared<const SwitchGraph>(db_.mirror());
     graph_version_ = db_.version();
+    path_memo_.clear();
   }
   return *graph_cache_;
 }
@@ -86,7 +86,18 @@ Result<std::vector<CachedRoute>> TopoCache::ComputeRoutes(uint64_t src_uid,
   if (!dst_idx.ok()) {
     return dst_idx.error();
   }
-  auto paths = KShortestPaths(RoutingGraph(), src_idx.value(), dst_idx.value(), k);
+  const SwitchGraph& graph = RoutingGraph();  // first: a rebuild clears the memo
+  auto [it, inserted] = path_memo_.try_emplace(
+      std::make_tuple(src_idx.value(), dst_idx.value(), k), std::vector<SwitchPath>());
+  if (inserted) {
+    // One scratch per thread: sharded runs call this from several shards.
+    static thread_local KspScratch scratch;
+    it->second = KShortestPaths(graph, src_idx.value(), dst_idx.value(), k, scratch);
+    ++route_stats_.ksp_runs;
+  } else {
+    ++route_stats_.ksp_memo_hits;
+  }
+  const Result<std::vector<SwitchPath>>& paths = it->second;
   if (!paths.ok()) {
     return paths.error();
   }

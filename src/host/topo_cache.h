@@ -6,20 +6,27 @@
 #define DUMBNET_SRC_HOST_TOPO_CACHE_H_
 
 #include <cstdint>
+#include <map>
 #include <memory>
+#include <tuple>
 #include <vector>
 
 #include "src/host/path_table.h"
+#include "src/routing/shortest_path.h"
 #include "src/routing/topo_db.h"
 #include "src/routing/wire_types.h"
 #include "src/util/result.h"
 
 namespace dumbnet {
 
-class SwitchGraph;
-
 class TopoCache {
  public:
+  // Route-computation work done by ComputeRoutes (and so BuildEntry).
+  struct RouteStats {
+    uint64_t ksp_runs = 0;       // Yen runs over the cached graph
+    uint64_t ksp_memo_hits = 0;  // answered from the snapshot's memo instead
+  };
+
   TopoCache() = default;
 
   // Merges a controller response: the path graph's switches/links plus the
@@ -43,7 +50,9 @@ class TopoCache {
 
   // Computes up to k shortest routes from `src_uid` to the destination over the
   // cached (up) subgraph, compiled to tags. Fails if dst is not cached or
-  // unreachable within the cache.
+  // unreachable within the cache. The switch paths are computed once per
+  // (graph snapshot, source switch, destination switch, k) and memoized; the
+  // tags are compiled on every call with the destination's current port.
   Result<std::vector<CachedRoute>> ComputeRoutes(uint64_t src_uid, uint64_t dst_mac,
                                                  uint32_t k) const;
 
@@ -59,6 +68,8 @@ class TopoCache {
   const TopoDb& db() const { return db_; }
   TopoDb& db() { return db_; }
 
+  const RouteStats& route_stats() const { return route_stats_; }
+
   // Rough memory footprint in bytes (Section 7.3 discusses cache cost). The
   // shared host directory is charged as an equal share per holder, so summing
   // over every host's cache counts it once.
@@ -70,15 +81,22 @@ class TopoCache {
   // Adjacency snapshot for db_.mirror(), rebuilt only when the db version moved
   // (the controller's RoutingGraph() pattern). ComputeRoutes is hot during
   // bring-up — every response triggers route builds over an unchanged mirror —
-  // so the snapshot is cached across those const calls.
+  // so the snapshot is cached across those const calls. A rebuild also drops
+  // path_memo_, which belongs to the snapshot it was computed on.
   const SwitchGraph& RoutingGraph() const;
 
   TopoDb db_;
   // shared_ptr: copyable with the cache (copies share the immutable snapshot
-  // until either side's db version moves on) and destructible on the forward
-  // declaration alone.
+  // until either side's db version moves on).
   mutable std::shared_ptr<const SwitchGraph> graph_cache_;
   mutable uint64_t graph_version_ = UINT64_MAX;
+  // KShortestPaths results on graph_cache_, keyed on (src_idx, dst_idx, k).
+  // Exact: Yen draws no randomness, and every mirror mutation bumps the db
+  // version. Holds the current snapshot's entries only.
+  mutable std::map<std::tuple<uint32_t, uint32_t, uint32_t>,
+                   Result<std::vector<SwitchPath>>>
+      path_memo_;
+  mutable RouteStats route_stats_;
   // Last backup path received per destination mac (UID form).
   std::unordered_map<uint64_t, std::vector<uint64_t>> backups_;
 };

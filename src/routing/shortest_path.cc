@@ -1,9 +1,10 @@
 #include "src/routing/shortest_path.h"
 
 #include <algorithm>
-#include <deque>
-#include <queue>
-#include <set>
+#include <cstddef>
+#include <functional>
+
+#include "src/analysis/contracts.h"
 
 namespace dumbnet {
 
@@ -100,109 +101,6 @@ Result<SwitchPath> ExtractPath(const SsspScratch& scratch, uint32_t src, uint32_
   }
   SwitchPath path;
   for (uint32_t v = dst; v != kNoVertex; v = scratch.ParentOr(v, kNoVertex)) {
-    path.push_back(v);
-    if (v == src) {
-      break;
-    }
-  }
-  std::reverse(path.begin(), path.end());
-  if (path.front() != src) {
-    return Error(ErrorCode::kInternal, "path reconstruction failed");
-  }
-  return path;
-}
-
-struct DijkstraItem {
-  double cost;
-  uint64_t tiebreak;
-  uint32_t vertex;
-
-  bool operator>(const DijkstraItem& other) const {
-    if (cost != other.cost) {
-      return cost > other.cost;
-    }
-    return tiebreak > other.tiebreak;
-  }
-};
-
-// Reusable state for Yen's spur searches. One KShortestPaths call runs
-// O(k * path-length) spur Dijkstras over the same graph; allocating the cost /
-// parent / ban arrays once and undoing only the touched entries between
-// searches keeps each spur at O(edges relaxed) instead of O(V) setup. The
-// banned-edge set is at most k-1 entries per spur, so a linear-scanned vector
-// beats a node-based set on every fabric we simulate.
-struct SpurScratch {
-  std::vector<double> cost;
-  std::vector<uint32_t> parent;
-  std::vector<char> banned_vertex;
-  std::vector<std::pair<uint32_t, uint32_t>> banned_edges;
-  std::vector<uint32_t> touched;
-
-  void Init(size_t n) {
-    cost.assign(n, kInfCost);
-    parent.assign(n, kNoVertex);
-    banned_vertex.assign(n, 0);
-    banned_edges.clear();
-    touched.clear();
-  }
-
-  void ResetTouched() {
-    for (uint32_t v : touched) {
-      cost[v] = kInfCost;
-      parent[v] = kNoVertex;
-    }
-    touched.clear();
-  }
-};
-
-// Spur-path Dijkstra for Yen's algorithm: same relaxation order and lazy
-// deletion as the classic allocating variant (deterministic — no randomized
-// tie-break on spur paths), with bans and arrays living in SpurScratch.
-// Callers must ResetTouched() between searches.
-Result<SwitchPath> DijkstraSpur(const SwitchGraph& graph, uint32_t src, uint32_t dst,
-                                SpurScratch& s) {
-  if (src >= graph.size() || dst >= graph.size()) {
-    return Error(ErrorCode::kOutOfRange, "vertex out of range");
-  }
-  std::priority_queue<DijkstraItem, std::vector<DijkstraItem>, std::greater<DijkstraItem>> pq;
-  s.cost[src] = 0.0;
-  s.touched.push_back(src);
-  pq.push({0.0, 0, src});
-  while (!pq.empty()) {
-    double c = pq.top().cost;
-    uint32_t u = pq.top().vertex;
-    pq.pop();
-    if (c > s.cost[u]) {
-      continue;
-    }
-    if (u == dst) {
-      break;
-    }
-    for (const AdjEdge& e : graph.Neighbors(u)) {
-      if (s.banned_vertex[e.to] != 0) {
-        continue;
-      }
-      const std::pair<uint32_t, uint32_t> key{std::min(u, e.to), std::max(u, e.to)};
-      if (std::find(s.banned_edges.begin(), s.banned_edges.end(), key) !=
-          s.banned_edges.end()) {
-        continue;
-      }
-      double nc = c + e.weight;
-      if (nc < s.cost[e.to]) {
-        if (s.cost[e.to] == kInfCost) {
-          s.touched.push_back(e.to);
-        }
-        s.cost[e.to] = nc;
-        s.parent[e.to] = u;
-        pq.push({nc, 0, e.to});
-      }
-    }
-  }
-  if (s.cost[dst] == kInfCost) {
-    return Error(ErrorCode::kUnavailable, "destination unreachable");
-  }
-  SwitchPath path;
-  for (uint32_t v = dst; v != kNoVertex; v = s.parent[v]) {
     path.push_back(v);
     if (v == src) {
       break;
@@ -343,79 +241,187 @@ Result<double> PathCost(const SwitchGraph& graph, const SwitchPath& path) {
   return total;
 }
 
-Result<std::vector<SwitchPath>> KShortestPaths(const SwitchGraph& graph, uint32_t src,
-                                               uint32_t dst, uint32_t k) {
-  auto first = ShortestPath(graph, src, dst);
-  if (!first.ok()) {
-    return first.error();
-  }
-  std::vector<SwitchPath> result;
-  result.push_back(std::move(first.value()));
-  if (k <= 1) {
+// Yen's algorithm over a KspScratch. Friend of KspScratch.
+//
+// Each spur search is a lazy-deletion Dijkstra without tie-break draws, run on
+// one heap vector with std::push_heap/std::pop_heap and std::greater — exactly
+// what std::priority_queue does, so equal-cost entries pop in the same order
+// and the same paths come out. With nonnegative weights each vertex is
+// expanded at most once, so a search pushes at most edge_count() + 1 entries:
+// Prepare() reserves that, and the searches never grow the heap.
+class YenSearch {
+ public:
+  using DijkstraItem = KspScratch::DijkstraItem;
+  using Candidate = KspScratch::Candidate;
+
+  static Result<std::vector<SwitchPath>> Run(const SwitchGraph& graph, uint32_t src,
+                                             uint32_t dst, uint32_t k, KspScratch& s) {
+    auto first = ShortestPathScaled(graph, src, dst, nullptr, s.first_, nullptr);
+    if (!first.ok()) {
+      return first.error();
+    }
+    std::vector<SwitchPath> result;
+    result.push_back(std::move(first.value()));
+    if (k <= 1) {
+      return result;
+    }
+    Prepare(graph, s);
+    s.seen_.push_back(result.front());
+
+    while (result.size() < k) {
+      const SwitchPath& prev = result.back();
+      // Spur from every vertex of the previous path except the last. The root
+      // is prev[0..i]; the root vertices before the spur are banned so paths
+      // stay simple, and they grow by one per step.
+      for (size_t i = 0; i + 1 < prev.size(); ++i) {
+        DN_HOT_SCOPE("routing.ksp_spur");
+        const uint32_t spur = prev[i];
+        if (i > 0) {
+          s.banned_vertex_[prev[i - 1]] = 1;
+        }
+        // Ban the next hops that would recreate an already-found path with
+        // this root. Every such edge leaves the spur vertex.
+        const auto root_end = prev.begin() + static_cast<std::ptrdiff_t>(i) + 1;
+        for (const SwitchPath& p : result) {
+          if (p.size() > i + 1 && std::equal(prev.begin(), root_end, p.begin())) {
+            s.banned_next_[p[i + 1]] = 1;
+          }
+        }
+        const bool reached = SpurSearch(graph, spur, dst, s);
+        for (const AdjEdge& e : graph.Neighbors(spur)) {
+          s.banned_next_[e.to] = 0;  // found paths only use edges of `graph`
+        }
+        if (!reached || AlreadySeen(prev, i, s)) {
+          continue;
+        }
+        DN_HOT_EXEMPT("candidate path materialization");
+        SwitchPath total(prev.begin(), prev.begin() + static_cast<std::ptrdiff_t>(i));
+        total.insert(total.end(), s.chain_.rbegin(), s.chain_.rend());
+        s.seen_.push_back(total);
+        auto cost = PathCost(graph, total);
+        if (cost.ok()) {
+          s.candidates_.push_back({cost.value(), std::move(total)});
+          std::push_heap(s.candidates_.begin(), s.candidates_.end(),
+                         std::greater<Candidate>());
+        }
+      }
+      for (size_t j = 0; j + 2 < prev.size(); ++j) {
+        s.banned_vertex_[prev[j]] = 0;
+      }
+      if (s.candidates_.empty()) {
+        break;
+      }
+      std::pop_heap(s.candidates_.begin(), s.candidates_.end(), std::greater<Candidate>());
+      result.push_back(std::move(s.candidates_.back().path));
+      s.candidates_.pop_back();
+    }
+    s.seen_.clear();
+    s.candidates_.clear();
     return result;
   }
 
-  // Candidate pool ordered by cost; set dedups identical paths.
-  struct Candidate {
-    double cost;
-    SwitchPath path;
-    bool operator>(const Candidate& other) const { return cost > other.cost; }
-  };
-  std::priority_queue<Candidate, std::vector<Candidate>, std::greater<Candidate>> candidates;
-  std::set<SwitchPath> seen(result.begin(), result.end());
-  SpurScratch scratch;
-  scratch.Init(graph.size());
-  SwitchPath root;
+ private:
+  // Grows the per-vertex arrays to the graph (new entries clean) and the heap,
+  // touched list and chain to their worst case.
+  static void Prepare(const SwitchGraph& graph, KspScratch& s) {
+    const size_t n = graph.size();
+    if (s.cost_.size() < n) {
+      s.cost_.resize(n, kInfCost);
+      s.parent_.resize(n, kNoVertex);
+      s.banned_vertex_.resize(n, 0);
+      s.banned_next_.resize(n, 0);
+    }
+    s.touched_.reserve(n);
+    s.chain_.reserve(n);
+    s.heap_.reserve(graph.edge_count() + 1);
+  }
 
-  while (result.size() < k) {
-    const SwitchPath& prev = result.back();
-    root.clear();
-    // Spur from every vertex of the previous path except the last. The root
-    // prefix prev[0..i] and the banned root vertices prev[0..i-1] both grow by
-    // one element per step, so they are maintained incrementally.
-    for (size_t i = 0; i + 1 < prev.size(); ++i) {
-      uint32_t spur = prev[i];
-      root.push_back(spur);
-      if (i > 0) {
-        scratch.banned_vertex[prev[i - 1]] = 1;
+  static void Push(KspScratch& s, DijkstraItem item) {
+    s.heap_.push_back(item);  // within the capacity Prepare() reserved
+    std::push_heap(s.heap_.begin(), s.heap_.end(), std::greater<DijkstraItem>());
+  }
+
+  static void Reach(KspScratch& s, uint32_t v, double cost, uint32_t parent) {
+    if (s.cost_[v] == kInfCost) {
+      s.touched_.push_back(v);  // each vertex once: within the reserved n
+    }
+    s.cost_[v] = cost;
+    s.parent_[v] = parent;
+  }
+
+  // Spur-path Dijkstra from `src` avoiding the banned vertices and, out of
+  // `src` only, the banned next hops (the only other way onto a banned edge is
+  // back into `src`, whose cost of 0 can never improve). On success leaves the
+  // path in chain_, destination first. Restores cost_/parent_ before returning.
+  static bool SpurSearch(const SwitchGraph& graph, uint32_t src, uint32_t dst,
+                         KspScratch& s) {
+    s.heap_.clear();
+    Reach(s, src, 0.0, kNoVertex);
+    Push(s, DijkstraItem{0.0, 0, src});
+    while (!s.heap_.empty()) {
+      const DijkstraItem top = s.heap_.front();
+      std::pop_heap(s.heap_.begin(), s.heap_.end(), std::greater<DijkstraItem>());
+      s.heap_.pop_back();
+      if (top.cost > s.cost_[top.vertex]) {
+        continue;
       }
-
-      // Ban edges that would recreate an already-found path with this root
-      // (root vertices are banned above to keep paths simple).
-      scratch.banned_edges.clear();
-      for (const SwitchPath& p : result) {
-        if (p.size() > i + 1 && std::equal(root.begin(), root.end(), p.begin())) {
-          scratch.banned_edges.push_back(
-              {std::min(p[i], p[i + 1]), std::max(p[i], p[i + 1])});
+      if (top.vertex == dst) {
+        break;
+      }
+      const bool at_src = top.vertex == src;
+      for (const AdjEdge& e : graph.Neighbors(top.vertex)) {
+        if (s.banned_vertex_[e.to] != 0 || (at_src && s.banned_next_[e.to] != 0)) {
+          continue;
+        }
+        const double nc = top.cost + e.weight;
+        if (nc < s.cost_[e.to]) {
+          Reach(s, e.to, nc, top.vertex);
+          Push(s, DijkstraItem{nc, 0, e.to});
         }
       }
-
-      auto spur_path = DijkstraSpur(graph, spur, dst, scratch);
-      scratch.ResetTouched();
-      if (!spur_path.ok()) {
-        continue;
-      }
-      SwitchPath total = root;
-      total.insert(total.end(), spur_path.value().begin() + 1, spur_path.value().end());
-      if (seen.count(total) > 0) {
-        continue;
-      }
-      seen.insert(total);
-      auto cost = PathCost(graph, total);
-      if (cost.ok()) {
-        candidates.push({cost.value(), std::move(total)});
+    }
+    s.chain_.clear();
+    if (s.cost_[dst] != kInfCost) {
+      for (uint32_t v = dst; v != kNoVertex; v = s.parent_[v]) {
+        s.chain_.push_back(v);  // a simple path: within the reserved n
+        if (v == src) {
+          break;
+        }
       }
     }
-    for (size_t j = 0; j + 2 < prev.size(); ++j) {
-      scratch.banned_vertex[prev[j]] = 0;
+    for (uint32_t v : s.touched_) {
+      s.cost_[v] = kInfCost;
+      s.parent_[v] = kNoVertex;
     }
-    if (candidates.empty()) {
-      break;
-    }
-    result.push_back(candidates.top().path);
-    candidates.pop();
+    s.touched_.clear();
+    return !s.chain_.empty() && s.chain_.back() == src;
   }
-  return result;
+
+  // True if prev[0..i) followed by the reversed chain_ is already in seen_.
+  static bool AlreadySeen(const SwitchPath& prev, size_t i, const KspScratch& s) {
+    const size_t len = i + s.chain_.size();
+    const auto prefix_end = prev.begin() + static_cast<std::ptrdiff_t>(i);
+    for (const SwitchPath& p : s.seen_) {
+      if (p.size() == len && std::equal(prev.begin(), prefix_end, p.begin()) &&
+          std::equal(s.chain_.rbegin(), s.chain_.rend(),
+                     p.begin() + static_cast<std::ptrdiff_t>(i))) {
+        return true;
+      }
+    }
+    return false;
+  }
+};
+
+Result<std::vector<SwitchPath>> KShortestPaths(const SwitchGraph& graph, uint32_t src,
+                                               uint32_t dst, uint32_t k) {
+  KspScratch scratch;
+  return KShortestPaths(graph, src, dst, k, scratch);
+}
+
+Result<std::vector<SwitchPath>> KShortestPaths(const SwitchGraph& graph, uint32_t src,
+                                               uint32_t dst, uint32_t k,
+                                               KspScratch& scratch) {
+  return YenSearch::Run(graph, src, dst, k, scratch);
 }
 
 }  // namespace dumbnet

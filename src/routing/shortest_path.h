@@ -5,7 +5,8 @@
 // Hot-path variants take an SsspScratch: epoch-stamped reusable buffers so repeated
 // queries do zero O(V) allocation or clearing. Full single-source trees (SsspTree)
 // let one Dijkstra run serve path extractions to every destination — the
-// controller's per-source cache (sssp_cache.h) is built on them.
+// controller's per-source cache (sssp_cache.h) is built on them. Yen's searches
+// take a KspScratch the same way.
 #ifndef DUMBNET_SRC_ROUTING_SHORTEST_PATH_H_
 #define DUMBNET_SRC_ROUTING_SHORTEST_PATH_H_
 
@@ -119,10 +120,60 @@ SsspTree BuildSsspTree(const SwitchGraph& graph, uint32_t src, Rng* rng = nullpt
 // Walks parent pointers in `tree` back from `dst`. Error if unreachable.
 Result<SwitchPath> PathFromTree(const SsspTree& tree, uint32_t dst);
 
+// Reusable state for KShortestPaths: the first path's Dijkstra scratch, the spur
+// searches' cost/parent/ban arrays and heap, and the candidate pool. The arrays
+// grow only when a larger graph shows up and every search restores them through
+// its touched list, so a warm scratch runs the spur searches without allocating;
+// only the returned paths and newly found candidate paths are allocated. Not
+// thread-safe: one scratch per thread.
+class KspScratch {
+ public:
+  KspScratch() = default;
+
+ private:
+  friend class YenSearch;  // the algorithm (shortest_path.cc)
+
+  // Spur-search heap entry. Spur searches draw no tie-break (always 0), so
+  // equal-cost entries pop in the order the heap's layout gives them.
+  struct DijkstraItem {
+    double cost;
+    uint64_t tiebreak;
+    uint32_t vertex;
+
+    bool operator>(const DijkstraItem& other) const {
+      if (cost != other.cost) {
+        return cost > other.cost;
+      }
+      return tiebreak > other.tiebreak;
+    }
+  };
+  struct Candidate {
+    double cost;
+    SwitchPath path;
+    bool operator>(const Candidate& other) const { return cost > other.cost; }
+  };
+
+  SsspScratch first_;                // the shortest path (DijkstraInto)
+  std::vector<double> cost_;         // kInfCost outside touched_
+  std::vector<uint32_t> parent_;     // kNoVertex outside touched_
+  std::vector<char> banned_vertex_;  // the current root path, spur excluded
+  std::vector<char> banned_next_;    // next hops banned out of the spur vertex
+  std::vector<uint32_t> touched_;    // vertices the current search reached
+  std::vector<DijkstraItem> heap_;   // min-heap, std::greater<DijkstraItem>
+  std::vector<uint32_t> chain_;      // last spur path, destination first
+  std::vector<SwitchPath> seen_;     // every path found or queued this call
+  std::vector<Candidate> candidates_;  // min-heap, std::greater<Candidate>
+};
+
 // Yen's algorithm: up to k loop-free shortest paths in nondecreasing cost order.
 // Returns at least one path or an error if src/dst are disconnected.
 Result<std::vector<SwitchPath>> KShortestPaths(const SwitchGraph& graph, uint32_t src,
                                                uint32_t dst, uint32_t k);
+
+// Scratch-reusing variant: identical output, with the search state in `scratch`.
+Result<std::vector<SwitchPath>> KShortestPaths(const SwitchGraph& graph, uint32_t src,
+                                               uint32_t dst, uint32_t k,
+                                               KspScratch& scratch);
 
 // Total weight of a path under `graph`; error if an edge is missing.
 Result<double> PathCost(const SwitchGraph& graph, const SwitchPath& path);

@@ -1,10 +1,13 @@
-// Per-source shortest-path-tree cache for the controller's hot query paths.
+// Per-source shortest-path-tree cache for the controller's batched path-graph
+// precompute.
 //
-// The controller answers many queries between topology changes: tags to each host
-// for bootstraps and responses, and batched path-graph precomputes. All of those
-// start with a Dijkstra run from some source switch. This cache keeps one SsspTree
-// per source, keyed by a topology version number (TopoDb::version()); any mutation
-// bumps the version and the next Get() drops every cached tree.
+// ControllerService::PrecomputePathGraphs builds path graphs from one source
+// switch to many destinations, all starting from one Dijkstra tree rooted at that
+// source. This cache keeps one SsspTree per source, keyed by a topology version
+// number (TopoDb::version()); any mutation bumps the version and the next Get()
+// drops every cached tree. Bootstraps and path-query responses deliberately do not
+// use it: they run a randomized Dijkstra per host or per query (controller.cc), so
+// hosts' control paths stay decorrelated and retries re-randomize.
 #ifndef DUMBNET_SRC_ROUTING_SSSP_CACHE_H_
 #define DUMBNET_SRC_ROUTING_SSSP_CACHE_H_
 

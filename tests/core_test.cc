@@ -24,6 +24,17 @@ TEST(SimulatedFabricTest, BringUpViaDiscovery) {
     // Every warm-up path query was answered before its retries ran out.
     EXPECT_EQ(fabric.agent(h).stats().path_giveups, 0u) << "host " << h;
   }
+  // Each route install either ran Yen or reused the cache snapshot's memoized
+  // run, and the host's counters account for all of its cache's route work.
+  uint64_t ksp_runs = 0;
+  for (uint32_t h = 0; h < fabric.host_count(); ++h) {
+    const HostAgentStats& st = fabric.agent(h).stats();
+    const TopoCache::RouteStats& rs = fabric.agent(h).topo_cache().route_stats();
+    EXPECT_EQ(st.ksp_runs, rs.ksp_runs) << "host " << h;
+    EXPECT_EQ(st.ksp_memo_hits, rs.ksp_memo_hits) << "host " << h;
+    ksp_runs += st.ksp_runs;
+  }
+  EXPECT_GT(ksp_runs, 0u);
 }
 
 TEST(SimulatedFabricTest, BringUpAdoptedIsInstant) {

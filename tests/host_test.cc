@@ -6,6 +6,8 @@
 #include "src/host/path_table.h"
 #include "src/host/path_verifier.h"
 #include "src/host/topo_cache.h"
+#include "src/routing/graph.h"
+#include "src/routing/shortest_path.h"
 #include "src/topo/generators.h"
 #include "tests/test_fabric.h"
 
@@ -165,6 +167,69 @@ TEST(TopoCacheTest, PatchRestoresLink) {
   cache.ApplyPatch({}, {WireLink{101, 2, 103, 1}});
   routes = cache.ComputeRoutes(100, 55, 4);
   EXPECT_EQ(routes.value().size(), 2u);
+}
+
+// ComputeRoutes must equal a fresh Yen run on the cache's current mirror, with
+// the tags ending at the destination's current port.
+void ExpectFreshRoutes(const TopoCache& cache, uint64_t src_uid, uint64_t dst_mac) {
+  const TopoDb& db = cache.db();
+  auto dst = db.LocateHost(dst_mac);
+  ASSERT_TRUE(dst.ok());
+  auto paths = KShortestPaths(SwitchGraph(db.mirror()), db.IndexOf(src_uid).value(),
+                              db.IndexOf(dst.value().switch_uid).value(), 4);
+  auto routes = cache.ComputeRoutes(src_uid, dst_mac, 4);
+  ASSERT_EQ(routes.ok(), paths.ok());
+  if (!paths.ok()) {
+    return;
+  }
+  ASSERT_EQ(routes.value().size(), paths.value().size());
+  for (size_t i = 0; i < paths.value().size(); ++i) {
+    EXPECT_EQ(routes.value()[i].uid_path, db.PathToUids(paths.value()[i]));
+    EXPECT_EQ(routes.value()[i].tags.back(), dst.value().port);
+  }
+}
+
+// The memoized Yen results follow every change that moves the routes: a merged
+// link, a link going down and up, a patch, and a destination host moving.
+TEST(TopoCacheTest, MemoizedRoutesFollowEveryCacheChange) {
+  TopoCache cache;
+  ASSERT_TRUE(cache.Integrate(DiamondGraph(), HostLocation{55, 103, 7}).ok());
+  ExpectFreshRoutes(cache, 100, 55);
+  EXPECT_EQ(cache.route_stats().ksp_runs, 1u);
+  ExpectFreshRoutes(cache, 100, 55);
+  EXPECT_EQ(cache.route_stats().ksp_runs, 1u);
+  EXPECT_EQ(cache.route_stats().ksp_memo_hits, 1u);
+
+  // A third way round, 100-104-103, arrives in a path graph.
+  WirePathGraph detour;
+  detour.src_uid = 100;
+  detour.dst_uid = 103;
+  detour.primary = {100, 104, 103};
+  detour.links = {WireLink{100, 3, 104, 1}, WireLink{104, 2, 103, 3}};
+  ASSERT_TRUE(cache.Integrate(detour, HostLocation{55, 103, 7}).ok());
+  ASSERT_EQ(cache.ComputeRoutes(100, 55, 4).value().size(), 3u);
+  ExpectFreshRoutes(cache, 100, 55);
+
+  ASSERT_TRUE(cache.MarkLinkAt(101, 2, false).ok());
+  ASSERT_EQ(cache.ComputeRoutes(100, 55, 4).value().size(), 2u);
+  ExpectFreshRoutes(cache, 100, 55);
+  ASSERT_TRUE(cache.MarkLinkAt(101, 2, true).ok());
+  ASSERT_EQ(cache.ComputeRoutes(100, 55, 4).value().size(), 3u);
+  ExpectFreshRoutes(cache, 100, 55);
+
+  cache.ApplyPatch({WireLink{102, 2, 103, 2}}, {});
+  ASSERT_EQ(cache.ComputeRoutes(100, 55, 4).value().size(), 2u);
+  ExpectFreshRoutes(cache, 100, 55);
+
+  // Host moves leave the mirror's version alone: a move to another switch
+  // changes the memo key, a move to another port on that switch only the tags.
+  cache.UpsertHost(HostLocation{55, 104, 9});
+  ASSERT_EQ(cache.ComputeRoutes(100, 55, 4).value()[0].uid_path,
+            (std::vector<uint64_t>{100, 104}));
+  ExpectFreshRoutes(cache, 100, 55);
+  cache.UpsertHost(HostLocation{55, 104, 11});
+  ASSERT_EQ(cache.ComputeRoutes(100, 55, 4).value()[0].tags.back(), 11);
+  ExpectFreshRoutes(cache, 100, 55);
 }
 
 TEST(TopoCacheTest, ApproxBytesGrows) {

@@ -140,6 +140,118 @@ TEST(KspTest, FatTreeEcmpCount) {
   EXPECT_EQ(minimal, 4u);
 }
 
+// FNV-1a over every (src, dst) result of KShortestPaths over `switches`: the
+// path count, then each path's length and vertices, so any change in which
+// paths come out or in their order moves the digest.
+uint64_t KspDigest(const SwitchGraph& g, const std::vector<uint32_t>& switches, uint32_t k) {
+  uint64_t h = 1469598103934665603ull;
+  auto mix = [&h](uint64_t v) {
+    h ^= v;
+    h *= 1099511628211ull;
+  };
+  for (uint32_t src : switches) {
+    for (uint32_t dst : switches) {
+      if (src == dst) {
+        continue;
+      }
+      auto paths = KShortestPaths(g, src, dst, k);
+      mix(paths.ok() ? paths.value().size() : 0xdeadu);
+      if (!paths.ok()) {
+        continue;
+      }
+      for (const SwitchPath& p : paths.value()) {
+        mix(p.size());
+        for (uint32_t v : p) {
+          mix(v);
+        }
+      }
+    }
+  }
+  return h;
+}
+
+// Pins Yen's exact output (path set and order, equal-cost ties included) on a
+// fat-tree k=8 and a seeded jellyfish. The digests were taken from the
+// priority_queue/std::set implementation this one replaced.
+TEST(KspTest, OutputIsPinnedOnFatTreeAndJellyfish) {
+  FatTreeConfig ft_config;
+  ft_config.k = 8;
+  ft_config.attach_hosts = false;
+  auto ft = MakeFatTree(ft_config);
+  ASSERT_TRUE(ft.ok());
+  SwitchGraph ft_graph(ft.value().topo);
+  EXPECT_EQ(KspDigest(ft_graph, ft.value().edge, 4), 794141275487849539ull);
+  EXPECT_EQ(KspDigest(ft_graph, ft.value().edge, 8), 13812385261300475619ull);
+
+  JellyfishConfig jf_config;
+  jf_config.num_switches = 32;
+  jf_config.network_degree = 6;
+  jf_config.hosts_per_switch = 0;
+  jf_config.seed = 7;
+  auto jf = MakeJellyfish(jf_config);
+  ASSERT_TRUE(jf.ok());
+  SwitchGraph jf_graph(jf.value().topo);
+  std::vector<uint32_t> all(jf_graph.size());
+  for (uint32_t v = 0; v < all.size(); ++v) {
+    all[v] = v;
+  }
+  EXPECT_EQ(KspDigest(jf_graph, all, 4), 13199786495151249076ull);
+  EXPECT_EQ(KspDigest(jf_graph, all, 8), 4253619765812899269ull);
+}
+
+// One scratch reused across graphs of different sizes must give what a fresh
+// scratch gives on every call: a ban, cost or heap entry left behind by an
+// earlier call would change the paths.
+TEST(KspTest, ReusedScratchMatchesFreshScratchAcrossGraphs) {
+  FatTreeConfig big_config;
+  big_config.k = 8;
+  big_config.attach_hosts = false;
+  auto big = MakeFatTree(big_config);
+  ASSERT_TRUE(big.ok());
+  FatTreeConfig small_config;
+  small_config.k = 4;
+  small_config.attach_hosts = false;
+  auto small = MakeFatTree(small_config);
+  ASSERT_TRUE(small.ok());
+  SwitchGraph big_graph(big.value().topo);
+  SwitchGraph small_graph(small.value().topo);
+  Topology diamond = Diamond();
+  SwitchGraph diamond_graph(diamond);
+  Topology split;  // two switches, no link: an unreachable query
+  split.AddSwitch(4);
+  split.AddSwitch(4);
+  SwitchGraph split_graph(split);
+
+  struct Query {
+    const SwitchGraph* graph;
+    uint32_t src;
+    uint32_t dst;
+    uint32_t k;
+  };
+  std::vector<Query> queries;
+  const std::vector<uint32_t>& big_edge = big.value().edge;
+  const std::vector<uint32_t>& small_edge = small.value().edge;
+  for (uint32_t i = 0; i < 24; ++i) {
+    const uint32_t b = static_cast<uint32_t>(big_edge.size());
+    const uint32_t s = static_cast<uint32_t>(small_edge.size());
+    queries.push_back({&big_graph, big_edge[i % b], big_edge[(7 * i + 5) % b], 8});
+    queries.push_back({&small_graph, small_edge[i % s], small_edge[(3 * i + 1) % s], 4});
+    queries.push_back({&diamond_graph, i % 6, (i + 3) % 6, 5});
+    queries.push_back({&split_graph, 0, 1, 4});
+  }
+  KspScratch scratch;
+  for (const Query& q : queries) {
+    auto reused = KShortestPaths(*q.graph, q.src, q.dst, q.k, scratch);
+    auto fresh = KShortestPaths(*q.graph, q.src, q.dst, q.k);
+    ASSERT_EQ(reused.ok(), fresh.ok()) << q.src << "->" << q.dst;
+    if (fresh.ok()) {
+      EXPECT_EQ(reused.value(), fresh.value()) << q.src << "->" << q.dst;
+    } else {
+      EXPECT_EQ(reused.error().code(), fresh.error().code());
+    }
+  }
+}
+
 TEST(TagsTest, CompileAndFormat) {
   Topology t = Diamond();
   uint32_t h0 = t.AddHost();
