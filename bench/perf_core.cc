@@ -13,6 +13,7 @@
 //   path_graphs_per_sec   one-source/many-destination batch vs legacy loop
 //   bring_up_wall         full discovery + bootstrap wall-clock, 1k/4k/16k hosts
 //   host_routes_per_sec   TopoCache::BuildEntry over every edge-switch pair
+//   packet_path_*         warm fat-tree ping mesh: wall ns per switch hop, events/s
 #include <algorithm>
 #include <chrono>
 #include <cstdio>
@@ -643,6 +644,83 @@ HostRoutesResult RunHostRoutes(int repeats) {
   return r;
 }
 
+// ---------------------------------------------------------------------------
+// Workload 6: the packet path. A fat-tree k=8 with every route cached runs a
+// ping mesh: each round, every host pings 8 partners spread over the fabric
+// (64-byte pings, each echoed), and the fabric drains. This is host send,
+// transmit, switch tag pop and host delivery and little else, so wall ns per
+// switch hop (wall time over switch forwards) prices the per-packet path end
+// to end.
+// ---------------------------------------------------------------------------
+struct PacketPathResult {
+  double ns_per_hop = 0;
+  double events_per_sec = 0;
+  uint64_t hops = 0;
+  uint64_t events = 0;
+  uint64_t pings = 0;
+  uint64_t echoes = 0;
+};
+
+PacketPathResult RunPacketPath(int rounds) {
+  FatTreeConfig config;
+  config.k = 8;
+  auto ft = MakeFatTree(config);
+  SimulatedFabric fabric(std::move(ft.value().topo));
+  fabric.BringUpAdopted(0);
+
+  PacketPathResult r;
+  const uint32_t n = static_cast<uint32_t>(fabric.host_count());
+  for (uint32_t h = 0; h < n; ++h) {
+    fabric.agent(h).SetDataHandler([&fabric, &r, h](const Packet& pkt, const DataPayload& data) {
+      if (data.is_ack) {
+        ++r.echoes;
+        return;
+      }
+      DataPayload echo = data;
+      echo.is_ack = true;
+      (void)fabric.agent(h).Send(pkt.eth.src_mac, data.flow_id, echo);
+    });
+  }
+  constexpr uint32_t kPartners = 8;
+  uint64_t seq = 0;
+  auto round = [&] {
+    for (uint32_t h = 0; h < n; ++h) {
+      for (uint32_t j = 0; j < kPartners; ++j) {
+        const uint32_t partner = (h + 1 + j * (n / kPartners)) % n;
+        DataPayload ping;
+        ping.flow_id = (static_cast<uint64_t>(h) << 8) | j;
+        ping.seq = seq++;
+        ping.bytes = 64;
+        (void)fabric.agent(h).Send(fabric.agent(partner).mac(), ping.flow_id, ping);
+      }
+    }
+    fabric.Run();
+  };
+  round();  // warm-up: every (host, partner) route gets cached
+  auto forwarded = [&fabric] {
+    uint64_t total = 0;
+    for (uint32_t s = 0; s < fabric.switch_count(); ++s) {
+      total += fabric.dumb_switch(s).stats().forwarded;
+    }
+    return total;
+  };
+  const uint64_t hops_before = forwarded();
+  const uint64_t events_before = fabric.executed_events();
+  const uint64_t echoes_before = r.echoes;
+  const double secs = WallSeconds([&] {
+    for (int i = 0; i < rounds; ++i) {
+      round();
+    }
+  });
+  r.hops = forwarded() - hops_before;
+  r.events = fabric.executed_events() - events_before;
+  r.pings = static_cast<uint64_t>(rounds) * n * kPartners;
+  r.echoes -= echoes_before;
+  r.ns_per_hop = secs * 1e9 / static_cast<double>(r.hops);
+  r.events_per_sec = static_cast<double>(r.events) / secs;
+  return r;
+}
+
 }  // namespace
 
 int main(int argc, char** argv) {
@@ -806,17 +884,43 @@ int main(int argc, char** argv) {
   report.Add("perf_core", "hot_scope_allocs", static_cast<double>(route_allocs),
              "allocs", {{"section", "host_routes"}});
 
+  // --- 6. packet path ------------------------------------------------------
+  const int path_rounds = args.quick ? 20 : 100;
+  PacketPathResult path;
+  const uint64_t path_allocs = HotAllocsDuring([&] { path = RunPacketPath(path_rounds); });
+  std::printf("\npacket path (fat-tree k=8, warm routes, %d rounds x %lu pings, echoed):\n",
+              path_rounds,
+              static_cast<unsigned long>(path.pings / static_cast<uint64_t>(path_rounds)));
+  std::printf("  %12.1f ns per switch hop (%lu hops)\n", path.ns_per_hop,
+              static_cast<unsigned long>(path.hops));
+  std::printf("  %12.0f events/s (%lu events)\n", path.events_per_sec,
+              static_cast<unsigned long>(path.events));
+  if (path.echoes != path.pings) {
+    std::fprintf(stderr, "packet path: %lu of %lu pings echoed\n",
+                 static_cast<unsigned long>(path.echoes),
+                 static_cast<unsigned long>(path.pings));
+    return 1;
+  }
+  const bench::JsonReporter::Params path_params = {{"topology", "fattree8"},
+                                                   {"partners", "8"}};
+  report.Add("perf_core", "packet_path_ns_per_hop", path.ns_per_hop, "ns", path_params);
+  report.Add("perf_core", "packet_path_events_per_sec", path.events_per_sec, "events/s",
+             path_params);
+  report.Add("perf_core", "hot_scope_allocs", static_cast<double>(path_allocs), "allocs",
+             {{"section", "packet_path"}});
+
   if (args.quick) {
     std::printf("\n(quick mode: reduced event count, repeats, and host sweep)\n");
   }
   std::printf("\nhot-scope allocations (contract checker%s): drain=%lu batch=%lu "
-              "bring_up=%lu pings=%lu routes=%lu\n",
+              "bring_up=%lu pings=%lu routes=%lu packet_path=%lu\n",
               dumbnet::contracts::kCompiledIn ? "" : " COMPILED OUT",
               static_cast<unsigned long>(drain_allocs),
               static_cast<unsigned long>(batch_allocs),
               static_cast<unsigned long>(bring_up_allocs),
               static_cast<unsigned long>(ping_allocs),
-              static_cast<unsigned long>(route_allocs));
+              static_cast<unsigned long>(route_allocs),
+              static_cast<unsigned long>(path_allocs));
   dumbnet::contracts::PublishTelemetry();
   if (!report.WriteTo(args.json_path)) {
     return 1;

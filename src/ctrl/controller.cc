@@ -151,7 +151,7 @@ void ControllerService::BootstrapHosts() {
   auto directory = std::make_shared<const std::vector<HostLocation>>(db_.Directory());
   HostLocation controller_loc{agent_->mac(), controller_switch_uid_, controller_port_};
   for (const HostLocation& loc : *directory) {
-    BootstrapPayload boot;
+    BootstrapInfo boot;
     boot.self = loc;
     boot.controller_mac = agent_->mac();
     boot.controller_location = controller_loc;
@@ -191,7 +191,8 @@ void ControllerService::BootstrapHosts() {
     TimeNs start = std::max(sim_->Now(), cpu_free_);
     cpu_free_ = start + config_.query_cost;
     sim_->ScheduleAt(cpu_free_, [this, tags = std::move(down_tags.value()), mac = loc.mac,
-                                 boot = std::move(boot)] {
+                                 boot = BootstrapPayload{std::make_shared<const BootstrapInfo>(
+                                     std::move(boot))}] {
       agent_->SendTags(tags, mac, boot);
     });
   }

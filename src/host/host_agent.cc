@@ -52,6 +52,7 @@ uint64_t MixEventId(uint64_t uid, PortNum port, uint64_t seq, bool up) {
 HostAgent::HostAgent(Network* net, uint32_t host_index, HostAgentConfig config)
     : net_(net),
       sim_(&net->SimFor(NodeId::Host(host_index))),
+      packets_(&net->PacketPoolFor(NodeId::Host(host_index))),
       host_index_(host_index),
       mac_(net->topo().host_at(host_index).mac),
       config_(config),
@@ -68,42 +69,34 @@ void HostAgent::SetRouteChooser(PathTable::RouteChooser chooser) {
 // Data path
 
 Status HostAgent::Send(uint64_t dst_mac, uint64_t flow_id, DataPayload payload) {
-  // Per-packet forwarding decision (route lookup + tag push) is the contract-
-  // checked hot region; packet materialization and event scheduling allocate
-  // by design and are fenced as exempt until the zero-copy send lands.
-  DN_HOT_SCOPE("host.send");
   if (dst_mac == mac_) {
-    DN_HOT_EXEMPT("caller error: Error carries an allocated message");
     return Error(ErrorCode::kInvalidArgument, "loopback send");
   }
   // The flow id is authoritative path-binding state; stamp it into the payload so
   // a packet parked on a cache miss rebinds under the same identity when flushed.
   payload.flow_id = flow_id;
   auto route = path_table_.RouteFor(dst_mac, flow_id);
-  if (route.ok()) {
-    DN_HOT_EXEMPT("packet materialization + DES scheduling allocate by design");
-    Packet pkt = MakeDumbNetPacket(mac_, dst_mac, route.value()->tags, payload);
-    // Arm path provenance: promise the switch-UID sequence this route was
-    // compiled from; the receiver verifies the fabric kept it.
-    if (telemetry::Enabled()) {
-      pkt.provenance.promised = route.value()->uid_path;
+  if (!route.ok()) {
+    // Cache miss: park the packet and ask the controller (Section 5.2).
+    pending_[dst_mac].push_back(MakeEthernetPacket(mac_, dst_mac, kEtherTypeDumbNet, payload));
+    ++stats_.data_blocked;
+    DN_COUNTER_INC("host.data_blocked");
+    if (bootstrapped_) {
+      RequestPath(dst_mac);
     }
-    ++stats_.data_sent;
-    DN_COUNTER_INC("host.data_sent");
-    DN_TRACE_EVENT(kHost, kSend, sim_->Now(), mac_, flow_id);
-    sim_->ScheduleAfter(config_.process_delay,
-                        [this, pkt = std::move(pkt)] { net_->SendFromHost(host_index_, pkt); });
     return Status::Ok();
   }
-  // Cache miss: park the packet and ask the controller (Section 5.2).
-  DN_HOT_EXEMPT("cache miss: park the packet and query the controller");
-  Packet pkt = MakeEthernetPacket(mac_, dst_mac, kEtherTypeDumbNet, payload);
-  pending_[dst_mac].push_back(std::move(pkt));
-  ++stats_.data_blocked;
-  DN_COUNTER_INC("host.data_blocked");
-  if (bootstrapped_) {
-    RequestPath(dst_mac);
+  // The packet's own storage: its tag stack (sized once) and, when telemetry
+  // arms it, the provenance record promising the switch-UID sequence this
+  // route was compiled from. From here on it only moves.
+  Packet pkt = MakeDumbNetPacket(mac_, dst_mac, route.value()->tags, payload);
+  if (telemetry::Enabled()) {
+    pkt.provenance.Arm(route.value()->uid_path);
   }
+  ++stats_.data_sent;
+  DN_COUNTER_INC("host.data_sent");
+  DN_TRACE_EVENT(kHost, kSend, sim_->Now(), mac_, flow_id);
+  ScheduleSend(std::move(pkt));
   return Status::Ok();
 }
 
@@ -125,14 +118,24 @@ Status HostAgent::SendOnPath(uint64_t dst_mac, const std::vector<uint64_t>& uid_
     return tags.error();
   }
   ++stats_.data_sent;
-  SendTags(std::move(tags.value()), dst_mac, payload);
+  SendTags(tags.value(), dst_mac, payload);
   return Status::Ok();
 }
 
-void HostAgent::SendTags(TagList tags, uint64_t dst_mac, Payload payload) {
-  Packet pkt = MakeDumbNetPacket(mac_, dst_mac, std::move(tags), std::move(payload));
-  sim_->ScheduleAfter(config_.process_delay,
-                      [this, pkt = std::move(pkt)] { net_->SendFromHost(host_index_, pkt); });
+void HostAgent::SendTags(const TagList& tags, uint64_t dst_mac, Payload payload) {
+  ScheduleSend(MakeDumbNetPacket(mac_, dst_mac, tags, std::move(payload)));
+}
+
+void HostAgent::ScheduleSend(Packet&& pkt) {
+  // Per-packet fast path: parking the packet and filing its send event must
+  // not allocate (pool and event-slot growth aside).
+  DN_HOT_SCOPE("host.send");
+  auto send = [this, pkt = packets_->Park(std::move(pkt))]() mutable {
+    net_->SendFromHost(host_index_, std::move(*pkt));
+  };
+  static_assert(EventFn::kStoresInline<decltype(send)>);
+  ReserveEventSlot(*sim_);
+  sim_->ScheduleAfter(config_.process_delay, std::move(send));
 }
 
 Status HostAgent::SendToController(Payload payload) {
@@ -164,6 +167,10 @@ Status HostAgent::SendToController(Payload payload) {
 // Receive path
 
 void HostAgent::HandlePacket(const Packet& pkt, PortNum in_port) {
+  HandlePacket(Packet(pkt), in_port);
+}
+
+void HostAgent::HandlePacket(Packet&& pkt, PortNum in_port) {
   (void)in_port;  // hosts have a single NIC
   if (pkt.eth.ether_type != kEtherTypeDumbNet) {
     ++stats_.dropped_malformed;
@@ -184,20 +191,27 @@ void HostAgent::HandlePacket(const Packet& pkt, PortNum in_port) {
   }
   if (pkt.tags.size() == 1 && pkt.tags.front() == kPathEndTag) {
     // Fully consumed path: this packet is for us. Strip ø and deliver (the kernel
-    // module's EtherType + ø check, Section 5.1).
-    sim_->ScheduleAfter(config_.process_delay, [this, pkt] { DeliverLocal(pkt); });
+    // module's EtherType + ø check, Section 5.1). Per-packet fast path: the
+    // packet moves into a pool node and its deliver event must not allocate
+    // (pool and event-slot growth aside).
+    DN_HOT_SCOPE("host.deliver");
+    auto deliver = [this, pkt = packets_->Park(std::move(pkt))] { DeliverLocal(*pkt); };
+    static_assert(EventFn::kStoresInline<decltype(deliver)>);
+    ReserveEventSlot(*sim_);
+    sim_->ScheduleAfter(config_.process_delay, std::move(deliver));
     return;
   }
   // Tags remain: only discovery probes are allowed to hit a host mid-path — the
   // remaining tags are the reply path (Section 4.1).
-  if (const auto* probe = pkt.As<ProbePayload>()) {
-    HandleTransitProbe(pkt, *probe);
+  if (pkt.As<ProbePayload>() != nullptr) {
+    HandleTransitProbe(std::move(pkt));
     return;
   }
   ++stats_.dropped_malformed;
 }
 
-void HostAgent::HandleTransitProbe(const Packet& pkt, const ProbePayload& probe) {
+void HostAgent::HandleTransitProbe(Packet&& pkt) {
+  const ProbePayload& probe = *pkt.As<ProbePayload>();
   if (probe.origin_mac == mac_) {
     // Our own probe touring back through us with leftover tags; treat as a bounce.
     if (probe_event_handler_) {
@@ -215,12 +229,11 @@ void HostAgent::HandleTransitProbe(const Packet& pkt, const ProbePayload& probe)
   reply.eth.src_mac = mac_;
   reply.eth.dst_mac = probe.origin_mac;
   reply.eth.ether_type = kEtherTypeDumbNet;
-  reply.tags = pkt.tags;
   reply.payload = ProbeReplyPayload{probe.probe_id, mac_, pkt.tags,
                                     bootstrapped_ ? controller_mac_ : 0};
+  reply.tags = std::move(pkt.tags);
   ++stats_.probes_replied;
-  sim_->ScheduleAfter(config_.process_delay,
-                      [this, reply = std::move(reply)] { net_->SendFromHost(host_index_, reply); });
+  ScheduleSend(std::move(reply));
 }
 
 void HostAgent::DeliverLocal(const Packet& pkt) {
@@ -314,7 +327,7 @@ void HostAgent::DeliverLocal(const Packet& pkt) {
     return;
   }
   if (const auto* boot = pkt.As<BootstrapPayload>()) {
-    ApplyBootstrap(*boot);
+    ApplyBootstrap(boot->info != nullptr ? *boot->info : BootstrapInfo{});
     return;
   }
   if (const auto* ev = pkt.As<LinkEventPayload>()) {
@@ -517,7 +530,7 @@ void HostAgent::FloodToPeers(const Payload& payload, uint64_t exclude_mac) {
 // ---------------------------------------------------------------------------------
 // Bootstrap & controller protocol
 
-void HostAgent::ApplyBootstrap(const BootstrapPayload& bootstrap) {
+void HostAgent::ApplyBootstrap(const BootstrapInfo& bootstrap) {
   DN_FP_WRITE(kHost, footprint::FpKey(mac_, kSaltBootstrap));
   self_ = bootstrap.self;
   controller_mac_ = bootstrap.controller_mac;
@@ -722,16 +735,14 @@ void HostAgent::FlushPending(uint64_t dst_mac) {
     if (!route.ok()) {
       continue;
     }
-    pkt.tags = route.value()->tags;
-    pkt.tags.push_back(kPathEndTag);
+    pkt.SetPath(route.value()->tags);
     if (telemetry::Enabled()) {
-      pkt.provenance.promised = route.value()->uid_path;
+      pkt.provenance.Arm(route.value()->uid_path);
     }
     ++stats_.data_sent;
     DN_COUNTER_INC("host.data_sent");
     DN_TRACE_EVENT(kHost, kSend, sim_->Now(), mac_, flow_id);
-    sim_->ScheduleAfter(config_.process_delay,
-                        [this, p = std::move(pkt)] { net_->SendFromHost(host_index_, p); });
+    ScheduleSend(std::move(pkt));
   }
 }
 

@@ -99,12 +99,12 @@ class HostAgent : public NetNode {
 
   // --- Raw sends (control plane, discovery) ---------------------------------------
   // Sends a payload with explicit tags (ø appended internally).
-  void SendTags(TagList tags, uint64_t dst_mac, Payload payload);
+  void SendTags(const TagList& tags, uint64_t dst_mac, Payload payload);
   Status SendToController(Payload payload);
 
   // --- Bootstrap -------------------------------------------------------------------
   // Normally arrives from the controller; also callable directly in tests.
-  void ApplyBootstrap(const BootstrapPayload& bootstrap);
+  void ApplyBootstrap(const BootstrapInfo& bootstrap);
 
   // --- Control-plane plug-ins --------------------------------------------------------
   // A service on this host (controller) sees every control payload first; return
@@ -144,6 +144,9 @@ class HostAgent : public NetNode {
 
   // --- NetNode ------------------------------------------------------------------------
   void HandlePacket(const Packet& pkt, PortNum in_port) override;
+  // The fabric's delivery: takes ownership, so a packet for this host moves
+  // into its deliver event instead of being copied.
+  void HandlePacket(Packet&& pkt, PortNum in_port) override;
 
   // --- Introspection -------------------------------------------------------------------
   TopoCache& topo_cache() { return topo_cache_; }
@@ -164,8 +167,11 @@ class HostAgent : public NetNode {
 
  private:
   void DeliverLocal(const Packet& pkt);
-  void HandleOwnPacket(const Packet& pkt);
-  void HandleTransitProbe(const Packet& pkt, const ProbePayload& probe);
+  // A probe arriving mid-path (tags left): reply along them.
+  void HandleTransitProbe(Packet&& pkt);
+  // Hands `pkt` to the NIC after the processing delay: every packet this host
+  // originates leaves through here.
+  void ScheduleSend(Packet&& pkt);
   // Interceptor gate: consults notification_interceptor_ (drop / delay / pass)
   // and forwards surviving copies to ProcessLinkStateNow.
   void ProcessLinkState(uint64_t switch_uid, PortNum port, bool up, TimeNs origin_time,
@@ -191,6 +197,9 @@ class HostAgent : public NetNode {
 
   Network* net_;
   Simulator* sim_;
+  // This host's shard's packet-node pool: send and deliver events park their
+  // packet here, so the events stay within EventFn's inline buffer.
+  FlightQueue::Pool* packets_;
   uint32_t host_index_;
   uint64_t mac_;
   HostAgentConfig config_;

@@ -1,4 +1,5 @@
-// FlightQueue: the packets on the wire of one link direction, in arrival order.
+// FlightQueue: the packets on the wire of one link direction, in arrival order,
+// and the shard's packet-node pool they share with packets waiting in events.
 //
 // Arrivals on one link direction strictly increase, so a direction only needs
 // its *earliest* delivery in the timer wheel: the rest wait here, and each
@@ -9,20 +10,30 @@
 // tracks the packets in flight fabric-wide instead of keeping each direction's
 // deepest burst reserved. Nodes never move, so a reference to front() stays
 // valid across pushes (a delivery handler may transmit on the same direction).
+//
+// The same pool parks packets that wait out a forwarding or processing delay
+// (a switch's forward and flood events, a host's send and deliver events): a
+// PooledPacket is one pointer to its node, so those events fit EventFn's
+// inline buffer instead of heap-allocating a closure that carries a Packet
+// (DESIGN.md §8, "Packets: 136 bytes, one pool").
 #ifndef DUMBNET_SRC_NET_FLIGHT_QUEUE_H_
 #define DUMBNET_SRC_NET_FLIGHT_QUEUE_H_
 
 #include <cassert>
+#include <cstddef>
 #include <cstdint>
 #include <memory>
 #include <new>
 #include <utility>
 #include <vector>
 
+#include "src/analysis/contracts.h"
 #include "src/net/packet.h"
 #include "src/sim/time.h"
 
 namespace dumbnet {
+
+class PooledPacket;
 
 class FlightQueue {
  public:
@@ -32,47 +43,99 @@ class FlightQueue {
     Packet pkt;
   };
 
+  class Pool;
+
   struct Node {
-    // Raw storage (`= default` would be deleted): FlightQueue constructs and
-    // destroys the entry in place.
+    // Raw storage (`= default` would be deleted): FlightQueue's Push/Pop and
+    // the Pool's Park/Unpark construct and destroy the entry in place.
     Node() {}   // NOLINT(modernize-use-equals-default)
     ~Node() {}  // NOLINT(modernize-use-equals-default)
-    Node* next = nullptr;
+    union {
+      Node* next = nullptr;  // while spare or queued
+      Pool* owner;           // while a PooledPacket holds it
+    };
     union {
       Entry entry;
     };
   };
 
-  // Owns every node of one shard's queues. Not thread-safe: one shard only.
+  // Owns every node of one shard's queues and parked packets. Not
+  // thread-safe: one shard only. Heap-only: the owner gives it up with
+  // Release(), and a pool that still has parked packets out (their events
+  // outlive the network when the simulator is destroyed last) frees itself
+  // when the last one comes back.
   class Pool {
    public:
+    struct Deleter {
+      void operator()(Pool* pool) const { pool->Release(); }
+    };
+    using Ptr = std::unique_ptr<Pool, Deleter>;
+    static Ptr Create() { return Ptr(new Pool()); }
+
+    Pool(const Pool&) = delete;
+    Pool& operator=(const Pool&) = delete;
+
     bool HasSpare() const { return spare_ != nullptr; }
     // Adds a chunk of nodes to the spare list: the only allocation a queue
-    // makes.
+    // or a parked packet makes.
     void Grow() {
       constexpr uint32_t kChunk = 16;
       chunks_.push_back(std::make_unique<Node[]>(kChunk));
       for (uint32_t i = 0; i < kChunk; ++i) {
         Give(&chunks_.back()[i]);
       }
+      nodes_ += kChunk;
     }
+
+    // Parks `pkt` in a node until the returned handle lets go of it. Grows
+    // the pool first when no node is spare.
+    inline PooledPacket Park(Packet&& pkt);
+
+    size_t nodes() const { return nodes_; }    // ever allocated
+    size_t spare() const { return spares_; }   // idle, ready to take
+    size_t parked() const { return parked_; }  // held by PooledPackets
 
    private:
     friend class FlightQueue;
+    friend class PooledPacket;
+    Pool() = default;
+    ~Pool() = default;
+
     Node* Take() {
-      assert(spare_ != nullptr && "FlightQueue::Push without a spare node; Grow() first");
+      assert(spare_ != nullptr && "Pool::Take without a spare node; Grow() first");
       Node* n = spare_;
       spare_ = n->next;
       n->next = nullptr;
+      --spares_;
       return n;
     }
     void Give(Node* n) {
       n->next = spare_;
       spare_ = n;
+      ++spares_;
+    }
+    // A parked packet's node comes back.
+    void Unpark(Node* n) {
+      n->entry.~Entry();
+      Give(n);
+      --parked_;
+      if (released_ && parked_ == 0) {
+        delete this;
+      }
+    }
+    void Release() {
+      released_ = true;
+      if (parked_ == 0) {
+        delete this;
+      }
     }
 
     std::vector<std::unique_ptr<Node[]>> chunks_;
     Node* spare_ = nullptr;
+    size_t nodes_ = 0;
+    size_t spares_ = 0;
+    size_t parked_ = 0;
+    bool released_ = false;
   };
 
   FlightQueue() = default;
@@ -127,6 +190,42 @@ class FlightQueue {
   Node* head_ = nullptr;  // null <=> empty
   Node* tail_ = nullptr;
 };
+
+// Owning handle to a packet parked in a pool node: one pointer, move-only.
+// Destroying it (the event ran, or was destroyed unrun) destroys the packet and
+// returns the node to the pool it came from, on the thread of the shard that
+// owns that pool.
+class PooledPacket {
+ public:
+  PooledPacket(PooledPacket&& other) noexcept : node_(std::exchange(other.node_, nullptr)) {}
+  PooledPacket& operator=(PooledPacket&&) = delete;
+  PooledPacket(const PooledPacket&) = delete;
+  PooledPacket& operator=(const PooledPacket&) = delete;
+  ~PooledPacket() {
+    if (node_ != nullptr) {
+      node_->owner->Unpark(node_);
+    }
+  }
+
+  Packet& operator*() const { return node_->entry.pkt; }
+
+ private:
+  friend class FlightQueue::Pool;
+  explicit PooledPacket(FlightQueue::Node* node) : node_(node) {}
+  FlightQueue::Node* node_;  // null once moved from
+};
+
+PooledPacket FlightQueue::Pool::Park(Packet&& pkt) {
+  if (spare_ == nullptr) {
+    DN_HOT_EXEMPT("storage growth: a chunk of packet nodes");
+    Grow();
+  }
+  Node* n = Take();
+  ::new (&n->entry) Entry{0, 0, std::move(pkt)};
+  n->owner = this;
+  ++parked_;
+  return PooledPacket(n);
+}
 
 }  // namespace dumbnet
 

@@ -60,8 +60,8 @@ void Network::RegisterSwitchNode(uint32_t sw, NetNode* node) { switch_nodes_[sw]
 
 void Network::RegisterHostNode(uint32_t host, NetNode* node) { host_nodes_[host] = node; }
 
-void Network::SendFromSwitch(uint32_t sw, PortNum port, Packet pkt) {
-  LinkIndex li = topo_->LinkAtPort(sw, port);
+void Network::SendFromSwitchOn(uint32_t sw, PortNum port, LinkIndex li, Packet pkt) {
+  (void)port;
   if (li == kInvalidLink) {
     ++StatsFor(NodeId::Switch(sw)).dropped_unwired;
     return;
@@ -71,7 +71,10 @@ void Network::SendFromSwitch(uint32_t sw, PortNum port, Packet pkt) {
 
 void Network::SendFromHost(uint32_t host, Packet pkt) {
   if (host >= topo_->host_count()) {
-    ++shard_local_[0].stats.dropped_unwired;
+    // No such host, hence no owning shard: charge the shard whose thread is
+    // calling (the caller's event runs there), never a shared cell.
+    const int cur = shards_ != nullptr ? ShardSet::CurrentShard() : -1;
+    ++shard_local_[cur >= 0 ? static_cast<size_t>(cur) : 0].stats.dropped_unwired;
     return;
   }
   LinkIndex li = topo_->host_at(host).link;
@@ -98,7 +101,7 @@ void Network::StampPacketId(const NodeId& from, Packet& pkt) {
   pkt.pkt_id = id != 0 ? id : 1;
 }
 
-void Network::Transmit(LinkIndex li, const NodeId& from, Packet pkt) {
+void Network::Transmit(LinkIndex li, const NodeId& from, Packet&& pkt) {
   // Per-packet fast path: id stamp, queue admission, serialization timing and
   // the in-flight FIFO push must not allocate. The declared-cold ends are the
   // drop branches (counter / trace bookkeeping), the storage-growth branch,
@@ -160,7 +163,7 @@ void Network::Transmit(LinkIndex li, const NodeId& from, Packet pkt) {
   // tail's (zero serialization time on a very fast link, or a cable shortened
   // mid-flight) takes the per-packet event path below instead.
   const bool queue = !crosses && (dir.flight.empty() || arrival > dir.flight.back_arrival());
-  FlightQueue::Pool& nodes = LocalFor(from).flights;
+  FlightQueue::Pool& nodes = *LocalFor(from).flights;
   const bool pending_full = dir.pending.size() == dir.pending.capacity();
   const bool node_short = queue && !nodes.HasSpare();
   const bool slot_short = queue && dir.flight.empty() && !sim.SlotReady();
@@ -215,7 +218,7 @@ void Network::DeliverHead(LinkIndex li, uint8_t side, const Endpoint& to) {
   // Delivered in place: the handler may transmit, even on this direction,
   // without invalidating the head (nodes never move).
   Deliver(to, std::move(dir.flight.front().pkt));
-  dir.flight.Pop(LocalFor(to.node).flights);
+  dir.flight.Pop(*LocalFor(to.node).flights);
   if (!dir.flight.empty()) {
     const FlightQueue::Entry& next = dir.flight.front();
     SimFor(to.node).ScheduleAtSeq(next.arrival, next.seq,
@@ -270,6 +273,16 @@ NetworkStats Network::stats() const {
     total.dropped_gray += s.stats.dropped_gray;
     total.dropped_unwired += s.stats.dropped_unwired;
     total.bytes_delivered += s.stats.bytes_delivered;
+  }
+  return total;
+}
+
+Network::PacketPoolStats Network::packet_pool_stats() const {
+  PacketPoolStats total;
+  for (const ShardLocal& s : shard_local_) {
+    total.nodes += s.flights->nodes();
+    total.spare += s.flights->spare();
+    total.parked += s.flights->parked();
   }
   return total;
 }

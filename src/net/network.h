@@ -16,6 +16,7 @@
 #include <cstdint>
 #include <vector>
 
+#include "src/analysis/contracts.h"
 #include "src/net/flight_queue.h"
 #include "src/net/packet.h"
 #include "src/net/shard_plan.h"
@@ -45,6 +46,16 @@ class NetNode {
     (void)up;
   }
 };
+
+// Makes the next schedule on `sim` allocation-free. Fast paths (DN_HOT_SCOPE)
+// that file a per-packet event call it first, so the one schedule that would
+// grow the event pool is declared cold.
+inline void ReserveEventSlot(Simulator& sim) {
+  if (!sim.SlotReady()) {
+    DN_HOT_EXEMPT("storage growth: an event slot");
+    sim.ReserveSlot();
+  }
+}
 
 struct NetworkConfig {
   // Per-direction egress queue capacity. 512 KB ~ a shallow commodity switch buffer.
@@ -93,7 +104,14 @@ class Network {
 
   // Emits a packet from switch `sw` out `port`. Silently drops (with stats) if the
   // port is unwired or the link is down — exactly what real hardware does.
-  virtual void SendFromSwitch(uint32_t sw, PortNum port, Packet pkt);
+  void SendFromSwitch(uint32_t sw, PortNum port, Packet pkt) {
+    SendFromSwitchOn(sw, port, topo_->LinkAtPort(sw, port), std::move(pkt));
+  }
+
+  // The same with the egress link already resolved: `li` must be
+  // topo().LinkAtPort(sw, port) (kInvalidLink when unwired). A wired port's
+  // link never changes, so the forwarding path resolves it once per packet.
+  virtual void SendFromSwitchOn(uint32_t sw, PortNum port, LinkIndex li, Packet pkt);
 
   // Emits a packet from a host's single NIC.
   virtual void SendFromHost(uint32_t host, Packet pkt);
@@ -114,6 +132,21 @@ class Network {
   // a cache line, and summed here).
   NetworkStats stats() const;
 
+  // The packet-node pool of the shard `node`'s events run on: the in-flight
+  // FIFOs' nodes, and the nodes a node's own delayed events park packets in.
+  // Only that shard's thread may use it. Stable for the network's lifetime
+  // (nodes cache it at construction).
+  FlightQueue::Pool& PacketPoolFor(const NodeId& node) { return *LocalFor(node).flights; }
+
+  // Packet-node accounting summed over shards (tests assert every node comes
+  // back once the events holding them are gone).
+  struct PacketPoolStats {
+    size_t nodes = 0;   // ever allocated
+    size_t spare = 0;   // idle
+    size_t parked = 0;  // held by a pending event
+  };
+  PacketPoolStats packet_pool_stats() const;
+
   // Bytes currently queued for transmission on the (link, direction-from-`from`)
   // egress — the physical signal ECN marking reads (no state added to switches).
   virtual int64_t QueueBacklog(LinkIndex li, const NodeId& from) const;
@@ -132,17 +165,17 @@ class Network {
   void StampPacketId(const NodeId& from, Packet& pkt);
 
  private:
-  void Transmit(LinkIndex li, const NodeId& from, Packet pkt);
+  void Transmit(LinkIndex li, const NodeId& from, Packet&& pkt);
   // The delivery event of direction (li, side), whose far end is `to`:
   // delivers the FIFO head and files the next head under its burned seq.
   void DeliverHead(LinkIndex li, uint8_t side, const Endpoint& to);
   void Deliver(const Endpoint& to, Packet&& pkt);
   void OnLinkStateChange(LinkIndex li, bool up);
-  // Counters and in-flight node pool, one per shard so workers never share a
+  // Counters and packet-node pool, one per shard so workers never share a
   // cache line or a free list.
   struct alignas(64) ShardLocal {
     NetworkStats stats;
-    FlightQueue::Pool flights;
+    FlightQueue::Pool::Ptr flights = FlightQueue::Pool::Create();
   };
   // The ShardLocal of the shard `node`'s events execute on.
   ShardLocal& LocalFor(const NodeId& node) {

@@ -25,9 +25,12 @@ struct PayloadSizeVisitor {
     return n;
   }
   int64_t operator()(const BootstrapPayload& p) const {
-    int64_t n = 32 + static_cast<int64_t>(p.path_to_controller.size());
-    if (p.directory != nullptr) {
-      n += static_cast<int64_t>(p.directory->size()) * 17;
+    if (p.info == nullptr) {
+      return 32;
+    }
+    int64_t n = 32 + static_cast<int64_t>(p.info->path_to_controller.size());
+    if (p.info->directory != nullptr) {
+      n += static_cast<int64_t>(p.info->directory->size()) * 17;
     }
     return n;
   }
@@ -76,14 +79,20 @@ std::string Packet::Describe() const {
   return os.str();
 }
 
-Packet MakeDumbNetPacket(uint64_t src_mac, uint64_t dst_mac, TagList path_tags,
+void Packet::SetPath(const TagList& path_tags) {
+  tags.clear();
+  tags.reserve(path_tags.size() + 1);
+  tags.insert(tags.end(), path_tags.begin(), path_tags.end());
+  tags.push_back(kPathEndTag);
+}
+
+Packet MakeDumbNetPacket(uint64_t src_mac, uint64_t dst_mac, const TagList& path_tags,
                          Payload payload) {
   Packet pkt;
   pkt.eth.src_mac = src_mac;
   pkt.eth.dst_mac = dst_mac;
   pkt.eth.ether_type = kEtherTypeDumbNet;
-  pkt.tags = std::move(path_tags);
-  pkt.tags.push_back(kPathEndTag);
+  pkt.SetPath(path_tags);
   pkt.payload = std::move(payload);
   return pkt;
 }

@@ -114,12 +114,19 @@ struct PathResponsePayload {
 
 // Controller -> host bootstrap: your location, how to reach me, who your flood
 // peers are, and where every host lives.
-struct BootstrapPayload {
+struct BootstrapInfo {
   HostLocation self;
   uint64_t controller_mac = 0;
   HostLocation controller_location;
   TagList path_to_controller;  // ø included
   std::shared_ptr<const std::vector<HostLocation>> directory;
+};
+
+// The bootstrap travels behind one shared pointer (like PathResponsePayload's
+// graph), so it does not set the size of every packet's payload variant.
+// Null reads as a default BootstrapInfo.
+struct BootstrapPayload {
+  std::shared_ptr<const BootstrapInfo> info;
 };
 
 // Host-to-host flooded link event (stage 1, host side).
@@ -172,12 +179,15 @@ struct Packet {
   uint64_t pkt_id = 0;
   // In-band path provenance (telemetry): the sender stamps the promised switch
   // UIDs, each switch appends the hop it actually took, the receiver compares.
-  // Empty (two null vectors) unless telemetry armed it; deliberately NOT charged
-  // to WireSize() so paper-figure byte counts are unaffected — see provenance.h.
+  // One null pointer unless telemetry armed it; deliberately NOT charged to
+  // WireSize() so paper-figure byte counts are unaffected — see provenance.h.
   telemetry::PathProvenance provenance;
 
   // Nominal bytes this packet occupies on the wire.
   int64_t WireSize() const;
+
+  // tags = path_tags + ø, sized once.
+  void SetPath(const TagList& path_tags);
 
   template <typename T>
   const T* As() const {
@@ -190,7 +200,7 @@ struct Packet {
 // Convenience constructors ----------------------------------------------------------
 
 // A DumbNet packet: tags = path tags + ø appended here.
-Packet MakeDumbNetPacket(uint64_t src_mac, uint64_t dst_mac, TagList path_tags,
+Packet MakeDumbNetPacket(uint64_t src_mac, uint64_t dst_mac, const TagList& path_tags,
                          Payload payload);
 
 // A plain Ethernet frame (baseline network).

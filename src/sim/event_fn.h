@@ -19,14 +19,20 @@ class EventFn {
   // EventFn by value, so growing this grows every pooled slot.
   static constexpr size_t kInlineBytes = 48;
 
+  // True when a callable of type Fn is stored in place. Fast paths
+  // static_assert it on the closures they schedule per packet.
+  template <typename Fn>
+  static constexpr bool kStoresInline = sizeof(Fn) <= kInlineBytes &&
+                                        alignof(Fn) <= alignof(std::max_align_t) &&
+                                        std::is_nothrow_move_constructible_v<Fn>;
+
   EventFn() = default;
 
   template <typename F,
             typename = std::enable_if_t<!std::is_same_v<std::decay_t<F>, EventFn>>>
   EventFn(F&& f) {  // NOLINT(google-explicit-constructor): drop-in for std::function
     using Fn = std::decay_t<F>;
-    if constexpr (sizeof(Fn) <= kInlineBytes && alignof(Fn) <= alignof(std::max_align_t) &&
-                  std::is_nothrow_move_constructible_v<Fn>) {
+    if constexpr (kStoresInline<Fn>) {
       ::new (static_cast<void*>(buf_)) Fn(std::forward<F>(f));
       ops_ = &InlineOps<Fn>::ops;
     } else {

@@ -95,28 +95,33 @@ void Simulator::FileSlot(uint32_t idx) {
 }
 
 void Simulator::RewindAndRefile(TimeNs new_wheel_time) {
-  std::vector<uint32_t> queued;
-  queued.reserve(queued_);
+  // Chains every queued slot through its intrusive `next` link, so a rewind
+  // needs no scratch memory (a host delivery on the wire runtime can land
+  // here from inside a hot scope). Bucket order is irrelevant: RefillDue
+  // sorts each batch by seq.
+  uint32_t chain = kNil;
   for (Level& level : levels_) {
     uint64_t occupied = level.occupied;
     while (occupied != 0) {
       const uint32_t bucket = static_cast<uint32_t>(std::countr_zero(occupied));
       occupied &= occupied - 1;
-      for (uint32_t i = level.head[bucket]; i != kNil; i = pool_[i].next) {
-        queued.push_back(i);
-      }
+      pool_[level.tail[bucket]].next = chain;
+      chain = level.head[bucket];
       level.head[bucket] = kNil;
       level.tail[bucket] = kNil;
     }
     level.occupied = 0;
   }
   for (size_t i = due_pos_; i < due_.size(); ++i) {
-    queued.push_back(due_[i]);
+    pool_[due_[i]].next = chain;
+    chain = due_[i];
   }
   due_.clear();
   due_pos_ = 0;
   wheel_time_ = new_wheel_time;
-  for (uint32_t idx : queued) {
+  while (chain != kNil) {
+    const uint32_t idx = chain;
+    chain = pool_[idx].next;
     FileSlot(idx);
   }
 }

@@ -190,7 +190,7 @@ class Simulator {
   // Rewinds the wheel to `new_wheel_time` and re-files every queued event. Needed
   // when an insert lands below wheel_time_ — possible only after RunUntil/RunSteps
   // stopped with a drained-but-unexecuted future batch. O(queued), amortised over
-  // the run boundary that caused it.
+  // the run boundary that caused it; allocates nothing.
   void RewindAndRefile(TimeNs new_wheel_time);
   // Ensures due_ holds the next same-timestamp batch (sorted by seq). Cascades
   // higher-level buckets down as the wheel advances. False when nothing is queued.

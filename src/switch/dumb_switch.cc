@@ -3,6 +3,7 @@
 #include <bitset>
 
 #include "src/analysis/audit.h"
+#include "src/analysis/contracts.h"
 #include "src/sim/footprint.h"
 #include "src/telemetry/flight_recorder.h"
 #include "src/telemetry/telemetry.h"
@@ -20,6 +21,7 @@ constexpr uint64_t kSaltAlarm = 0xA1A2;
 DumbSwitch::DumbSwitch(Network* net, uint32_t index, DumbSwitchConfig config)
     : net_(net),
       sim_(&net->SimFor(NodeId::Switch(index))),
+      packets_(&net->PacketPoolFor(NodeId::Switch(index))),
       index_(index),
       uid_(net->topo().switch_at(index).uid),
       num_ports_(net->topo().switch_at(index).num_ports),
@@ -30,9 +32,9 @@ DumbSwitch::DumbSwitch(Network* net, uint32_t index, DumbSwitchConfig config)
   net->RegisterSwitchNode(index, this);
 }
 
-bool DumbSwitch::PortIsUp(PortNum port) const {
-  LinkIndex li = net_->topo().LinkAtPort(index_, port);
-  return li != kInvalidLink && net_->topo().link_at(li).up;
+LinkIndex DumbSwitch::UpLinkAt(PortNum port) const {
+  const LinkIndex li = net_->topo().LinkAtPort(index_, port);
+  return li != kInvalidLink && net_->topo().link_at(li).up ? li : kInvalidLink;
 }
 
 void DumbSwitch::HandlePacket(const Packet& pkt, PortNum in_port) {
@@ -52,7 +54,7 @@ void DumbSwitch::HandlePacket(Packet&& pkt, PortNum in_port) {
         ev != nullptr && ev->hops_left > 0) {
       ev->hops_left = static_cast<uint8_t>(ev->hops_left - 1);
       ++stats_.notifications_relayed;
-      FloodNotification(pkt, in_port);
+      FloodNotification(std::move(pkt), in_port);
     }
     return;
   }
@@ -69,10 +71,16 @@ void DumbSwitch::HandlePacket(Packet&& pkt, PortNum in_port) {
   ForwardTagged(std::move(pkt), probe_id, in_port);
 }
 
-void DumbSwitch::ForwardTagged(Packet pkt, uint64_t transit_probe_id, PortNum in_port) {
+void DumbSwitch::ForwardTagged(Packet&& pkt, uint64_t transit_probe_id, PortNum in_port) {
+  // Per-packet fast path: tag pop, egress check, ECN read, counters and
+  // parking the packet for its tx event must not allocate. The declared-cold
+  // ends are the drop branches (counter / trace registration) and storage
+  // growth (a chunk of pool nodes, an event slot).
+  DN_HOT_SCOPE("switch.forward");
   const PortNum tag = pkt.tags.front();
   if (tag == kPathEndTag) {
     // ø reached a switch: the path was one hop short. Drop.
+    DN_HOT_EXEMPT("drop path: counter/trace registration may allocate");
     ++stats_.dropped_bad_tag;
     DN_COUNTER_INC("switch.dropped_bad_tag");
     DN_TRACE_EVENT(kSwitch, kDrop, sim_->Now(), uid_, tag);
@@ -84,6 +92,7 @@ void DumbSwitch::ForwardTagged(Packet pkt, uint64_t transit_probe_id, PortNum in
     // Reply with our unique ID along the remaining tags (paper Section 4.1). The
     // reply is itself a tagged packet that we forward through the normal pipeline.
     if (pkt.tags.empty()) {
+      DN_HOT_EXEMPT("drop path: counter/trace registration may allocate");
       ++stats_.dropped_bad_tag;
       DN_COUNTER_INC("switch.dropped_bad_tag");
       return;
@@ -100,15 +109,18 @@ void DumbSwitch::ForwardTagged(Packet pkt, uint64_t transit_probe_id, PortNum in
     return;
   }
 
-  if (tag > num_ports_) {
-    ++stats_.dropped_bad_tag;
-    DN_COUNTER_INC("switch.dropped_bad_tag");
-    DN_TRACE_EVENT(kSwitch, kDrop, sim_->Now(), uid_, tag);
-    return;
-  }
-  if (!PortIsUp(tag)) {
-    ++stats_.dropped_port_down;
-    DN_COUNTER_INC("switch.dropped_port_down");
+  // One egress-link lookup per packet: the port check, the ECN backlog read
+  // and the tx event all use it.
+  const LinkIndex li = tag <= num_ports_ ? UpLinkAt(tag) : kInvalidLink;
+  if (li == kInvalidLink) {
+    DN_HOT_EXEMPT("drop path: counter/trace registration may allocate");
+    if (tag > num_ports_) {
+      ++stats_.dropped_bad_tag;
+      DN_COUNTER_INC("switch.dropped_bad_tag");
+    } else {
+      ++stats_.dropped_port_down;
+      DN_COUNTER_INC("switch.dropped_port_down");
+    }
     DN_TRACE_EVENT(kSwitch, kDrop, sim_->Now(), uid_, tag);
     return;
   }
@@ -117,29 +129,33 @@ void DumbSwitch::ForwardTagged(Packet pkt, uint64_t transit_probe_id, PortNum in
   // switch state involved.
   if (config_.enable_ecn) {
     if (auto* data = std::get_if<DataPayload>(&pkt.payload);
-        data != nullptr && !data->is_ack) {
-      LinkIndex li = net_->topo().LinkAtPort(index_, tag);
-      if (li != kInvalidLink &&
-          net_->QueueBacklog(li, NodeId::Switch(index_)) > config_.ecn_threshold_bytes) {
-        data->ecn = true;
-      }
+        data != nullptr && !data->is_ack &&
+        net_->QueueBacklog(li, NodeId::Switch(index_)) > config_.ecn_threshold_bytes) {
+      data->ecn = true;
     }
   }
   ++stats_.forwarded;
   ++port_tx_packets_[tag];
   port_tx_bytes_[tag] += static_cast<uint64_t>(pkt.WireSize());
-  DN_COUNTER_INC("switch.forwarded");
-  DN_TRACE_EVENT(kSwitch, kForward, sim_->Now(), uid_, tag);
-  // Path provenance: record the hop actually taken so the receiving host can
-  // compare it with the sender's promise. Only on armed packets — unarmed
-  // traffic (and telemetry-off builds) skips the append entirely.
-  if (telemetry::Enabled() && pkt.provenance.armed()) {
-    pkt.provenance.hops.push_back(telemetry::PathHop{uid_, in_port, tag});
+  {
+    DN_HOT_EXEMPT("telemetry: counter registration on first use");
+    DN_COUNTER_INC("switch.forwarded");
+    DN_TRACE_EVENT(kSwitch, kForward, sim_->Now(), uid_, tag);
   }
-  sim_->ScheduleAfter(config_.forwarding_delay, [this, tag, pkt = std::move(pkt)]() mutable {
+  // Path provenance: record the hop actually taken so the receiving host can
+  // compare it with the sender's promise. Only armed packets carry a record
+  // (its hops were reserved when the sender armed it); telemetry-off builds
+  // skip the append entirely.
+  if (telemetry::Enabled()) {
+    pkt.provenance.AddHop(telemetry::PathHop{uid_, in_port, tag});
+  }
+  auto tx = [this, tag, li, pkt = packets_->Park(std::move(pkt))]() mutable {
     DN_FP_SCOPE("switch.tx", uid_);
-    net_->SendFromSwitch(index_, tag, std::move(pkt));
-  });
+    net_->SendFromSwitchOn(index_, tag, li, std::move(*pkt));
+  };
+  static_assert(EventFn::kStoresInline<decltype(tx)>);
+  ReserveEventSlot(*sim_);
+  sim_->ScheduleAfter(config_.forwarding_delay, std::move(tx));
 }
 
 void DumbSwitch::HandlePortChange(PortNum port, bool up) {
@@ -184,10 +200,14 @@ void DumbSwitch::EmitAlarm(PortNum port, bool up) {
   pkt.payload = PortEventPayload{uid_,        port,       up, config_.notify_hops,
                                  alarm.seq++, sim_->Now()};
   ++stats_.notifications_sent;
-  FloodNotification(pkt, kPathEndTag);
+  FloodNotification(std::move(pkt), kPathEndTag);
 }
 
-void DumbSwitch::FloodNotification(const Packet& pkt, PortNum skip) {
+void DumbSwitch::FloodNotification(Packet&& pkt, PortNum skip) {
+  // A notification storm sends one of these per switch per copy heard: the
+  // port scan and parking the packet must not allocate (storage growth
+  // aside).
+  DN_HOT_SCOPE("switch.flood");
   // One event sends on every port, in ascending port order. That is
   // order-equivalent to one event per port: those would have had adjacent
   // seqs at one timestamp, so nothing could run between them. The port set is
@@ -195,21 +215,24 @@ void DumbSwitch::FloodNotification(const Packet& pkt, PortNum skip) {
   // and one that goes down meanwhile is dropped by the network.
   std::bitset<256> ports;
   for (uint32_t p = 1; p <= num_ports_; ++p) {
-    if (p != skip && PortIsUp(static_cast<PortNum>(p))) {
+    if (p != skip && UpLinkAt(static_cast<PortNum>(p)) != kInvalidLink) {
       ports.set(p);
     }
   }
   if (ports.none()) {
     return;
   }
-  sim_->ScheduleAfter(config_.forwarding_delay, [this, ports, pkt] {
+  auto tx = [this, ports, pkt = packets_->Park(std::move(pkt))] {
     DN_FP_SCOPE("switch.tx", uid_);
     for (uint32_t p = 1; p <= num_ports_; ++p) {
       if (ports.test(p)) {
-        net_->SendFromSwitch(index_, static_cast<PortNum>(p), pkt);
+        net_->SendFromSwitch(index_, static_cast<PortNum>(p), *pkt);
       }
     }
-  });
+  };
+  static_assert(EventFn::kStoresInline<decltype(tx)>);
+  ReserveEventSlot(*sim_);
+  sim_->ScheduleAfter(config_.forwarding_delay, std::move(tx));
 }
 
 }  // namespace dumbnet

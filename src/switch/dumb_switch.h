@@ -70,19 +70,23 @@ class DumbSwitch : public NetNode {
   // Pops the first tag and forwards; handles ID queries; shared by transit packets
   // and self-generated replies. `in_port` is recorded as the provenance ingress
   // (0 for self-generated packets such as ID replies).
-  void ForwardTagged(Packet pkt, uint64_t transit_probe_id, PortNum in_port);
+  void ForwardTagged(Packet&& pkt, uint64_t transit_probe_id, PortNum in_port);
 
   // Floods a hop-limited notification out every wired port except `skip`
   // (kPathEndTag = no skip) that is up now, from one event after the
   // forwarding delay.
-  void FloodNotification(const Packet& pkt, PortNum skip);
+  void FloodNotification(Packet&& pkt, PortNum skip);
 
   void EmitAlarm(PortNum port, bool up);
 
-  bool PortIsUp(PortNum port) const;
+  // The link at `port` when it is wired and up, else kInvalidLink.
+  LinkIndex UpLinkAt(PortNum port) const;
 
   Network* net_;
   Simulator* sim_;
+  // This switch's shard's packet-node pool: forward and flood events park
+  // their packet here, so the events stay within EventFn's inline buffer.
+  FlightQueue::Pool* packets_;
   uint32_t index_;
   uint64_t uid_;
   uint8_t num_ports_;

@@ -19,6 +19,7 @@
 #define DUMBNET_SRC_TELEMETRY_PROVENANCE_H_
 
 #include <cstdint>
+#include <memory>
 #include <string>
 #include <vector>
 
@@ -36,20 +37,59 @@ struct PathHop {
   }
 };
 
-// Carried on simulated packets (empty and cost-free unless a sender arms it).
-struct PathProvenance {
-  // Switch UIDs the sender's route promised, source-side first.
-  std::vector<uint64_t> promised;
-  // Hops actually taken, appended by each switch.
-  std::vector<PathHop> hops;
+// Carried on simulated packets. Storage is armed-only: an unarmed packet holds
+// one null pointer and allocates nothing; a sender that arms it pays for one
+// record (as in Minions, per-packet visibility state rides only on the packets
+// that asked for it). Copying a packet copies its record.
+class PathProvenance {
+ public:
+  PathProvenance() = default;
+  PathProvenance(const PathProvenance& other) : rec_(CopyOf(other.rec_.get())) {}
+  PathProvenance& operator=(const PathProvenance& other) {
+    if (this != &other) {
+      rec_ = CopyOf(other.rec_.get());
+    }
+    return *this;
+  }
+  PathProvenance(PathProvenance&&) noexcept = default;
+  PathProvenance& operator=(PathProvenance&&) noexcept = default;
+  ~PathProvenance() = default;
+
+  // Stamps the switch UIDs the sender's route promised, source-side first, and
+  // forgets any earlier record. Room for one hop per promised switch is
+  // reserved here, so a packet that keeps its promise never grows the record
+  // in flight. An empty promise leaves the packet unarmed.
+  void Arm(const std::vector<uint64_t>& promised);
+
+  // Appends the hop a switch actually took. No-op unless armed.
+  void AddHop(const PathHop& hop) {
+    if (armed()) {
+      rec_->hops.push_back(hop);
+    }
+  }
 
   // True once a sender stamped a promise; receivers only verify armed packets.
-  bool armed() const { return !promised.empty(); }
+  bool armed() const { return rec_ != nullptr && !rec_->promised.empty(); }
 
-  void Clear() {
-    promised.clear();
-    hops.clear();
-  }
+  // Empty when unarmed.
+  const std::vector<uint64_t>& promised() const;
+  const std::vector<PathHop>& hops() const;
+
+  // Sets both fields verbatim, as a decoder does (a record is kept only when
+  // either is non-empty), with the same hop reservation as Arm.
+  void Assign(std::vector<uint64_t> promised, std::vector<PathHop> hops);
+
+  void Clear() { rec_.reset(); }
+
+ private:
+  struct Record {
+    std::vector<uint64_t> promised;
+    std::vector<PathHop> hops;  // appended by each switch
+  };
+  // Deep copy that keeps the hop reservation; null for null.
+  static std::unique_ptr<Record> CopyOf(const Record* rec);
+
+  std::unique_ptr<Record> rec_;
 };
 
 // True when the taken path matches the promise: same switch count, same UIDs

@@ -163,14 +163,16 @@ void PutPayload(ByteWriter& w, const Payload& payload) {
             PutGraph(w, *p.graph);
           }
         } else if constexpr (std::is_same_v<T, BootstrapPayload>) {
-          PutLocation(w, p.self);
-          w.U64(p.controller_mac);
-          PutLocation(w, p.controller_location);
-          PutTags(w, p.path_to_controller);
-          w.U8(p.directory != nullptr ? 1 : 0);
-          if (p.directory != nullptr) {
-            w.U32(static_cast<uint32_t>(p.directory->size()));
-            for (const HostLocation& loc : *p.directory) {
+          static const BootstrapInfo kEmpty;
+          const BootstrapInfo& b = p.info != nullptr ? *p.info : kEmpty;
+          PutLocation(w, b.self);
+          w.U64(b.controller_mac);
+          PutLocation(w, b.controller_location);
+          PutTags(w, b.path_to_controller);
+          w.U8(b.directory != nullptr ? 1 : 0);
+          if (b.directory != nullptr) {
+            w.U32(static_cast<uint32_t>(b.directory->size()));
+            for (const HostLocation& loc : *b.directory) {
               PutLocation(w, loc);
             }
           }
@@ -278,13 +280,13 @@ bool GetPayload(ByteReader& r, Payload* payload) {
       break;
     }
     case 7: {
-      BootstrapPayload p;
-      if (!GetLocation(r, &p.self)) {
+      auto p = std::make_shared<BootstrapInfo>();
+      if (!GetLocation(r, &p->self)) {
         return false;
       }
-      p.controller_mac = r.U64();
-      if (!GetLocation(r, &p.controller_location) ||
-          !GetTags(r, &p.path_to_controller)) {
+      p->controller_mac = r.U64();
+      if (!GetLocation(r, &p->controller_location) ||
+          !GetTags(r, &p->path_to_controller)) {
         return false;
       }
       if (r.U8() != 0) {
@@ -298,9 +300,9 @@ bool GetPayload(ByteReader& r, Payload* payload) {
             return false;
           }
         }
-        p.directory = std::move(dir);
+        p->directory = std::move(dir);
       }
-      *payload = std::move(p);
+      *payload = BootstrapPayload{std::move(p)};
       break;
     }
     case 8: {
@@ -457,9 +459,9 @@ std::string EncodePacketFrame(const Packet& pkt) {
   PutTags(w, pkt.tags);
   w.I64(pkt.sent_time);
   w.U64(pkt.pkt_id);
-  PutUidVec(w, pkt.provenance.promised);
-  w.U32(static_cast<uint32_t>(pkt.provenance.hops.size()));
-  for (const telemetry::PathHop& hop : pkt.provenance.hops) {
+  PutUidVec(w, pkt.provenance.promised());
+  w.U32(static_cast<uint32_t>(pkt.provenance.hops().size()));
+  for (const telemetry::PathHop& hop : pkt.provenance.hops()) {
     w.U64(hop.switch_uid);
     w.U8(hop.ingress);
     w.U8(hop.egress);
@@ -479,19 +481,21 @@ Result<Packet> DecodePacketBody(std::string_view body) {
   }
   pkt.sent_time = r.I64();
   pkt.pkt_id = r.U64();
-  if (!GetUidVec(r, &pkt.provenance.promised)) {
+  std::vector<uint64_t> promised;
+  if (!GetUidVec(r, &promised)) {
     return Malformed("bad packet provenance promise");
   }
   const size_t n_hops = r.U32();
   if (!r.ok() || r.remaining() < n_hops * 10) {
     return Malformed("bad packet provenance hops");
   }
-  pkt.provenance.hops.resize(n_hops);
-  for (telemetry::PathHop& hop : pkt.provenance.hops) {
+  std::vector<telemetry::PathHop> hops(n_hops);
+  for (telemetry::PathHop& hop : hops) {
     hop.switch_uid = r.U64();
     hop.ingress = r.U8();
     hop.egress = r.U8();
   }
+  pkt.provenance.Assign(std::move(promised), std::move(hops));
   if (!GetPayload(r, &pkt.payload)) {
     return Malformed("bad packet payload");
   }

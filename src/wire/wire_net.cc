@@ -12,13 +12,13 @@ WireNetAdapter::WireNetAdapter(Simulator* sim, Topology* topo, NodeId self,
                                NetworkConfig config)
     : Network(sim, topo, config), self_(self) {}
 
-void WireNetAdapter::SendFromSwitch(uint32_t sw, PortNum port, Packet pkt) {
+void WireNetAdapter::SendFromSwitchOn(uint32_t sw, PortNum port, LinkIndex li, Packet pkt) {
   if (NodeId::Switch(sw) != self_) {
     DN_ERROR << "wire: switch " << sw << " sent through node "
              << self_.ToString() << "'s adapter";
     return;
   }
-  Emit(topo().LinkAtPort(sw, port), port, std::move(pkt));
+  Emit(li, port, std::move(pkt));
 }
 
 void WireNetAdapter::SendFromHost(uint32_t host, Packet pkt) {

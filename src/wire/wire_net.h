@@ -52,7 +52,7 @@ class WireNetAdapter : public Network {
   void set_send_hook(SendHook hook) { send_hook_ = std::move(hook); }
   void set_backlog_probe(BacklogProbe probe) { backlog_probe_ = std::move(probe); }
 
-  void SendFromSwitch(uint32_t sw, PortNum port, Packet pkt) override;
+  void SendFromSwitchOn(uint32_t sw, PortNum port, LinkIndex li, Packet pkt) override;
   void SendFromHost(uint32_t host, Packet pkt) override;
   int64_t QueueBacklog(LinkIndex li, const NodeId& from) const override;
 

@@ -2,8 +2,13 @@
 // drops, timing, port-change notifications).
 #include <gtest/gtest.h>
 
+#include <memory>
+
+#include "src/analysis/contracts.h"
+#include "src/host/host_agent.h"
 #include "src/net/network.h"
 #include "src/net/packet.h"
+#include "src/switch/dumb_switch.h"
 
 namespace dumbnet {
 namespace {
@@ -43,6 +48,59 @@ TEST(PacketTest, AsReturnsTypedPayload) {
   ASSERT_NE(pkt.As<IdReplyPayload>(), nullptr);
   EXPECT_EQ(pkt.As<IdReplyPayload>()->switch_uid, 99u);
   EXPECT_EQ(pkt.As<DataPayload>(), nullptr);
+}
+
+// Every in-flight copy and every pooled packet-carrying event pays for each
+// byte of Packet: keep it within 136 bytes.
+static_assert(sizeof(Packet) <= 136, "Packet outgrew its 136-byte budget");
+
+TEST(PacketTest, ArmedProvenanceCopiesAreDeep) {
+  Packet original = MakeDumbNetPacket(1, 2, {1, 2}, DataPayload{});
+  original.provenance.Arm({0xA, 0xB});
+  original.provenance.AddHop({0xA, 1, 2});
+  Packet copy = original;
+  copy.provenance.AddHop({0xB, 2, 0});
+  EXPECT_EQ(original.provenance.hops().size(), 1u);
+  EXPECT_EQ(copy.provenance.hops().size(), 2u);
+  EXPECT_EQ(copy.provenance.promised(), original.provenance.promised());
+  Packet assigned;
+  assigned = copy;
+  assigned.provenance.Clear();
+  EXPECT_TRUE(copy.provenance.armed());
+  EXPECT_FALSE(assigned.provenance.armed());
+}
+
+TEST(PacketTest, UnarmedProvenanceAllocatesNothing) {
+  EXPECT_EQ(sizeof(telemetry::PathProvenance), sizeof(void*));
+  Packet pkt = MakeEthernetPacket(1, 2, kEtherTypeDumbNet, DataPayload{});
+  EXPECT_FALSE(pkt.provenance.armed());
+  EXPECT_TRUE(pkt.provenance.promised().empty());
+  EXPECT_TRUE(pkt.provenance.hops().empty());
+  pkt.provenance.Arm({});
+  EXPECT_FALSE(pkt.provenance.armed()) << "an empty promise arms nothing";
+  if (!contracts::kCompiledIn) {
+    GTEST_SKIP() << "contracts compiled out: no allocation counter";
+  }
+  // A tag-less packet owns no heap memory unless its provenance is armed.
+  contracts::SetEnabled(true);
+  const uint64_t before = contracts::Counters().hot_allocs;
+  {
+    DN_HOT_SCOPE("test.unarmed_copy");
+    Packet copy = pkt;
+    Packet moved = std::move(copy);
+    (void)moved;
+  }
+  const uint64_t unarmed = contracts::Counters().hot_allocs - before;
+  pkt.provenance.Arm({0xA});
+  {
+    DN_HOT_SCOPE("test.armed_copy");
+    Packet copy = pkt;
+    (void)copy;
+  }
+  const uint64_t armed = contracts::Counters().hot_allocs - before - unarmed;
+  contracts::SetEnabled(false);
+  EXPECT_EQ(unarmed, 0u);
+  EXPECT_GT(armed, 0u) << "the counter must see the armed copy's record";
 }
 
 // One link between two registered sink nodes.
@@ -219,6 +277,52 @@ TEST_F(NetFixture, EqualArrivalsKeepTransmitOrder) {
     EXPECT_EQ(sink.packets[i].first.As<DataPayload>()->flow_id, i);
     EXPECT_EQ(sink.arrival_times[i], 500);
   }
+}
+
+// Packets parked in pooled events (host send, switch forward, host deliver)
+// and on the wire, when the simulator holding those events goes away first:
+// every parked node comes back to its pool.
+TEST(PacketPoolTest, EventsDestroyedUnrunReturnEveryNode) {
+  // H0 - S0 - H1, 10 Gb/s, default 2 us host processing and 500 ns forwarding.
+  Topology topo;
+  topo.AddSwitch(4);
+  const uint32_t h0 = topo.AddHost();
+  const uint32_t h1 = topo.AddHost();
+  topo.AttachHost(h0, 0, 1).value();
+  topo.AttachHost(h1, 0, 2).value();
+  auto sim = std::make_unique<Simulator>();
+  Network net(sim.get(), &topo);
+  DumbSwitch sw(&net, 0);
+  HostAgent sender(&net, h0);
+  HostAgent receiver(&net, h1);
+  uint64_t received = 0;
+  receiver.SetDataHandler([&](const Packet&, const DataPayload&) { ++received; });
+
+  // 40 frames of 1,514 bytes leave H0 2 us after this, one per ~1.2 us: at
+  // 20 us some are still on H0's link, some wait in S0's forward events, some
+  // on S0's link and some in H1's deliver events.
+  constexpr int kFrames = 40;
+  for (int i = 0; i < kFrames; ++i) {
+    sender.SendTags({2}, receiver.mac(), DataPayload{0, static_cast<uint64_t>(i), 0, false, 1500});
+  }
+  sim->RunUntil(Us(20));
+  // And one that waits in H0's send event.
+  sender.SendTags({2}, receiver.mac(), DataPayload{});
+
+  const Network::PacketPoolStats mid = net.packet_pool_stats();
+  EXPECT_GT(received, 0u);
+  EXPECT_LT(received, static_cast<uint64_t>(kFrames));
+  EXPECT_GT(sw.stats().forwarded, received);
+  EXPECT_GE(mid.parked, 3u) << "host send, switch forward and host deliver events";
+  EXPECT_GT(mid.nodes - mid.spare - mid.parked, 0u) << "packets on the wire";
+  EXPECT_EQ(mid.nodes - mid.spare, static_cast<size_t>(kFrames + 1) - received);
+
+  sim.reset();  // destroys every pending event without running it
+  const Network::PacketPoolStats after = net.packet_pool_stats();
+  EXPECT_EQ(after.parked, 0u);
+  EXPECT_EQ(after.nodes, mid.nodes);
+  // Only the packets still on the wire hold nodes; they go with the network.
+  EXPECT_EQ(after.spare, mid.spare + mid.parked);
 }
 
 }  // namespace

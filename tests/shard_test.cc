@@ -427,5 +427,29 @@ TEST_F(ShardInvarianceTest, GrayLossScheduleReplayIsBitIdentical) {
   EXPECT_EQ(a.end_time, b.end_time);
 }
 
+// A send from a host index the topology does not have is counted on the shard
+// whose event made it, so two shards doing so at once never share a counter.
+TEST(ShardedNetworkTest, BadHostSendsCountOnTheCallingShard) {
+  FatTreeConfig config;
+  config.k = 4;
+  auto ft = MakeFatTree(config);
+  ASSERT_TRUE(ft.ok());
+  SimulatedFabric fabric(std::move(ft.value().topo), HostAgentConfig(), DumbSwitchConfig(),
+                         NetworkConfig(), /*shards=*/2);
+  ASSERT_EQ(fabric.shard_count(), 2u);
+  const uint32_t bad = static_cast<uint32_t>(fabric.host_count()) + 7;
+  constexpr int kSends = 5000;
+  for (uint32_t s = 0; s < 2; ++s) {
+    fabric.shard_set().Post(s, s, Us(1), [&fabric, bad] {
+      for (int i = 0; i < kSends; ++i) {
+        fabric.net().SendFromHost(bad, MakeEthernetPacket(1, 2, kEtherTypeDumbNet,
+                                                          DataPayload{}));
+      }
+    });
+  }
+  fabric.Run();
+  EXPECT_EQ(fabric.net().stats().dropped_unwired, 2u * kSends);
+}
+
 }  // namespace
 }  // namespace dumbnet

@@ -307,16 +307,16 @@ TEST(PathProvenance, MatchHelper) {
   EXPECT_FALSE(p.armed());
   EXPECT_TRUE(telemetry::ProvenanceMatches(p));  // unarmed always matches
 
-  p.promised = {0xA, 0xB};
-  p.hops.push_back({0xA, 1, 2});
-  p.hops.push_back({0xB, 3, 0});
+  p.Arm({0xA, 0xB});
+  p.AddHop({0xA, 1, 2});
+  p.AddHop({0xB, 3, 0});
   EXPECT_TRUE(telemetry::ProvenanceMatches(p));
 
-  p.hops[1].switch_uid = 0xC;
+  p.Assign({0xA, 0xB}, {{0xA, 1, 2}, {0xC, 3, 0}});
   EXPECT_FALSE(telemetry::ProvenanceMatches(p));
   EXPECT_NE(telemetry::DescribeProvenance(p).find("promised="), std::string::npos);
 
-  p.hops.pop_back();
+  p.Assign({0xA, 0xB}, {{0xA, 1, 2}});
   EXPECT_FALSE(telemetry::ProvenanceMatches(p)) << "short path must not match";
 }
 
@@ -372,8 +372,9 @@ TEST(PathProvenance, InjectedMisrouteRaisesDivergence) {
   d.flow_id = 2;
   d.bytes = 100;
   Packet pkt = MakeDumbNetPacket(fabric.agent(0).mac(), dst, route.value()->tags, d);
-  pkt.provenance.promised = route.value()->uid_path;
-  pkt.provenance.promised[0] ^= 0x1;  // not the switch the packet will traverse
+  std::vector<uint64_t> promised = route.value()->uid_path;
+  promised[0] ^= 0x1;  // not the switch the packet will traverse
+  pkt.provenance.Arm(promised);
   fabric.net().SendFromHost(0, pkt);
   fabric.Run();
 

@@ -78,14 +78,14 @@ std::vector<Packet> SamplePackets() {
   path_resp.graph = graph;
   out.push_back(MakeDumbNetPacket(0x111, 0x707, {1}, path_resp));
 
-  BootstrapPayload boot;
-  boot.self = HostLocation{0x909, 0xFACE, 5};
-  boot.controller_mac = 0x111;
-  boot.controller_location = HostLocation{0x111, 0xCAFE, 6};
-  boot.path_to_controller = {2, 3, kPathEndTag};
-  boot.directory = std::make_shared<std::vector<HostLocation>>(
+  auto boot = std::make_shared<BootstrapInfo>();
+  boot->self = HostLocation{0x909, 0xFACE, 5};
+  boot->controller_mac = 0x111;
+  boot->controller_location = HostLocation{0x111, 0xCAFE, 6};
+  boot->path_to_controller = {2, 3, kPathEndTag};
+  boot->directory = std::make_shared<std::vector<HostLocation>>(
       std::vector<HostLocation>{{0x909, 0xFACE, 5}, {0x111, 0xCAFE, 6}});
-  out.push_back(MakeDumbNetPacket(0x111, 0x909, {2, 3}, boot));
+  out.push_back(MakeDumbNetPacket(0x111, 0x909, {2, 3}, BootstrapPayload{boot}));
 
   LinkEventPayload link_ev;
   link_ev.event_id = 0xE11E;
@@ -115,8 +115,9 @@ std::vector<Packet> SamplePackets() {
   // Sidecar fields ride on every frame; arm them on the first sample.
   out[0].sent_time = 1234567;
   out[0].pkt_id = 89;
-  out[0].provenance.promised = {0xFACE, 0xBEAD};
-  out[0].provenance.hops = {{0xFACE, 3, 1}, {0xBEAD, 2, 4}};
+  out[0].provenance.Arm({0xFACE, 0xBEAD});
+  out[0].provenance.AddHop({0xFACE, 3, 1});
+  out[0].provenance.AddHop({0xBEAD, 2, 4});
   return out;
 }
 
@@ -184,28 +185,72 @@ TEST(FrameTest, PacketSidecarsSurvive) {
   EXPECT_EQ(got.tags, pkt.tags);
   EXPECT_EQ(got.sent_time, pkt.sent_time);
   EXPECT_EQ(got.pkt_id, pkt.pkt_id);
-  EXPECT_EQ(got.provenance.promised, pkt.provenance.promised);
-  ASSERT_EQ(got.provenance.hops.size(), pkt.provenance.hops.size());
-  EXPECT_EQ(got.provenance.hops[1].switch_uid, pkt.provenance.hops[1].switch_uid);
-  EXPECT_EQ(got.provenance.hops[1].ingress, pkt.provenance.hops[1].ingress);
-  EXPECT_EQ(got.provenance.hops[1].egress, pkt.provenance.hops[1].egress);
+  EXPECT_EQ(got.provenance.promised(), pkt.provenance.promised());
+  EXPECT_EQ(got.provenance.hops(), pkt.provenance.hops());
   const DataPayload* data = got.As<DataPayload>();
   ASSERT_NE(data, nullptr);
   EXPECT_EQ(data->flow_id, 7u);
   EXPECT_TRUE(data->ecn);
 }
 
+std::string Hex(const std::string& bytes) {
+  static const char kDigits[] = "0123456789abcdef";
+  std::string out;
+  for (char c : bytes) {
+    const auto b = static_cast<unsigned char>(c);
+    out += kDigits[b >> 4];
+    out += kDigits[b & 0xF];
+  }
+  return out;
+}
+
+// Golden frames: the encoding is pinned byte for byte, whatever the in-memory
+// layout of Packet, its provenance record or its payloads.
+TEST(FrameTest, PacketFramesMatchGoldenBytes) {
+  const Packet armed = SamplePackets()[0];
+  ASSERT_TRUE(armed.provenance.armed());
+  EXPECT_EQ(Hex(EncodePacketFrame(armed)),
+            "4e4401047f0000000202000000000000010100000000000000980400010203ff"
+            "87d6120000000000590000000000000002000000cefa000000000000adbe0000"
+            "0000000002000000cefa0000000000000301adbe000000000000020400070000"
+            "000000000009000000000000000300000000000000010903000000000000bbaa"
+            "00000000000001");
+
+  Packet unarmed = armed;
+  unarmed.provenance.Clear();
+  EXPECT_EQ(Hex(EncodePacketFrame(unarmed)),
+            "4e4401045b0000000202000000000000010100000000000000980400010203ff"
+            "87d6120000000000590000000000000000000000000000000007000000000000"
+            "0009000000000000000300000000000000010903000000000000bbaa00000000"
+            "000001");
+
+  for (const Packet& pkt : SamplePackets()) {
+    if (pkt.As<BootstrapPayload>() != nullptr) {
+      EXPECT_EQ(Hex(EncodePacketFrame(pkt)),
+                "4e4401048600000009090000000000001101000000000000009803000203ff00"
+                "0000000000000000000000000000000000000000000000070909000000000000"
+                "cefa0000000000000511010000000000001101000000000000feca0000000000"
+                "000603000203ff01020000000909000000000000cefa00000000000005110100"
+                "0000000000feca00000000000006");
+    }
+  }
+}
+
 // The codec keeps a directory's wire order; a host store fed an unsorted one
 // (the sample's is) must still resolve every MAC from its private sorted copy.
 TEST(FrameTest, DecodedUnsortedDirectoryResolvesEveryMac) {
   for (const Packet& pkt : SamplePackets()) {
-    const auto* boot = pkt.As<BootstrapPayload>();
-    if (boot == nullptr) {
+    const auto* sent = pkt.As<BootstrapPayload>();
+    if (sent == nullptr) {
       continue;
     }
+    const BootstrapInfo* boot = sent->info.get();
+    ASSERT_NE(boot, nullptr);
     auto decoded = DecodePacketBody(BodyOf(EncodePacketFrame(pkt)));
     ASSERT_TRUE(decoded.ok());
-    const auto* got = decoded.value().As<BootstrapPayload>();
+    const auto* got_payload = decoded.value().As<BootstrapPayload>();
+    ASSERT_NE(got_payload, nullptr);
+    const BootstrapInfo* got = got_payload->info.get();
     ASSERT_NE(got, nullptr);
     ASSERT_NE(got->directory, nullptr);
     ASSERT_EQ(*got->directory, *boot->directory);
