@@ -38,8 +38,7 @@ int main(int argc, char** argv) {
                 "adversarial companion to Figure 11 (no single paper number)");
 
   auto tb = MakePaperTestbed();
-  SimulatedFabric fabric(std::move(tb.value().topo), HostAgentConfig(),
-                         DumbSwitchConfig(), NetworkConfig(), /*shards=*/1);
+  SimulatedFabric fabric(std::move(tb.value().topo));
 
   std::vector<double> latency_us;
   for (uint32_t h = 0; h < static_cast<uint32_t>(fabric.host_count()); ++h) {

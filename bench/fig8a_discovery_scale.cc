@@ -9,10 +9,7 @@
 // Method: the real DiscoveryService probes a simulated fabric through real dumb
 // switches; every switch is probed on all 64 possible ports (as in the paper's
 // emulation), and the controller CPU is a single server with a per-PM cost.
-#include <chrono>
 #include <cstdio>
-#include <functional>
-#include <thread>
 
 #include "bench/bench_util.h"
 #include "src/core/fabric.h"
@@ -47,57 +44,6 @@ Point RunDiscovery(const char* series, Topology topo, uint32_t controller_host,
   if (discovery.db().switch_count() != fabric.switch_count()) {
     std::printf("WARNING: %s with %zu switches discovered only %zu!\n", series,
                 fabric.switch_count(), discovery.db().switch_count());
-  }
-  return p;
-}
-
-// Sharded bring-up: same discovery workload, but measured in wall-clock with
-// the fabric partitioned across simulation shards. Virtual discovery time is
-// shard-invariant (the control plane converges to the same state); what the
-// shards change is how long the simulation itself takes, so this row reports
-// real seconds and records shards/threads/cores honestly for like-for-like
-// comparison across machines.
-struct ShardPoint {
-  uint32_t shards;
-  uint32_t threads;
-  size_t switches;
-  double wall_secs;
-  double sim_secs;
-};
-
-double WallSeconds(const std::function<void()>& fn) {
-  // dn-lint: allow(wall-clock, benches measure real elapsed time by design)
-  auto start = std::chrono::steady_clock::now();
-  fn();
-  // dn-lint: allow(wall-clock, benches measure real elapsed time by design)
-  auto end = std::chrono::steady_clock::now();
-  return std::chrono::duration<double>(end - start).count();
-}
-
-ShardPoint RunShardedDiscovery(uint32_t k, uint32_t shards, uint8_t max_ports) {
-  FatTreeConfig config;
-  config.k = k;
-  config.attach_hosts = false;
-  auto ft = MakeFatTree(config);
-  uint32_t host = ft.value().topo.AddHost();
-  (void)ft.value().topo.AttachHost(host, ft.value().edge[0], static_cast<PortNum>(1));
-  SimulatedFabric fabric(std::move(ft.value().topo), HostAgentConfig(),
-                         DumbSwitchConfig(), NetworkConfig(), shards);
-  DiscoveryConfig dconfig;
-  dconfig.max_ports = max_ports;
-  DiscoveryService discovery(&fabric.agent(host), dconfig);
-  ShardPoint p;
-  p.shards = fabric.shard_count();
-  p.threads = fabric.shard_set().thread_count();
-  p.switches = fabric.switch_count();
-  p.wall_secs = WallSeconds([&] {
-    discovery.Start(nullptr);
-    fabric.Run();
-  });
-  p.sim_secs = ToSec(discovery.stats().finished_at - discovery.stats().started_at);
-  if (discovery.db().switch_count() != fabric.switch_count()) {
-    std::printf("WARNING: sharded fat-tree k=%u discovered only %zu of %zu!\n", k,
-                discovery.db().switch_count(), fabric.switch_count());
   }
   return p;
 }
@@ -158,21 +104,6 @@ int main(int argc, char** argv) {
   if (quick) {
     std::printf("(DUMBNET_QUICK=1: reduced sweep, 16-port probing)\n");
   }
-  // Sharded bring-up wall-clock: the same probing discovery on a fat-tree,
-  // single-shard vs 4-shard. Simulated discovery time must not move; wall time
-  // is what sharding buys on multicore hosts.
-  const uint32_t shard_k = quick ? 8 : 16;
-  std::vector<ShardPoint> shard_points;
-  for (uint32_t shards : {1u, 4u}) {
-    shard_points.push_back(RunShardedDiscovery(shard_k, shards, ports));
-  }
-  std::printf("\nsharded bring-up (fat-tree k=%u, wall-clock, %u core(s)):\n",
-              shard_k, std::thread::hardware_concurrency());
-  for (const ShardPoint& p : shard_points) {
-    std::printf("  %u shard(s) / %u thread(s): %8.2f s wall, %8.2f s simulated, "
-                "%zu switches\n",
-                p.shards, p.threads, p.wall_secs, p.sim_secs, p.switches);
-  }
 
   bench::JsonReporter report;
   for (const Point& p : points) {
@@ -180,17 +111,6 @@ int main(int argc, char** argv) {
                                           {"switches", std::to_string(p.switches)}};
     report.Add("fig8a", "discovery_time", p.seconds, "s", params);
     report.Add("fig8a", "probe_messages", static_cast<double>(p.pms), "msgs", params);
-  }
-  for (const ShardPoint& p : shard_points) {
-    // No cores param: params are baseline row-identity keys and must be
-    // machine-stable; the core count is printed above instead.
-    bench::JsonReporter::Params params = {
-        {"series", "fattree-sharded"},
-        {"switches", std::to_string(p.switches)},
-        {"shards", std::to_string(p.shards)},
-        {"threads", std::to_string(p.threads)}};
-    report.Add("fig8a", "bring_up_wall", p.wall_secs, "s", params);
-    report.Add("fig8a", "discovery_time", p.sim_secs, "s", params);
   }
   if (!report.WriteTo(args.json_path)) {
     return 1;

@@ -38,20 +38,6 @@ using namespace dumbnet;
 
 namespace {
 
-// Execution-environment params attached to every metric whose value depends on
-// sharding, so tools/dumbnet-check only gates like-for-like runs (a 4-shard
-// multicore number must never be compared against a single-shard baseline).
-// Core count is printed, not recorded: params are row-identity keys, and a
-// machine-dependent key would turn every baseline row into a false
-// "bench-missing" on a runner with a different core count. The committed
-// baseline only keeps rows whose thread count is machine-stable (shards=1).
-bench::JsonReporter::Params ShardParams(uint32_t shards, uint32_t threads,
-                                        bench::JsonReporter::Params extra = {}) {
-  extra.push_back({"shards", std::to_string(shards)});
-  extra.push_back({"threads", std::to_string(threads)});
-  return extra;
-}
-
 // Runs one bench section with the runtime contract checker on and returns the
 // hot-scope allocations it observed (the no-alloc annotations in PathTable /
 // HostAgent / Network are live during `fn`). CI gates on every section
@@ -448,15 +434,12 @@ BatchResult RunPathGraphBatch(const Topology& topo, uint32_t src,
 struct BringUpResult {
   double secs = 0;
   size_t hosts = 0;
-  uint32_t shards = 1;
-  uint32_t threads = 1;
+  size_t bootstrapped = 0;  // hosts holding a bootstrap when bring-up returned
 };
 
 BringUpResult MeasureBringUp(SimulatedFabric& fabric, const DiscoveryConfig& discovery) {
   BringUpResult r;
   r.hosts = fabric.host_count();
-  r.shards = fabric.shard_count();
-  r.threads = fabric.shard_set().thread_count();
   r.secs = WallSeconds([&] {
     if (!fabric.BringUp(0, ControllerConfig(), discovery)) {
       std::printf("WARNING: bring-up did not complete\n");
@@ -468,6 +451,16 @@ BringUpResult MeasureBringUp(SimulatedFabric& fabric, const DiscoveryConfig& dis
   if (found != expect) {
     std::printf("WARNING: discovery found %zu of %zu switches; timing is invalid\n",
                 found, expect);
+  }
+  // A dark host skipped the bootstrap work the row claims to time.
+  for (uint32_t h = 0; h < r.hosts; ++h) {
+    if (fabric.agent(h).bootstrapped()) {
+      ++r.bootstrapped;
+    }
+  }
+  if (r.bootstrapped != r.hosts) {
+    std::printf("WARNING: %zu of %zu hosts bootstrapped; timing is invalid\n",
+                r.bootstrapped, r.hosts);
   }
   return r;
 }
@@ -500,89 +493,7 @@ BringUpResult RunBringUpFatTree(uint32_t k) {
 }
 
 // ---------------------------------------------------------------------------
-// Workload 4: sharded fabric throughput. A 3-tier fat-tree (k=8: 80 switches,
-// 128 hosts) with 2 us inter-switch cables is partitioned into N shards; every
-// host ping-pongs with a partner half the fabric away (nearly all traffic
-// crosses pods, hence shards). Reported events/s covers the whole run —
-// windows, barriers and channel drains included — so the single-shard number is
-// the honest baseline for the sharded one. On a multicore host the N-shard run
-// uses one worker thread per shard; on a single core it runs the sequential
-// reference mode, and the recorded threads/cores params keep CI gating
-// like-for-like.
-// ---------------------------------------------------------------------------
-struct ShardWorkloadResult {
-  double events_per_sec = 0;
-  uint64_t events = 0;
-  uint64_t windows = 0;
-  uint64_t cross_posts = 0;
-  uint32_t shards = 1;
-  uint32_t threads = 1;
-};
-
-ShardWorkloadResult RunShardWorkload(uint32_t shards, int pings_per_host) {
-  FatTreeConfig config;
-  config.k = 8;
-  auto ft = MakeFatTree(config);
-  Topology topo = std::move(ft.value().topo);
-  // Inter-switch cables at datacenter scale (2 us ~ 400 m of fiber): the shard
-  // plan's lookahead is the minimum cross-shard propagation, so this sets the
-  // conservative window width. Host drops stay at the default.
-  for (LinkIndex li = 0; li < topo.link_count(); ++li) {
-    const Link& l = topo.link_at(li);
-    if (l.a.node.is_switch() && l.b.node.is_switch()) {
-      topo.SetLinkPropagation(li, Us(2));
-    }
-  }
-  SimulatedFabric fabric(std::move(topo), HostAgentConfig(), DumbSwitchConfig(),
-                         NetworkConfig(), shards);
-  fabric.BringUpAdopted(0);
-
-  const uint32_t n = static_cast<uint32_t>(fabric.host_count());
-  for (uint32_t h = 0; h < n; ++h) {
-    fabric.agent(h).SetDataHandler(
-        [&fabric, h](const Packet& pkt, const DataPayload& data) {
-          if (!data.is_ack) {
-            DataPayload echo = data;
-            echo.is_ack = true;
-            (void)fabric.agent(h).Send(pkt.eth.src_mac, data.flow_id, echo);
-          }
-        });
-  }
-
-  // Per-host self-rescheduling ping chain. Every event runs on its own host's
-  // shard (the chain reschedules on the host's simulator), so the driver itself
-  // never violates shard ownership.
-  std::vector<std::function<void(int)>> ticks(n);
-  for (uint32_t h = 0; h < n; ++h) {
-    const uint32_t partner = (h + n / 2) % n;
-    Simulator& hsim = fabric.net().SimFor(NodeId::Host(h));
-    ticks[h] = [&fabric, &ticks, &hsim, h, partner, pings_per_host](int i) {
-      if (i >= pings_per_host) {
-        return;
-      }
-      DataPayload ping;
-      ping.flow_id = (static_cast<uint64_t>(h) << 20) | static_cast<uint64_t>(i);
-      ping.bytes = 64;
-      (void)fabric.agent(h).Send(fabric.agent(partner).mac(), ping.flow_id, ping);
-      hsim.ScheduleAfter(Us(25), [&ticks, h, i] { ticks[h](i + 1); });
-    };
-    hsim.ScheduleAfter(Us(1) + h % 97, [&ticks, h] { ticks[h](0); });
-  }
-
-  ShardWorkloadResult r;
-  r.shards = fabric.shard_count();
-  r.threads = fabric.shard_set().thread_count();
-  const uint64_t before = fabric.executed_events();
-  const double secs = WallSeconds([&] { fabric.Run(); });
-  r.events = fabric.executed_events() - before;
-  r.events_per_sec = static_cast<double>(r.events) / secs;
-  r.windows = fabric.shard_set().stats().windows;
-  r.cross_posts = fabric.shard_set().stats().cross_posts;
-  return r;
-}
-
-// ---------------------------------------------------------------------------
-// Workload 5: host route computation. A TopoCache holding the whole fat-tree
+// Workload 4: host route computation. A TopoCache holding the whole fat-tree
 // k=8 (every link, every host) builds the k=4 entry from each edge switch to a
 // host on every other edge switch. The cold pass runs on a fresh copy of the
 // cache, so each pair costs one Yen run; the warm pass repeats the pairs on
@@ -645,7 +556,7 @@ HostRoutesResult RunHostRoutes(int repeats) {
 }
 
 // ---------------------------------------------------------------------------
-// Workload 6: the packet path. A fat-tree k=8 with every route cached runs a
+// Workload 5: the packet path. A fat-tree k=8 with every route cached runs a
 // ping mesh: each round, every host pings 8 partners spread over the fabric
 // (64-byte pings, each echoed), and the fabric drains. This is host send,
 // transmit, switch tag pop and host delivery and little else, so wall ns per
@@ -804,10 +715,11 @@ int main(int argc, char** argv) {
   }
   std::printf("\nbring-up wall-clock (probing discovery + bootstraps, leaf-spine):\n");
   auto report_bring_up = [&report](const BringUpResult& b) {
-    std::printf("  %6zu hosts  %8.2f s wall (%u shard(s), %u thread(s))\n", b.hosts,
-                b.secs, b.shards, b.threads);
+    std::printf("  %6zu hosts  %8.2f s wall (%zu bootstrapped)\n", b.hosts, b.secs,
+                b.bootstrapped);
     report.Add("perf_core", "bring_up_wall", b.secs, "s",
-               ShardParams(b.shards, b.threads, {{"hosts", std::to_string(b.hosts)}}));
+               {{"hosts", std::to_string(b.hosts)},
+                {"bootstrapped", std::to_string(b.bootstrapped)}});
   };
   uint64_t bring_up_allocs = 0;
   for (const Scale& sc : scales) {
@@ -827,39 +739,7 @@ int main(int argc, char** argv) {
     }
   }
 
-  // --- 4. sharded fabric throughput ----------------------------------------
-  const int pings = args.quick ? 400 : 2000;
-  ShardWorkloadResult single;
-  ShardWorkloadResult sharded;
-  const uint64_t ping_allocs = HotAllocsDuring([&] {
-    single = RunShardWorkload(1, pings);
-    sharded = RunShardWorkload(4, pings);
-  });
-  std::printf("\nsharded fabric ping-pong (fat-tree k=8, cross-pod partners, "
-              "%u core(s)):\n",
-              std::thread::hardware_concurrency());
-  std::printf("  1 shard      %12.0f events/s (%lu events)\n", single.events_per_sec,
-              static_cast<unsigned long>(single.events));
-  std::printf("  %u shards     %12.0f events/s (%lu events, %lu windows, "
-              "%lu cross-shard, %u threads)\n",
-              sharded.shards, sharded.events_per_sec,
-              static_cast<unsigned long>(sharded.events),
-              static_cast<unsigned long>(sharded.windows),
-              static_cast<unsigned long>(sharded.cross_posts), sharded.threads);
-  std::printf("  speedup      %12.2fx\n",
-              sharded.events_per_sec / single.events_per_sec);
-  report.Add("perf_core", "shard_events_per_sec", single.events_per_sec, "events/s",
-             ShardParams(single.shards, single.threads,
-                         {{"topology", "fattree8"}}));
-  report.Add("perf_core", "shard_events_per_sec", sharded.events_per_sec, "events/s",
-             ShardParams(sharded.shards, sharded.threads, {{"topology", "fattree8"}}));
-  report.Add("perf_core", "shard_speedup",
-             sharded.events_per_sec / single.events_per_sec, "ratio",
-             ShardParams(sharded.shards, sharded.threads, {{"topology", "fattree8"}}));
-  report.Add("perf_core", "hot_scope_allocs", static_cast<double>(ping_allocs),
-             "allocs", {{"section", "shard_ping_pong"}});
-
-  // --- 5. host route computation ------------------------------------------
+  // --- 4. host route computation ------------------------------------------
   const int route_repeats = args.quick ? 3 : 12;
   HostRoutesResult routes;
   // On a thread of its own, so the section starts from a cold thread-local Yen
@@ -884,7 +764,7 @@ int main(int argc, char** argv) {
   report.Add("perf_core", "hot_scope_allocs", static_cast<double>(route_allocs),
              "allocs", {{"section", "host_routes"}});
 
-  // --- 6. packet path ------------------------------------------------------
+  // --- 5. packet path ------------------------------------------------------
   const int path_rounds = args.quick ? 20 : 100;
   PacketPathResult path;
   const uint64_t path_allocs = HotAllocsDuring([&] { path = RunPacketPath(path_rounds); });
@@ -913,12 +793,11 @@ int main(int argc, char** argv) {
     std::printf("\n(quick mode: reduced event count, repeats, and host sweep)\n");
   }
   std::printf("\nhot-scope allocations (contract checker%s): drain=%lu batch=%lu "
-              "bring_up=%lu pings=%lu routes=%lu packet_path=%lu\n",
+              "bring_up=%lu routes=%lu packet_path=%lu\n",
               dumbnet::contracts::kCompiledIn ? "" : " COMPILED OUT",
               static_cast<unsigned long>(drain_allocs),
               static_cast<unsigned long>(batch_allocs),
               static_cast<unsigned long>(bring_up_allocs),
-              static_cast<unsigned long>(ping_allocs),
               static_cast<unsigned long>(route_allocs),
               static_cast<unsigned long>(path_allocs));
   dumbnet::contracts::PublishTelemetry();

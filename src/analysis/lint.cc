@@ -718,10 +718,10 @@ void CheckMacroContracts(const std::vector<Tok>& toks, const SourceText& src,
 
 // ---------------------------------------------------------------------------------
 // Rule: fp-in-pool. Footprint collection (DN_FP_*) is thread-local and is only
-// harvested on the thread executing the current simulator event (a shard worker
-// in sharded runs). A DN_FP_* that executes on a ThreadPool worker records into
-// that worker's collector and silently vanishes — the race detector never sees
-// it, which reads as "verified race-free" when nothing was checked. This is a
+// harvested on the thread executing the current simulator event. A DN_FP_* that
+// executes on a ThreadPool worker records into that worker's collector and
+// silently vanishes — the race detector never sees it, which reads as
+// "verified race-free" when nothing was checked. This is a
 // lexical check: it flags DN_FP_* tokens inside the argument list of a
 // ThreadPool::ParallelFor call (the pool's only entry point). Footprints
 // reached through functions *called* from the body are out of a token linter's

@@ -14,7 +14,7 @@ constexpr TimeNs kTcSuppression = Ms(10);
 
 EthernetSwitch::EthernetSwitch(Network* net, uint32_t index, EthernetSwitchConfig config)
     : net_(net),
-      sim_(&net->SimFor(NodeId::Switch(index))),
+      sim_(&net->sim()),
       index_(index),
       bridge_id_(net->topo().switch_at(index).uid),
       num_ports_(net->topo().switch_at(index).num_ports),

@@ -111,8 +111,8 @@ std::string SerializeSchedule(const ChaosSchedule& schedule,
                               const std::string& note = std::string());
 Result<ChaosSchedule> ParseSchedule(const std::string& text);
 
-// Hooks for RunSchedule. All callbacks run on the driving thread while every
-// shard is quiescent (between windows), so they may inspect any fabric state.
+// Hooks for RunSchedule. All callbacks run on the driving thread between
+// simulator runs, so they may inspect any fabric state.
 struct RunHooks {
   // Called before the actions at `at` are applied (inject traffic here).
   std::function<void(TimeNs at)> on_boundary;
@@ -123,11 +123,9 @@ struct RunHooks {
 };
 
 // Drives `fabric` through the schedule: advances virtual time boundary by
-// boundary (RunUntil), applies each instant's actions from the quiescent
-// driving thread (safe for any shard count / thread count), then runs the
-// fabric to quiescence. Deterministic for a fixed shard count; the converged
-// control-plane digest is additionally shard-count invariant for loss-free
-// (flap-only) schedules.
+// boundary (RunUntil), applies each instant's actions from the driving thread
+// between runs, then runs the fabric to quiescence. Deterministic: the same
+// schedule on the same fabric replays bit-identically.
 void RunSchedule(SimulatedFabric& fabric, const ChaosSchedule& schedule,
                  const RunHooks& hooks = RunHooks());
 

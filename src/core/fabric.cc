@@ -1,57 +1,22 @@
 #include "src/core/fabric.h"
 
-#include <cstdlib>
+#include <stdexcept>
+#include <string>
 
 #include "src/analysis/invariants.h"
 
 namespace dumbnet {
 
-uint32_t SimulatedFabric::DefaultShards() {
-  // dn-lint: allow(wall-clock, reads configuration, not time)
-  const char* env = std::getenv("DUMBNET_SHARDS");
-  if (env == nullptr) {
-    return 1;
-  }
-  char* end = nullptr;
-  const long v = std::strtol(env, &end, 10);
-  if (end == env || *end != '\0' || v < 1 || v > 1024) {
-    return 1;
-  }
-  return static_cast<uint32_t>(v);
-}
-
-uint32_t SimulatedFabric::DefaultShardThreads() {
-  // dn-lint: allow(wall-clock, reads configuration, not time)
-  const char* env = std::getenv("DUMBNET_SHARD_THREADS");
-  if (env == nullptr) {
-    return 0;
-  }
-  char* end = nullptr;
-  const long v = std::strtol(env, &end, 10);
-  if (end == env || *end != '\0' || v < 1 || v > 1024) {
-    return 0;
-  }
-  return static_cast<uint32_t>(v);
-}
-
 SimulatedFabric::SimulatedFabric(Topology topo, HostAgentConfig agent_config,
                                  DumbSwitchConfig switch_config, NetworkConfig net_config,
                                  uint32_t shards)
     : topo_(std::move(topo)) {
-  if (shards == 0) {
-    shards = DefaultShards();
+  if (shards != 1) {
+    throw std::invalid_argument("SimulatedFabric: shards must be 1 (got " +
+                                std::to_string(shards) + "); the simulator is not sharded");
   }
-  plan_ = ShardPlan::Build(topo_, shards);
-  ShardSetConfig shard_config;
-  shard_config.shards = plan_.shard_count;
-  shard_config.lookahead =
-      plan_.lookahead == ShardPlan::kNoCrossLinks ? Ms(1) : plan_.lookahead;
-  shard_config.threads = DefaultShardThreads();
-  shard_set_ = std::make_unique<ShardSet>(shard_config);
-  net_ = std::make_unique<Network>(&shard_set_->shard(0), &topo_, net_config);
-  if (plan_.shard_count > 1) {
-    net_->AttachShards(shard_set_.get(), &plan_);
-  }
+  sim_ = std::make_unique<Simulator>();
+  net_ = std::make_unique<Network>(sim_.get(), &topo_, net_config);
   for (uint32_t s = 0; s < topo_.switch_count(); ++s) {
     switches_.push_back(std::make_unique<DumbSwitch>(net_.get(), s, switch_config));
   }
@@ -87,12 +52,7 @@ InvariantAuditor& SimulatedFabric::EnableAuditing(uint64_t every_events) {
   if (controller_ != nullptr) {
     RegisterTopoDbInvariants(*auditor_, &controller_->db(), &topo_);
   }
-  if (shard_count() == 1) {
-    auditor_->AttachTo(&sim(), every_events);
-  } else {
-    InvariantAuditor* auditor = auditor_.get();
-    shard_set_->SetBarrierHook([auditor] { auditor->RunAll(); }, every_events);
-  }
+  auditor_->AttachTo(sim_.get(), every_events);
   return *auditor_;
 }
 

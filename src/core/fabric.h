@@ -1,16 +1,9 @@
 // SimulatedFabric: one-stop assembly of a complete DumbNet deployment inside the
 // discrete-event simulator — dumb switches on every topology switch, a host agent
 // on every host, and (optionally) a controller service on a chosen host. This is
-// the top-level entry point examples and benchmarks use.
-//
-// The fabric always runs on a ShardSet. With one shard (the default) that is
-// exactly the classic single simulator — shard(0) — at zero overhead. With N > 1
-// shards (explicit `shards` argument, or the DUMBNET_SHARDS environment
-// variable) the topology is partitioned by ShardPlan, every node's events run on
-// its shard's simulator, and Run()/RunUntil() advance the shards in conservative
-// lookahead windows (src/sim/shard_set.h). Drive sharded fabrics through the
-// fabric-level Run()/RunUntil()/Now() facade, not fabric.sim() — the latter is
-// only shard 0.
+// the top-level entry point examples and benchmarks use. Every node's events
+// run on the one simulator the fabric owns; the Run()/RunUntil()/Now() facade
+// forwards to it.
 #ifndef DUMBNET_SRC_CORE_FABRIC_H_
 #define DUMBNET_SRC_CORE_FABRIC_H_
 
@@ -22,8 +15,6 @@
 #include "src/ctrl/controller.h"
 #include "src/host/host_agent.h"
 #include "src/net/network.h"
-#include "src/net/shard_plan.h"
-#include "src/sim/shard_set.h"
 #include "src/sim/simulator.h"
 #include "src/switch/dumb_switch.h"
 #include "src/topo/topology.h"
@@ -32,19 +23,13 @@ namespace dumbnet {
 
 class SimulatedFabric {
  public:
-  // `shards` == 0 reads DUMBNET_SHARDS (unset/invalid -> 1). Values above the
-  // switch count are clamped by the plan.
+  // `shards` remains only so callers that pass 1 (fabricbench/fabric_bench.cc)
+  // keep compiling; any other value throws std::invalid_argument. New code
+  // leaves it out.
   explicit SimulatedFabric(Topology topo, HostAgentConfig agent_config = HostAgentConfig(),
                            DumbSwitchConfig switch_config = DumbSwitchConfig(),
                            NetworkConfig net_config = NetworkConfig(),
-                           uint32_t shards = 0);
-
-  // The shard count DUMBNET_SHARDS requests (1 when unset or unparsable).
-  static uint32_t DefaultShards();
-  // The worker-thread override DUMBNET_SHARD_THREADS requests (0 = let the
-  // ShardSet pick min(shards, hardware_concurrency)). Set it to 1 to force the
-  // sequential reference execution regardless of core count.
-  static uint32_t DefaultShardThreads();
+                           uint32_t shards = 1);
 
   // Installs a controller service on host `host_index`.
   ControllerService& AddController(uint32_t host_index,
@@ -60,19 +45,17 @@ class SimulatedFabric {
   // for experiments that are not about discovery.
   void BringUpAdopted(uint32_t controller_host, ControllerConfig config = ControllerConfig());
 
-  // --- Simulation facade (works for any shard count) ---------------------------
-  uint64_t Run() { return shard_set_->Run(); }
-  uint64_t RunUntil(TimeNs deadline) { return shard_set_->RunUntil(deadline); }
-  uint64_t RunSteps(uint64_t steps) { return shard_set_->RunSteps(steps); }
-  TimeNs Now() const { return shard_set_->Now(); }
-  uint64_t executed_events() const { return shard_set_->executed_events(); }
+  // --- Simulation facade ------------------------------------------------------
+  uint64_t Run() { return sim_->Run(); }
+  uint64_t RunUntil(TimeNs deadline) { return sim_->RunUntil(deadline); }
+  uint64_t RunSteps(uint64_t steps) { return sim_->RunSteps(steps); }
+  TimeNs Now() const { return sim_->Now(); }
+  uint64_t executed_events() const { return sim_->executed_events(); }
 
   // Audited mode: registers the whole invariant catalog (topology validity, every
   // host's TopoCache↔PathTable coherence, controller db vs ground truth when a
   // controller exists) and re-runs it every `every_events` simulator events.
   // Call after AddController/BringUp so the controller invariants are included.
-  // Sharded runs audit at window barriers instead of event boundaries (the only
-  // point where cross-shard state is quiescent), at the same event cadence.
   // Returns the auditor so tests can assert auditor.clean() afterwards.
   InvariantAuditor& EnableAuditing(uint64_t every_events = 256);
   InvariantAuditor* auditor() { return auditor_.get(); }
@@ -86,12 +69,7 @@ class SimulatedFabric {
   bool EnableRaceDetection();
 
   Topology& topo() { return topo_; }
-  // Shard 0's simulator. With one shard this is the whole simulation (the
-  // pre-sharding API); with several it is only one slice — use the facade.
-  Simulator& sim() { return shard_set_->shard(0); }
-  ShardSet& shard_set() { return *shard_set_; }
-  const ShardPlan& shard_plan() const { return plan_; }
-  uint32_t shard_count() const { return shard_set_->shard_count(); }
+  Simulator& sim() { return *sim_; }
   Network& net() { return *net_; }
   HostAgent& agent(uint32_t h) { return *agents_[h]; }
   DumbSwitch& dumb_switch(uint32_t s) { return *switches_[s]; }
@@ -102,8 +80,10 @@ class SimulatedFabric {
 
  private:
   Topology topo_;
-  ShardPlan plan_;
-  std::unique_ptr<ShardSet> shard_set_;
+  // Declared before net_, so it is destroyed after every node: events still
+  // pending at teardown hand their parked packets back to the network's pool,
+  // which outlives the network until they do (FlightQueue::Pool).
+  std::unique_ptr<Simulator> sim_;
   std::unique_ptr<Network> net_;
   std::vector<std::unique_ptr<DumbSwitch>> switches_;
   std::vector<std::unique_ptr<HostAgent>> agents_;

@@ -51,8 +51,8 @@ uint64_t MixEventId(uint64_t uid, PortNum port, uint64_t seq, bool up) {
 
 HostAgent::HostAgent(Network* net, uint32_t host_index, HostAgentConfig config)
     : net_(net),
-      sim_(&net->SimFor(NodeId::Host(host_index))),
-      packets_(&net->PacketPoolFor(NodeId::Host(host_index))),
+      sim_(&net->sim()),
+      packets_(&net->packet_pool()),
       host_index_(host_index),
       mac_(net->topo().host_at(host_index).mac),
       config_(config),

@@ -133,8 +133,8 @@ class HostAgent : public NetNode {
   // positive delay in ns to defer processing (delayed copies re-enter the normal
   // dedup/LWW pipeline, so reordering against other events is fair game), or
   // kDropNotification to drop this copy outright. The interceptor MUST be a pure
-  // (seeded) function of its arguments — it runs on the host's shard and any
-  // hidden shared state would break bit-for-bit reproducibility.
+  // (seeded) function of its arguments — any hidden shared state would break
+  // bit-for-bit reproducibility.
   static constexpr TimeNs kDropNotification = -1;
   using NotificationInterceptor =
       std::function<TimeNs(const LinkEventPayload&, bool from_fabric)>;
@@ -197,7 +197,7 @@ class HostAgent : public NetNode {
 
   Network* net_;
   Simulator* sim_;
-  // This host's shard's packet-node pool: send and deliver events park their
+  // The network's packet-node pool: send and deliver events park their
   // packet here, so the events stay within EventFn's inline buffer.
   FlightQueue::Pool* packets_;
   uint32_t host_index_;

@@ -90,7 +90,7 @@ Result<std::vector<CachedRoute>> TopoCache::ComputeRoutes(uint64_t src_uid,
   auto [it, inserted] = path_memo_.try_emplace(
       std::make_tuple(src_idx.value(), dst_idx.value(), k), std::vector<SwitchPath>());
   if (inserted) {
-    // One scratch per thread: sharded runs call this from several shards.
+    // One scratch per thread: a wire-runtime process runs one node per thread.
     static thread_local KspScratch scratch;
     it->second = KShortestPaths(graph, src_idx.value(), dst_idx.value(), k, scratch);
     ++route_stats_.ksp_runs;

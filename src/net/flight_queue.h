@@ -1,11 +1,11 @@
 // FlightQueue: the packets on the wire of one link direction, in arrival order,
-// and the shard's packet-node pool they share with packets waiting in events.
+// and the network's packet-node pool they share with packets waiting in events.
 //
 // Arrivals on one link direction strictly increase, so a direction only needs
 // its *earliest* delivery in the timer wheel: the rest wait here, and each
 // delivery files the next (DESIGN.md §8, "Notification storms").
 //
-// Each entry lives in a node taken from a Pool that every queue of one shard
+// Each entry lives in a node taken from the Pool that every queue of one network
 // shares; a delivered entry's node goes straight back to it. Memory therefore
 // tracks the packets in flight fabric-wide instead of keeping each direction's
 // deepest burst reserved. Nodes never move, so a reference to front() stays
@@ -59,9 +59,9 @@ class FlightQueue {
     };
   };
 
-  // Owns every node of one shard's queues and parked packets. Not
-  // thread-safe: one shard only. Heap-only: the owner gives it up with
-  // Release(), and a pool that still has parked packets out (their events
+  // Owns every node of one network's queues and parked packets. Not
+  // thread-safe: one simulator thread only. Heap-only: the owner gives it up
+  // with Release(), and a pool that still has parked packets out (their events
   // outlive the network when the simulator is destroyed last) frees itself
   // when the last one comes back.
   class Pool {
@@ -193,8 +193,8 @@ class FlightQueue {
 
 // Owning handle to a packet parked in a pool node: one pointer, move-only.
 // Destroying it (the event ran, or was destroyed unrun) destroys the packet and
-// returns the node to the pool it came from, on the thread of the shard that
-// owns that pool.
+// returns the node to the pool it came from, on the simulator thread that owns
+// that pool.
 class PooledPacket {
  public:
   PooledPacket(PooledPacket&& other) noexcept : node_(std::exchange(other.node_, nullptr)) {}

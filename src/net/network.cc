@@ -27,10 +27,10 @@ uint64_t DirCell(LinkIndex li, bool from_a) {
 }
 
 // Gray-failure drop draw: a pure SplitMix64 hash of (seed, link, direction,
-// packet id). Deliberately not a shared Rng and not a stream position — global
-// transmit order varies with shard count and window boundaries, but a packet's
-// identity does not, so each packet's fate on a lossy link direction is fixed
-// by the seed alone and gray-loss schedules are shard-invariant.
+// packet id). Deliberately not a shared Rng and not a stream position — the
+// global order of same-instant transmits is not part of the model, but a
+// packet's identity is, so each packet's fate on a lossy link direction is
+// fixed by the seed alone.
 uint64_t GrayDraw(uint64_t seed, LinkIndex li, bool from_a, uint64_t pkt_id) {
   SplitMix64 mix(seed ^ (static_cast<uint64_t>(li) * 0x9E3779B97F4A7C15ULL) ^
                  (from_a ? 0x5851F42D4C957F2DULL : 0) ^ pkt_id);
@@ -45,15 +45,7 @@ Network::Network(Simulator* sim, Topology* topo, NetworkConfig config)
   host_nodes_.assign(topo_->host_count(), nullptr);
   switch_origin_seq_.assign(topo_->switch_count(), 0);
   host_origin_seq_.assign(topo_->host_count(), 0);
-  shard_local_.resize(1);
   topo_->AddLinkObserver([this](LinkIndex li, bool up) { OnLinkStateChange(li, up); });
-}
-
-void Network::AttachShards(ShardSet* shards, const ShardPlan* plan) {
-  shards_ = shards;
-  plan_ = plan;
-  shard_local_.clear();
-  shard_local_.resize(shards->shard_count());
 }
 
 void Network::RegisterSwitchNode(uint32_t sw, NetNode* node) { switch_nodes_[sw] = node; }
@@ -63,27 +55,21 @@ void Network::RegisterHostNode(uint32_t host, NetNode* node) { host_nodes_[host]
 void Network::SendFromSwitchOn(uint32_t sw, PortNum port, LinkIndex li, Packet pkt) {
   (void)port;
   if (li == kInvalidLink) {
-    ++StatsFor(NodeId::Switch(sw)).dropped_unwired;
+    ++stats_.dropped_unwired;
     return;
   }
   Transmit(li, NodeId::Switch(sw), std::move(pkt));
 }
 
 void Network::SendFromHost(uint32_t host, Packet pkt) {
-  if (host >= topo_->host_count()) {
-    // No such host, hence no owning shard: charge the shard whose thread is
-    // calling (the caller's event runs there), never a shared cell.
-    const int cur = shards_ != nullptr ? ShardSet::CurrentShard() : -1;
-    ++shard_local_[cur >= 0 ? static_cast<size_t>(cur) : 0].stats.dropped_unwired;
-    return;
-  }
-  LinkIndex li = topo_->host_at(host).link;
+  const LinkIndex li =
+      host < topo_->host_count() ? topo_->host_at(host).link : kInvalidLink;
   if (li == kInvalidLink) {
-    ++StatsFor(NodeId::Host(host)).dropped_unwired;
+    ++stats_.dropped_unwired;
     return;
   }
   if (pkt.sent_time == 0) {
-    pkt.sent_time = SimFor(NodeId::Host(host)).Now();
+    pkt.sent_time = sim_->Now();
   }
   Transmit(li, NodeId::Host(host), std::move(pkt));
 }
@@ -105,15 +91,14 @@ void Network::Transmit(LinkIndex li, const NodeId& from, Packet&& pkt) {
   // Per-packet fast path: id stamp, queue admission, serialization timing and
   // the in-flight FIFO push must not allocate. The declared-cold ends are the
   // drop branches (counter / trace bookkeeping), the storage-growth branch,
-  // and the per-packet delivery closure of cross-shard and out-of-order
-  // arrivals.
+  // and the per-packet delivery closure of out-of-order arrivals.
   DN_HOT_SCOPE("net.transmit");
-  Simulator& sim = SimFor(from);
+  Simulator& sim = *sim_;
   StampPacketId(from, pkt);
   const Link& link = topo_->link_at(li);
   if (!link.up) {
     DN_HOT_EXEMPT("drop path: counter/trace registration may allocate");
-    ++StatsFor(from).dropped_link_down;
+    ++stats_.dropped_link_down;
     DN_COUNTER_INC("net.dropped_link_down");
     DN_TRACE_EVENT(kNetwork, kDrop, sim.Now(), li, 0);
     return;
@@ -131,7 +116,7 @@ void Network::Transmit(LinkIndex li, const NodeId& from, Packet&& pkt) {
     const uint64_t draw = GrayDraw(config_.gray_seed, li, from_a, pkt.pkt_id);
     if (draw % 1000000u < link.loss_ppm) {
       DN_HOT_EXEMPT("drop path: counter/trace registration may allocate");
-      ++StatsFor(from).dropped_gray;
+      ++stats_.dropped_gray;
       DN_COUNTER_INC("net.dropped_gray");
       DN_TRACE_EVENT(kNetwork, kDrop, sim.Now(), li, 1);
       return;
@@ -144,7 +129,7 @@ void Network::Transmit(LinkIndex li, const NodeId& from, Packet&& pkt) {
   const int64_t size = pkt.WireSize();
   if (dir.queued_bytes + size > config_.queue_capacity_bytes) {
     DN_HOT_EXEMPT("drop path: counter/trace registration may allocate");
-    ++StatsFor(from).dropped_queue_full;
+    ++stats_.dropped_queue_full;
     DN_COUNTER_INC("net.dropped_queue_full");
     DN_TRACE_EVENT(kNetwork, kDrop, now, li, static_cast<uint64_t>(size));
     return;
@@ -157,13 +142,11 @@ void Network::Transmit(LinkIndex li, const NodeId& from, Packet&& pkt) {
   dir.queued_bytes += size;
 
   const Endpoint to = from_a ? link.b : link.a;
-  const bool crosses =
-      shards_ != nullptr && plan_->ShardOf(from) != plan_->ShardOf(to.node);
   // The FIFO holds strictly ascending arrivals. An arrival at or before the
   // tail's (zero serialization time on a very fast link, or a cable shortened
   // mid-flight) takes the per-packet event path below instead.
-  const bool queue = !crosses && (dir.flight.empty() || arrival > dir.flight.back_arrival());
-  FlightQueue::Pool& nodes = *LocalFor(from).flights;
+  const bool queue = dir.flight.empty() || arrival > dir.flight.back_arrival();
+  FlightQueue::Pool& nodes = *packets_;
   const bool pending_full = dir.pending.size() == dir.pending.capacity();
   const bool node_short = queue && !nodes.HasSpare();
   const bool slot_short = queue && dir.flight.empty() && !sim.SlotReady();
@@ -198,17 +181,10 @@ void Network::Transmit(LinkIndex li, const NodeId& from, Packet&& pkt) {
     return;
   }
   DN_HOT_EXEMPT("per-packet delivery: the event closure carries the packet");
-  EventFn deliver = [this, to, pkt = std::move(pkt)]() mutable {
+  sim.ScheduleAt(arrival, [this, to, pkt = std::move(pkt)]() mutable {
     DN_FP_SCOPE("net.deliver", to.node.index);
     Deliver(to, std::move(pkt));
-  };
-  if (crosses) {
-    // Cross-shard arrival >= now + propagation >= window start + lookahead: the
-    // link crosses the cut, so its propagation is >= the plan's minimum.
-    shards_->Post(plan_->ShardOf(from), plan_->ShardOf(to.node), arrival, std::move(deliver));
-  } else {
-    sim.ScheduleAt(arrival, std::move(deliver));
-  }
+  });
 }
 
 void Network::DeliverHead(LinkIndex li, uint8_t side, const Endpoint& to) {
@@ -218,24 +194,22 @@ void Network::DeliverHead(LinkIndex li, uint8_t side, const Endpoint& to) {
   // Delivered in place: the handler may transmit, even on this direction,
   // without invalidating the head (nodes never move).
   Deliver(to, std::move(dir.flight.front().pkt));
-  dir.flight.Pop(*LocalFor(to.node).flights);
+  dir.flight.Pop(*packets_);
   if (!dir.flight.empty()) {
     const FlightQueue::Entry& next = dir.flight.front();
-    SimFor(to.node).ScheduleAtSeq(next.arrival, next.seq,
-                                  [this, li, side, to] { DeliverHead(li, side, to); });
+    sim_->ScheduleAtSeq(next.arrival, next.seq,
+                        [this, li, side, to] { DeliverHead(li, side, to); });
   }
 }
 
 void Network::Deliver(const Endpoint& to, Packet&& pkt) {
-  NetNode* node = to.node.is_switch() ? switch_nodes_[to.node.index]
-                                      : host_nodes_[to.node.index];
-  NetworkStats& stats = StatsFor(to.node);
+  NetNode* node = NodeFor(to.node);
   if (node == nullptr) {
-    ++stats.dropped_unwired;
+    ++stats_.dropped_unwired;
     return;
   }
-  ++stats.delivered;
-  stats.bytes_delivered += static_cast<uint64_t>(pkt.WireSize());
+  ++stats_.delivered;
+  stats_.bytes_delivered += static_cast<uint64_t>(pkt.WireSize());
   node->HandlePacket(std::move(pkt), to.port);
 }
 
@@ -264,27 +238,8 @@ void Network::DrainDir(DirState& dir, TimeNs now, const Simulator& sim) {
   }
 }
 
-NetworkStats Network::stats() const {
-  NetworkStats total;
-  for (const ShardLocal& s : shard_local_) {
-    total.delivered += s.stats.delivered;
-    total.dropped_link_down += s.stats.dropped_link_down;
-    total.dropped_queue_full += s.stats.dropped_queue_full;
-    total.dropped_gray += s.stats.dropped_gray;
-    total.dropped_unwired += s.stats.dropped_unwired;
-    total.bytes_delivered += s.stats.bytes_delivered;
-  }
-  return total;
-}
-
 Network::PacketPoolStats Network::packet_pool_stats() const {
-  PacketPoolStats total;
-  for (const ShardLocal& s : shard_local_) {
-    total.nodes += s.flights->nodes();
-    total.spare += s.flights->spare();
-    total.parked += s.flights->parked();
-  }
-  return total;
+  return {packets_->nodes(), packets_->spare(), packets_->parked()};
 }
 
 int64_t Network::QueueBacklog(LinkIndex li, const NodeId& from) const {
@@ -297,11 +252,9 @@ int64_t Network::QueueBacklog(LinkIndex li, const NodeId& from) const {
     return dir.queued_bytes;
   }
   // Read-only view: subtract the pending entries whose virtual drain event
-  // precedes the one executing now (the direction owner's shard clock — the
-  // same clock the scheduled drains used to run on).
-  const Simulator& sim = SimFor(from);
-  const TimeNs now = sim.Now();
-  const uint64_t cur = sim.CurrentSeq();
+  // precedes the one executing now.
+  const TimeNs now = sim_->Now();
+  const uint64_t cur = sim_->CurrentSeq();
   int64_t backlog = dir.queued_bytes;
   for (size_t i = dir.head; i < dir.pending.size(); ++i) {
     if (!PendingDone(dir.pending[i], now, cur)) {
@@ -314,33 +267,14 @@ int64_t Network::QueueBacklog(LinkIndex li, const NodeId& from) const {
 
 void Network::OnLinkStateChange(LinkIndex li, bool up) {
   const Link link = topo_->link_at(li);
-  // One detect event per endpoint, each on the endpoint's own shard: the two
-  // sides of a cross-shard link must not be notified from one shard's event.
   for (const Endpoint& e : {link.a, link.b}) {
-    Simulator& sim = SimFor(e.node);
-    EventFn detect = [this, e, up] {
+    sim_->ScheduleAfter(config_.link_detect_delay, [this, e, up] {
       DN_FP_SCOPE("net.link_detect", e.node.index);
-      NetNode* node = e.node.is_switch() ? switch_nodes_[e.node.index]
-                                         : host_nodes_[e.node.index];
+      NetNode* node = NodeFor(e.node);
       if (node != nullptr) {
         node->HandlePortChange(e.port, up);
       }
-    };
-    if (shards_ != nullptr) {
-      const int cur = ShardSet::CurrentShard();
-      const uint32_t dst = plan_->ShardOf(e.node);
-      // A flap raised inside a window (e.g. a scripted failure event) uses the
-      // raising shard's clock; the detect delay (default 1 ms) dwarfs any
-      // lookahead, so the conservative bound holds. Flaps raised between runs
-      // (the common test pattern) file directly.
-      const TimeNs at =
-          (cur >= 0 ? shards_->shard(static_cast<uint32_t>(cur)).Now() : sim.Now()) +
-          config_.link_detect_delay;
-      shards_->Post(cur >= 0 ? static_cast<uint32_t>(cur) : dst, dst, at,
-                    std::move(detect));
-    } else {
-      sim.ScheduleAfter(config_.link_detect_delay, std::move(detect));
-    }
+    });
   }
 }
 

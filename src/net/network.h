@@ -1,14 +1,6 @@
 // The simulated fabric: delivers packets across links with serialization,
 // propagation and bounded FIFO queueing, and tells attached nodes when their port
 // state changes (the "physical signal" DumbNet switches monitor).
-//
-// Sharded mode (AttachShards): every node belongs to one shard of a ShardSet and
-// all of its events run on that shard's simulator. The per-direction egress
-// queue state is owned by the sending side, so transmit bookkeeping is always
-// shard-local; only a delivery on a direction that crosses the cut leaves the
-// shard, and then it travels through the ShardSet's SPSC channel with an
-// arrival time at least one propagation delay in the future — which is exactly
-// the conservative-lookahead bound the window barrier relies on (DESIGN.md §12).
 #ifndef DUMBNET_SRC_NET_NETWORK_H_
 #define DUMBNET_SRC_NET_NETWORK_H_
 
@@ -19,8 +11,6 @@
 #include "src/analysis/contracts.h"
 #include "src/net/flight_queue.h"
 #include "src/net/packet.h"
-#include "src/net/shard_plan.h"
-#include "src/sim/shard_set.h"
 #include "src/sim/simulator.h"
 #include "src/topo/topology.h"
 
@@ -63,12 +53,10 @@ struct NetworkConfig {
   // Time from a physical link dying to the endpoints noticing (loss-of-signal).
   TimeNs link_detect_delay = Ms(1);
   // Seed for the gray-failure drop stream (Link::loss_ppm). The drop decision is
-  // a pure hash of (seed, link, direction, packet id), never a shared Rng or a
-  // shard-local stream position: packet ids are stamped from per-origin
-  // counters on first transmit, so the drop pattern is a function of which
-  // packets each node sent — identical across shard counts and worker
-  // interleavings, which is what makes gray-loss chaos schedules
-  // shard-invariant.
+  // a pure hash of (seed, link, direction, packet id), never a shared Rng
+  // stream position: packet ids are stamped from per-origin counters on first
+  // transmit, so the drop pattern is a function of which packets each node
+  // sent, not of the global order in which transmits happened to run.
   uint64_t gray_seed = 0xD0BBE701;
 };
 
@@ -94,11 +82,6 @@ class Network {
   Network(const Network&) = delete;
   Network& operator=(const Network&) = delete;
 
-  // Switches this network to sharded mode. Must be called before any node is
-  // constructed (nodes cache their shard's simulator at construction) and
-  // before any traffic. `shards` and `plan` must outlive the network.
-  void AttachShards(ShardSet* shards, const ShardPlan* plan);
-
   void RegisterSwitchNode(uint32_t sw, NetNode* node);
   void RegisterHostNode(uint32_t host, NetNode* node);
 
@@ -116,30 +99,19 @@ class Network {
   // Emits a packet from a host's single NIC.
   virtual void SendFromHost(uint32_t host, Packet pkt);
 
-  // The simulator `node`'s events run on: its shard's in sharded mode, the one
-  // and only simulator otherwise. Node constructors cache this.
-  Simulator& SimFor(const NodeId& node) {
-    return shards_ != nullptr ? shards_->shard(plan_->ShardOf(node)) : *sim_;
-  }
-  const Simulator& SimFor(const NodeId& node) const {
-    return shards_ != nullptr ? shards_->shard(plan_->ShardOf(node)) : *sim_;
-  }
-
+  // The simulator every node's events run on. Node constructors cache it.
   Simulator& sim() { return *sim_; }
   Topology& topo() { return *topo_; }
   const Topology& topo() const { return *topo_; }
-  // Aggregated over shards (counters are kept per shard so workers never share
-  // a cache line, and summed here).
-  NetworkStats stats() const;
+  const NetworkStats& stats() const { return stats_; }
 
-  // The packet-node pool of the shard `node`'s events run on: the in-flight
-  // FIFOs' nodes, and the nodes a node's own delayed events park packets in.
-  // Only that shard's thread may use it. Stable for the network's lifetime
-  // (nodes cache it at construction).
-  FlightQueue::Pool& PacketPoolFor(const NodeId& node) { return *LocalFor(node).flights; }
+  // The packet-node pool: the in-flight FIFOs' nodes, and the nodes that
+  // switches' and hosts' delayed events park packets in. Stable for the
+  // network's lifetime (switches and hosts cache it at construction).
+  FlightQueue::Pool& packet_pool() { return *packets_; }
 
-  // Packet-node accounting summed over shards (tests assert every node comes
-  // back once the events holding them are gone).
+  // Packet-node accounting (tests assert every node comes back once the events
+  // holding them are gone).
   struct PacketPoolStats {
     size_t nodes = 0;   // ever allocated
     size_t spare = 0;   // idle
@@ -159,9 +131,9 @@ class Network {
   }
 
   // Stamps a fabric-unique packet id from `from`'s origin counter on first
-  // transmit (no-op for packets already in flight). Counter cells are owned by
-  // the origin's shard, and a node's emission order is shard-invariant, so ids
-  // — and everything keyed on them, like the gray-loss drop stream — are too.
+  // transmit (no-op for packets already in flight). A node's ids depend only on
+  // its own emission order, so everything keyed on them — like the gray-loss
+  // drop stream — is too.
   void StampPacketId(const NodeId& from, Packet& pkt);
 
  private:
@@ -171,21 +143,8 @@ class Network {
   void DeliverHead(LinkIndex li, uint8_t side, const Endpoint& to);
   void Deliver(const Endpoint& to, Packet&& pkt);
   void OnLinkStateChange(LinkIndex li, bool up);
-  // Counters and packet-node pool, one per shard so workers never share a
-  // cache line or a free list.
-  struct alignas(64) ShardLocal {
-    NetworkStats stats;
-    FlightQueue::Pool::Ptr flights = FlightQueue::Pool::Create();
-  };
-  // The ShardLocal of the shard `node`'s events execute on.
-  ShardLocal& LocalFor(const NodeId& node) {
-    return shard_local_[shards_ != nullptr ? plan_->ShardOf(node) : 0];
-  }
-  NetworkStats& StatsFor(const NodeId& node) { return LocalFor(node).stats; }
 
-  // Egress queue occupancy per link direction (0: a->b, 1: b->a). Owned by the
-  // sending side's shard; the two directions of one link may belong to
-  // different shards but are distinct objects.
+  // Egress queue occupancy per link direction (0: a->b, 1: b->a).
   //
   // Occupancy is drained *lazily*: instead of scheduling one event per packet
   // to subtract its bytes at serialization end (which was ~27% of all events
@@ -205,7 +164,6 @@ class Network {
   // head has a delivery event filed, and each delivery files the next under
   // the seq burned for it at transmit (Simulator::ScheduleAtSeq), so every
   // delivery runs at the (arrival, seq) a per-packet event would have had.
-  // Directions that cross a shard cut post a per-packet closure instead.
   struct DirState {
     FlightQueue flight;  // arrival and seq both ascend
     TimeNs next_free = 0;
@@ -228,15 +186,13 @@ class Network {
   Simulator* sim_;
   Topology* topo_;
   NetworkConfig config_;
-  ShardSet* shards_ = nullptr;
-  const ShardPlan* plan_ = nullptr;
-  // Declared before dirs_: the flight queues' nodes live in these pools.
-  std::vector<ShardLocal> shard_local_;
+  NetworkStats stats_;
+  // Declared before dirs_: the flight queues' nodes live in this pool.
+  FlightQueue::Pool::Ptr packets_ = FlightQueue::Pool::Create();
   std::vector<std::array<DirState, 2>> dirs_;
   std::vector<NetNode*> switch_nodes_;
   std::vector<NetNode*> host_nodes_;
-  // Per-origin packet-id counters (see StampPacketId). Each cell is only ever
-  // touched from its node's shard.
+  // Per-origin packet-id counters (see StampPacketId).
   std::vector<uint64_t> switch_origin_seq_;
   std::vector<uint64_t> host_origin_seq_;
 };

@@ -34,8 +34,6 @@ const char* FpSpaceName(FpSpace space) {
       return "flow";
     case FpSpace::kScenario:
       return "scenario";
-    case FpSpace::kShardChannel:
-      return "shard-channel";
   }
   return "?";
 }

@@ -5,8 +5,7 @@
 // races: two events that fire at the same virtual timestamp, are ordered only by
 // the scheduler's FIFO tie-break, and touch the same entity with at least one
 // write. Such a pair is a determinism hazard — the run's result silently depends
-// on an ordering the model never promised — and it is exactly what must be proven
-// absent before the DES can be sharded across threads.
+// on an ordering the model never promised.
 //
 // Event handlers declare what they touch through four macros:
 //
@@ -29,11 +28,11 @@
 //     runs pay them). The simulator only collects within same-timestamp batches
 //     of two or more events; singleton batches cannot race and cost nothing.
 //
-// Threading: collection state is thread-local, so each shard worker of a sharded
-// run (src/sim/shard_set.h) records the footprints of its own shard's events
-// independently and hazard detection stays correct per shard — a cross-shard
-// send is not a same-batch hazard, it is a channel write ordered by the window
-// barrier. The runtime enable bit is an atomic read by every thread. DN_FP_*
+// Threading: collection state is thread-local. A wire-runtime process runs one
+// node per OS thread, each with its own simulator (src/wire/node.h), so each
+// node thread records the footprints of its own events and hazard detection
+// stays correct per node; frames between nodes are not same-batch hazards.
+// The runtime enable bit is an atomic read by every thread. DN_FP_*
 // macros must still not appear in code reachable from ThreadPool workers (e.g.
 // the batched path-graph builders): a pool worker has no simulator batch open,
 // so its records would silently vanish instead of being conflict-checked
@@ -66,7 +65,6 @@ enum class FpSpace : uint8_t {
   kDiscovery,     // prober state: inflight probes, port bindings
   kFlow,          // one transport flow's sender/receiver state
   kScenario,      // test/CLI-injected shared state (explorer regression fixtures)
-  kShardChannel,  // cross-shard SPSC channel append, per ordered shard pair
 };
 
 const char* FpSpaceName(FpSpace space);
@@ -136,10 +134,10 @@ struct BatchHazard {
 #ifdef DUMBNET_FOOTPRINTS_ENABLED
 inline constexpr bool kCompiledIn = true;
 namespace internal {
-// The opt-in bit is process-wide and read from every shard worker, so it is
+// The opt-in bit is process-wide and read from every node thread, so it is
 // atomic (relaxed: flipping it mid-run only blurs which events get tracked,
 // never corrupts state). Whether a tracked event is *currently* executing is a
-// property of one shard's run loop, hence thread-local.
+// property of one simulator's run loop, hence thread-local.
 extern std::atomic<bool> g_enabled;      // runtime opt-in (default off)
 extern thread_local bool g_collecting;   // a tracked event is executing here
 }  // namespace internal
@@ -157,7 +155,7 @@ constexpr bool Active() { return false; }
 // of a tracked batch with BeginEvent/TakeEvent; the DN_FP_* macros feed Record.
 // The API exists in every build (the explorer links against it); only the macro
 // call sites and the Active() fast path are compile-gated. Global() is a
-// thread-local instance, so each shard worker collects its own shard's batches.
+// thread-local instance, so each node thread collects its own simulator's batches.
 class Collector {
  public:
   static Collector& Global();

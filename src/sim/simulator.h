@@ -136,7 +136,8 @@ class Simulator {
   // Peeks the timestamp of the earliest queued event without executing it.
   // Returns false when the queue is empty. The reported time may belong to a
   // cancelled-but-unreaped event, so it is a lower bound on the next *executed*
-  // event — exactly what the conservative-window scheduler in shard_set.h needs.
+  // event — enough for a wire node to size its reactor wait until the next timer
+  // (src/wire/node.cc).
   // Advances the wheel's due batch as a side effect (an earlier insert afterwards
   // takes the documented RewindAndRefile path).
   bool PeekNextTime(TimeNs* at);

@@ -20,8 +20,8 @@ constexpr uint64_t kSaltAlarm = 0xA1A2;
 
 DumbSwitch::DumbSwitch(Network* net, uint32_t index, DumbSwitchConfig config)
     : net_(net),
-      sim_(&net->SimFor(NodeId::Switch(index))),
-      packets_(&net->PacketPoolFor(NodeId::Switch(index))),
+      sim_(&net->sim()),
+      packets_(&net->packet_pool()),
       index_(index),
       uid_(net->topo().switch_at(index).uid),
       num_ports_(net->topo().switch_at(index).num_ports),

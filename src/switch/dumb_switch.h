@@ -84,7 +84,7 @@ class DumbSwitch : public NetNode {
 
   Network* net_;
   Simulator* sim_;
-  // This switch's shard's packet-node pool: forward and flood events park
+  // The network's packet-node pool: forward and flood events park
   // their packet here, so the events stay within EventFn's inline buffer.
   FlightQueue::Pool* packets_;
   uint32_t index_;

@@ -4,7 +4,7 @@ namespace dumbnet {
 
 MplsSwitch::MplsSwitch(Network* net, uint32_t index, MplsSwitchConfig config)
     : net_(net),
-      sim_(&net->SimFor(NodeId::Switch(index))),
+      sim_(&net->sim()),
       index_(index),
       uid_(net->topo().switch_at(index).uid),
       num_ports_(net->topo().switch_at(index).num_ports),

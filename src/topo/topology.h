@@ -140,9 +140,7 @@ class Topology {
   // Fails/restores a link, notifying observers. Idempotent.
   void SetLinkUp(LinkIndex i, bool up);
 
-  // Overrides a link's propagation delay (cable length). Sharded experiments use
-  // longer inter-tier cables: the shard plan's conservative lookahead is the
-  // minimum cross-shard propagation, so this knob sets the window width.
+  // Overrides a link's propagation delay (cable length).
   void SetLinkPropagation(LinkIndex i, int64_t propagation_ns) {
     links_[i].propagation_ns = propagation_ns;
   }

@@ -28,7 +28,7 @@ void WireNetAdapter::SendFromHost(uint32_t host, Packet pkt) {
     return;
   }
   if (pkt.sent_time == 0) {
-    pkt.sent_time = SimFor(self_).Now();
+    pkt.sent_time = sim().Now();
   }
   Emit(topo().host_at(host).link, 1, std::move(pkt));
 }

@@ -126,8 +126,7 @@ TEST(ChaosScheduleTest, ParseRejectsMalformedInput) {
 TEST(ChaosRunTest, FlapScheduleConvergesOnPaperTestbed) {
   auto tb = MakePaperTestbed();
   ASSERT_TRUE(tb.ok());
-  SimulatedFabric fabric(std::move(tb.value().topo), HostAgentConfig(),
-                         DumbSwitchConfig(), NetworkConfig(), /*shards=*/1);
+  SimulatedFabric fabric(std::move(tb.value().topo));
   fabric.BringUpAdopted(25);
 
   ChaosConfig config = SmallConfig(7);
@@ -149,8 +148,7 @@ TEST(ChaosInterceptorTest, DelayAndDropAreCountedPerHost) {
   auto tb = MakePaperTestbed();
   ASSERT_TRUE(tb.ok());
   auto spines = tb.value().spines;
-  SimulatedFabric fabric(std::move(tb.value().topo), HostAgentConfig(),
-                         DumbSwitchConfig(), NetworkConfig(), /*shards=*/1);
+  SimulatedFabric fabric(std::move(tb.value().topo));
   fabric.BringUpAdopted(25);
 
   // Host 0 drops every fabric copy and defers every gossip copy; the deferred
@@ -185,7 +183,7 @@ TEST(ChaosGrayTest, GrayLossIsSeedDeterministic) {
     NetworkConfig net_config;
     net_config.gray_seed = gray_seed;
     SimulatedFabric fabric(std::move(ls.value().topo), HostAgentConfig(),
-                           DumbSwitchConfig(), net_config, /*shards=*/1);
+                           DumbSwitchConfig(), net_config);
     fabric.BringUpAdopted(0);
 
     // Every inter-switch link turns 30 % lossy for 25 ms.

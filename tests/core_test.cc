@@ -4,6 +4,7 @@
 #include <gtest/gtest.h>
 
 #include <memory>
+#include <stdexcept>
 
 #include "src/topo/generators.h"
 
@@ -97,9 +98,41 @@ TEST(SimulatedFabricTest, DeterministicRuns) {
   EXPECT_EQ(first, second);
 }
 
+// A send from a host index the topology does not have is dropped and counted
+// as unwired, like a send from a host with no cable.
+TEST(SimulatedFabricTest, SendsFromUnknownHostsCountAsUnwired) {
+  auto tb = MakePaperTestbed();
+  ASSERT_TRUE(tb.ok());
+  SimulatedFabric fabric(std::move(tb.value().topo));
+  const uint32_t bad = static_cast<uint32_t>(fabric.host_count()) + 7;
+  constexpr uint64_t kSends = 50;
+  fabric.sim().ScheduleAt(Us(1), [&fabric, bad] {
+    for (uint64_t i = 0; i < kSends; ++i) {
+      fabric.net().SendFromHost(bad,
+                                MakeEthernetPacket(1, 2, kEtherTypeDumbNet, DataPayload{}));
+    }
+  });
+  fabric.Run();
+  EXPECT_EQ(fabric.net().stats().dropped_unwired, kSends);
+  EXPECT_EQ(fabric.net().stats().delivered, 0u);
+}
+
+// The simulator is not sharded: the trailing constructor argument accepts 1
+// and nothing else, in every build type.
+TEST(SimulatedFabricTest, RejectsShardCountsOtherThanOne) {
+  for (uint32_t shards : {0u, 2u, 4u}) {
+    auto tb = MakePaperTestbed();
+    ASSERT_TRUE(tb.ok());
+    EXPECT_THROW(SimulatedFabric(std::move(tb.value().topo), HostAgentConfig(),
+                                 DumbSwitchConfig(), NetworkConfig(), shards),
+                 std::invalid_argument)
+        << "shards=" << shards;
+  }
+}
+
 // Tearing a fabric down mid-run, with packets parked in host send, switch
 // forward and host deliver events and others on the wire, frees every one of
-// them: the network goes before the simulator, so its pools outlive it until
+// them: the network goes before the simulator, so its pool outlives it until
 // the last parked packet's event is destroyed (the ASan/LSan legs check it).
 TEST(SimulatedFabricTest, TeardownMidFlightFreesEveryPacket) {
   auto tb = MakePaperTestbed();

@@ -11,6 +11,7 @@
 #include <utility>
 #include <vector>
 
+#include "src/chaos/chaos.h"
 #include "src/core/fabric.h"
 #include "src/routing/graph.h"
 #include "src/routing/path_graph.h"
@@ -226,6 +227,119 @@ TEST(DeterminismTest, GossipUnderConcurrentFlapsTraceIsReproducible) {
   RunResult second = RunGossipUnderConcurrentFlaps(7);
   ASSERT_GT(first.trace.size(), 1000u);
   ExpectIdentical(first, second);
+}
+
+// Whole-scenario replays: each scenario runs twice and must end with the same
+// converged control plane (the controller's mirror plus every host's), the same
+// executed event count and the same end time. The chaos schedules here are the
+// only replays of flapping links, a switch outage and gray loss in this suite.
+uint64_t Fnv1a(const std::string& bytes, uint64_t h = 0xCBF29CE484222325ULL) {
+  for (char c : bytes) {
+    h ^= static_cast<unsigned char>(c);
+    h *= 0x100000001B3ULL;
+  }
+  return h;
+}
+
+struct ReplayResult {
+  uint64_t digest = 0;
+  uint64_t events = 0;
+  TimeNs end_time = 0;
+  uint64_t dropped_gray = 0;
+};
+
+ReplayResult Snapshot(SimulatedFabric& fabric) {
+  ReplayResult r;
+  r.digest = Fnv1a(SerializeTopology(fabric.controller().db().mirror()));
+  for (uint32_t h = 0; h < static_cast<uint32_t>(fabric.host_count()); ++h) {
+    r.digest = Fnv1a(SerializeTopology(fabric.agent(h).topo_cache().db().mirror()), r.digest);
+  }
+  r.events = fabric.executed_events();
+  r.end_time = fabric.Now();
+  r.dropped_gray = fabric.net().stats().dropped_gray;
+  return r;
+}
+
+void ExpectSameReplay(const ReplayResult& a, const ReplayResult& b) {
+  EXPECT_EQ(a.digest, b.digest);
+  EXPECT_EQ(a.events, b.events);
+  EXPECT_EQ(a.end_time, b.end_time);
+  EXPECT_EQ(a.dropped_gray, b.dropped_gray);
+}
+
+// Probing discovery, then both spine uplinks die at one instant while hosts
+// send, then both revive.
+ReplayResult RunDiscoveryAndDoubleSpineFailure() {
+  auto testbed = MakePaperTestbed();
+  EXPECT_TRUE(testbed.ok());
+  const uint32_t spine0 = testbed.value().spines[0];
+  const uint32_t spine1 = testbed.value().spines[1];
+  SimulatedFabric fabric(std::move(testbed.value().topo));
+
+  ControllerConfig config;
+  config.rng_seed = 7;
+  DiscoveryConfig discovery;
+  discovery.max_ports = 16;
+  EXPECT_TRUE(fabric.BringUp(25, config, discovery));
+  fabric.Run();
+
+  const LinkIndex l0 = fabric.topo().LinkAtPort(spine0, 1);
+  const LinkIndex l1 = fabric.topo().LinkAtPort(spine1, 1);
+  fabric.topo().SetLinkUp(l0, false);
+  fabric.topo().SetLinkUp(l1, false);
+  for (uint32_t h = 0; h < 8; ++h) {
+    (void)fabric.agent(h).Send(fabric.agent(h + 10).mac(), 100 + h, DataPayload{});
+  }
+  fabric.Run();
+  fabric.topo().SetLinkUp(l0, true);
+  fabric.topo().SetLinkUp(l1, true);
+  fabric.Run();
+  return Snapshot(fabric);
+}
+
+// A seeded chaos schedule on an adopted fabric: 3 flapping links, an outage,
+// and `gray_links` lossy links. Gray drops are keyed on (link, direction,
+// packet id), and packet ids come from per-origin counters.
+ReplayResult RunChurnSchedule(uint32_t gray_links) {
+  auto testbed = MakePaperTestbed();
+  EXPECT_TRUE(testbed.ok());
+  SimulatedFabric fabric(std::move(testbed.value().topo));
+  fabric.BringUpAdopted(25);
+
+  chaos::ChaosConfig config;
+  config.seed = 11;
+  config.horizon = Ms(40);
+  config.flap.links = 3;
+  config.gray.links = gray_links;
+  config.outage.enabled = true;
+  chaos::ChaosSchedule sched = chaos::GenerateSchedule(fabric.topo(), config);
+  EXPECT_FALSE(sched.empty());
+  chaos::RunSchedule(fabric, sched);
+  EXPECT_TRUE(chaos::CheckConvergence(fabric, sched.TouchedLinks()).empty());
+  return Snapshot(fabric);
+}
+
+TEST(DeterminismTest, DiscoveryAndDoubleSpineFailureReplayIsBitIdentical) {
+  ReplayResult first = RunDiscoveryAndDoubleSpineFailure();
+  ReplayResult second = RunDiscoveryAndDoubleSpineFailure();
+  ASSERT_GT(first.events, 1000u);
+  ExpectSameReplay(first, second);
+}
+
+TEST(DeterminismTest, ChurnScheduleReplayIsBitIdentical) {
+  ReplayResult first = RunChurnSchedule(/*gray_links=*/0);
+  ReplayResult second = RunChurnSchedule(/*gray_links=*/0);
+  ASSERT_GT(first.events, 1000u);
+  EXPECT_EQ(first.dropped_gray, 0u);
+  ExpectSameReplay(first, second);
+}
+
+TEST(DeterminismTest, GrayLossScheduleReplayIsBitIdentical) {
+  ReplayResult first = RunChurnSchedule(/*gray_links=*/2);
+  ReplayResult second = RunChurnSchedule(/*gray_links=*/2);
+  ASSERT_GT(first.events, 1000u);
+  EXPECT_GT(first.dropped_gray, 0u) << "the schedule never ate a packet";
+  ExpectSameReplay(first, second);
 }
 
 // The controller seeds a fresh tie-break stream per query (seed ^ query key,

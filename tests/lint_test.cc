@@ -314,7 +314,7 @@ void Batch(ThreadPool& pool, size_t n) {
 #include "src/util/thread_pool.h"
 void Batch(ThreadPool& pool, size_t n) {
   pool.ParallelFor(n, [&](size_t begin, size_t end) {
-    // dn-lint: allow(fp-in-pool, worker re-posts the declaration to its shard)
+    // dn-lint: allow(fp-in-pool, worker re-posts the declaration to the event thread)
     DN_FP_READ(kPathTable, begin);
   });
 }

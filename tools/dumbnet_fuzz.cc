@@ -32,7 +32,6 @@
 
 #include <algorithm>
 #include <cstdint>
-#include <cstdlib>
 #include <fstream>
 #include <iostream>
 #include <sstream>
@@ -65,9 +64,6 @@ using dumbnet::Topology;
 struct Options {
   uint64_t seeds = 25;
   uint64_t seed_base = 1;
-  // DES shard count for each run (0 = DUMBNET_SHARDS env, unset -> 1). Results
-  // are bit-identical across shard counts; CI fuzzes both to prove it.
-  uint32_t shards = 1;
   uint64_t replay_seed = 0;
   bool replay_mode = false;
   bool inject_stale = false;
@@ -86,9 +82,29 @@ int Usage() {
       << "                    [--inject-stale] [--churn-during-bringup]\n"
       << "                    [--horizon-ms M] [--metrics-json FILE] [--json FILE]\n"
       << "                    [--emit-schedule FILE] [--trace FILE] [--no-minimize]\n"
-      << "                    [--shards K]\n"
       << "exit codes: 0 clean, 1 findings, 2 usage/io error\n";
   return 2;
+}
+
+// Parses a whole decimal count. Empty input, a sign, any non-digit and values
+// beyond 64 bits are rejected, so "2e2" is an error rather than a silent 2.
+bool ParseCount(const char* text, uint64_t* out) {
+  if (*text == '\0') {
+    return false;
+  }
+  uint64_t v = 0;
+  for (const char* c = text; *c != '\0'; ++c) {
+    if (*c < '0' || *c > '9') {
+      return false;
+    }
+    const uint64_t digit = static_cast<uint64_t>(*c - '0');
+    if (v > (UINT64_MAX - digit) / 10) {
+      return false;
+    }
+    v = v * 10 + digit;
+  }
+  *out = v;
+  return true;
 }
 
 uint64_t Fnv1a(const std::string& bytes, uint64_t h = 0xCBF29CE484222325ULL) {
@@ -202,7 +218,7 @@ SeedResult RunSeed(uint64_t seed, const Options& opts,
   dumbnet::NetworkConfig net_config;
   net_config.gray_seed = seed ^ 0xD0BBE701ULL;
   SimulatedFabric fabric(std::move(topo), agent_config, dumbnet::DumbSwitchConfig(),
-                         net_config, opts.shards);
+                         net_config);
   FootprintRun fp_on;
   dumbnet::explore::HazardCollector collector(&fabric.sim());
 
@@ -452,24 +468,30 @@ int main(int argc, char** argv) {
       }
       return argv[++i];
     };
+    auto need_count = [&](const char* flag, uint64_t* out) {
+      const char* v = need_value(flag);
+      if (v == nullptr) {
+        return false;
+      }
+      if (!ParseCount(v, out)) {
+        std::cerr << "dumbnet-fuzz: " << flag << " needs a decimal count, got '" << v
+                  << "'\n";
+        return false;
+      }
+      return true;
+    };
     if (arg == "--seeds") {
-      const char* v = need_value("--seeds");
-      if (v == nullptr) {
+      if (!need_count("--seeds", &opts.seeds)) {
         return Usage();
       }
-      opts.seeds = std::strtoull(v, nullptr, 10);
     } else if (arg == "--seed-base") {
-      const char* v = need_value("--seed-base");
-      if (v == nullptr) {
+      if (!need_count("--seed-base", &opts.seed_base)) {
         return Usage();
       }
-      opts.seed_base = std::strtoull(v, nullptr, 10);
     } else if (arg == "--replay-seed") {
-      const char* v = need_value("--replay-seed");
-      if (v == nullptr) {
+      if (!need_count("--replay-seed", &opts.replay_seed)) {
         return Usage();
       }
-      opts.replay_seed = std::strtoull(v, nullptr, 10);
       opts.replay_mode = true;
     } else if (arg == "--inject-stale") {
       opts.inject_stale = true;
@@ -477,18 +499,10 @@ int main(int argc, char** argv) {
       opts.churn_during_bringup = true;
     } else if (arg == "--no-minimize") {
       opts.minimize = false;
-    } else if (arg == "--shards") {
-      const char* v = need_value("--shards");
-      if (v == nullptr) {
-        return Usage();
-      }
-      opts.shards = static_cast<uint32_t>(std::strtoul(v, nullptr, 10));
     } else if (arg == "--horizon-ms") {
-      const char* v = need_value("--horizon-ms");
-      if (v == nullptr) {
+      if (!need_count("--horizon-ms", &opts.horizon_ms)) {
         return Usage();
       }
-      opts.horizon_ms = std::strtoull(v, nullptr, 10);
     } else if (arg == "--metrics-json") {
       const char* v = need_value("--metrics-json");
       if (v == nullptr) {
