@@ -792,9 +792,8 @@ int main(int argc, char** argv) {
   if (args.quick) {
     std::printf("\n(quick mode: reduced event count, repeats, and host sweep)\n");
   }
-  std::printf("\nhot-scope allocations (contract checker%s): drain=%lu batch=%lu "
+  std::printf("\nhot-scope allocations (contract checker): drain=%lu batch=%lu "
               "bring_up=%lu routes=%lu packet_path=%lu\n",
-              dumbnet::contracts::kCompiledIn ? "" : " COMPILED OUT",
               static_cast<unsigned long>(drain_allocs),
               static_cast<unsigned long>(batch_allocs),
               static_cast<unsigned long>(bring_up_allocs),

@@ -241,11 +241,10 @@ int main(int argc, char** argv) {
   fabric.Shutdown();
   contracts::SetEnabled(false);
   const contracts::CounterSnapshot contract_counts = contracts::Counters();
-  std::printf("contracts: hot_allocs=%llu rank_inversions=%llu reactor_blocks=%llu%s\n",
+  std::printf("contracts: hot_allocs=%llu rank_inversions=%llu reactor_blocks=%llu\n",
               static_cast<unsigned long long>(contract_counts.hot_allocs),
               static_cast<unsigned long long>(contract_counts.rank_inversions),
-              static_cast<unsigned long long>(contract_counts.reactor_blocks),
-              contracts::kCompiledIn ? "" : " (COMPILED OUT)");
+              static_cast<unsigned long long>(contract_counts.reactor_blocks));
   if (contract_counts.hot_allocs != 0 || contract_counts.rank_inversions != 0) {
     std::printf("  last violation: %s\n", contracts::LastViolationMessage());
   }

@@ -3,7 +3,7 @@
 // handling — switch hardware broadcast, host flooding, local failover to a cached
 // path, and the controller's asynchronous topology patch.
 //
-// With telemetry compiled in, the run can also export its instrumentation:
+// The run can also export its telemetry instrumentation:
 //
 //   $ ./failure_recovery --trace run.fr --metrics-json metrics.json
 //   $ dumbnet-trace run.fr --chrome trace.json     # open via chrome://tracing

@@ -21,7 +21,6 @@ bool g_abort_on_failure = false;
 const AuditCounters& Counters() { return g_counters; }
 
 void ResetCounters() {
-  g_counters.checks.store(0, std::memory_order_relaxed);
   g_counters.failures.store(0, std::memory_order_relaxed);
   std::lock_guard<std::mutex> lock(g_failure_mu);
   g_last_failure.clear();
@@ -33,8 +32,6 @@ const std::string& LastFailure() { return g_last_failure; }
 void SetAbortOnFailure(bool abort_on_failure) { g_abort_on_failure = abort_on_failure; }
 
 namespace internal {
-
-void RecordCheck() { g_counters.checks.fetch_add(1, std::memory_order_relaxed); }
 
 void RecordFailure(bool hard, const char* file, int line, const std::string& message) {
   g_counters.failures.fetch_add(1, std::memory_order_relaxed);

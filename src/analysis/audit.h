@@ -8,9 +8,8 @@
 //   DUMBNET_AUDIT(cond, msg)   soft invariant — recorded and logged, execution
 //                              continues (the fabric drops the packet anyway).
 //
-// Both compile to nothing unless DUMBNET_AUDIT_ENABLED is defined (CMake option
-// DUMBNET_AUDITS, ON by default, OFF for release builds), so release binaries pay
-// zero cost — the condition expression is not even evaluated.
+// Both are compiled into every build: a passing check costs its condition and
+// one branch; only a violation reaches the out-of-line recorder.
 //
 // Failures are counted in a global AuditLog so tests can assert "no invariant
 // tripped during this run" or "this corruption was caught".
@@ -33,7 +32,6 @@ constexpr size_t kMaxTagStackDepth = 16;
 struct AuditCounters {
   // Relaxed atomics: audit points fire from every wire-node thread; the values
   // are statistics, not synchronization.
-  std::atomic<uint64_t> checks{0};    // audit-point evaluations (enabled builds only)
   std::atomic<uint64_t> failures{0};  // violations recorded
 };
 
@@ -48,18 +46,14 @@ const std::string& LastFailure();
 void SetAbortOnFailure(bool abort_on_failure);
 
 namespace internal {
-void RecordCheck();
 void RecordFailure(bool hard, const char* file, int line, const std::string& message);
 }  // namespace internal
 
 }  // namespace audit
 }  // namespace dumbnet
 
-#ifdef DUMBNET_AUDIT_ENABLED
-
 #define DUMBNET_AUDIT_IMPL(hard, cond, msg)                                        \
   do {                                                                             \
-    ::dumbnet::audit::internal::RecordCheck();                                     \
     if (!(cond)) {                                                                 \
       ::dumbnet::audit::internal::RecordFailure(hard, __FILE__, __LINE__,          \
                                                 std::string(#cond) + ": " + (msg)); \
@@ -68,16 +62,5 @@ void RecordFailure(bool hard, const char* file, int line, const std::string& mes
 
 #define DUMBNET_ASSERT(cond, msg) DUMBNET_AUDIT_IMPL(true, cond, msg)
 #define DUMBNET_AUDIT(cond, msg) DUMBNET_AUDIT_IMPL(false, cond, msg)
-
-#else
-
-#define DUMBNET_ASSERT(cond, msg) \
-  do {                            \
-  } while (0)
-#define DUMBNET_AUDIT(cond, msg) \
-  do {                           \
-  } while (0)
-
-#endif  // DUMBNET_AUDIT_ENABLED
 
 #endif  // DUMBNET_SRC_ANALYSIS_AUDIT_H_

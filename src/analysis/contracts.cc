@@ -15,18 +15,6 @@
 namespace dumbnet {
 namespace contracts {
 
-namespace {
-
-// Guarded syscall helpers shared by both build modes.
-bool FdIsNonBlocking(int fd) {
-  const int flags = ::fcntl(fd, F_GETFL, 0);
-  return flags >= 0 && (flags & O_NONBLOCK) != 0;
-}
-
-}  // namespace
-
-#ifdef DUMBNET_CONTRACTS_ENABLED
-
 namespace internal {
 std::atomic<bool> g_enabled{false};
 thread_local ThreadState g_tls;
@@ -240,9 +228,6 @@ void NoteLockAcquire(const void* mutex_addr) {
 }
 
 void NoteLockRelease(const void* mutex_addr) {
-  if (!kCompiledIn) {
-    return;
-  }
   internal::ThreadState& ts = internal::g_tls;
   for (int i = ts.held_count - 1; i >= 0; --i) {
     if (ts.held[i].addr == mutex_addr) {
@@ -258,6 +243,11 @@ void NoteLockRelease(const void* mutex_addr) {
 // --- Reactor blocking guards -------------------------------------------------------
 
 namespace {
+
+bool FdIsNonBlocking(int fd) {
+  const int flags = ::fcntl(fd, F_GETFL, 0);
+  return flags >= 0 && (flags & O_NONBLOCK) != 0;
+}
 
 void NoteReactorBlock(const char* what, const char* detail) {
   g_reactor_blocks.fetch_add(1, std::memory_order_relaxed);
@@ -304,24 +294,6 @@ int GuardedConnect(int fd, const void* addr, unsigned int addrlen) {
   return ::connect(fd, static_cast<const sockaddr*>(addr), addrlen);
 }
 
-#else  // !DUMBNET_CONTRACTS_ENABLED
-
-void NoteBlockingPoint(const char*) {}
-
-long GuardedRecv(int fd, void* buf, std::size_t len, int flags) {
-  return ::recv(fd, buf, len, flags);
-}
-
-long GuardedSend(int fd, const void* buf, std::size_t len, int flags) {
-  return ::send(fd, buf, len, flags);
-}
-
-int GuardedConnect(int fd, const void* addr, unsigned int addrlen) {
-  return ::connect(fd, static_cast<const sockaddr*>(addr), addrlen);
-}
-
-#endif  // DUMBNET_CONTRACTS_ENABLED
-
 }  // namespace contracts
 }  // namespace dumbnet
 
@@ -333,8 +305,6 @@ int GuardedConnect(int fd, const void* addr, unsigned int addrlen) {
 // strong definitions: referencing any contracts symbol (every DN_HOT_SCOPE call
 // site does) pulls this object in and overrides the library operators
 // process-wide.
-
-#ifdef DUMBNET_CONTRACTS_ENABLED
 
 #include <new>
 
@@ -427,5 +397,3 @@ void operator delete(void* p, std::align_val_t, const std::nothrow_t&) noexcept 
 void operator delete[](void* p, std::align_val_t, const std::nothrow_t&) noexcept {
   std::free(p);
 }
-
-#endif  // DUMBNET_CONTRACTS_ENABLED

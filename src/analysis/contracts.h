@@ -31,15 +31,11 @@
 //                              mutex-rank rule requires the annotation on every
 //                              std::mutex member in src/wire + src/ctrl.
 //
-// Two gates stack, mirroring telemetry/footprints:
-//   - Compile time: CMake option DUMBNET_CONTRACTS (ON by default) defines
-//     DUMBNET_CONTRACTS_ENABLED. OFF compiles every macro away and removes the
-//     operator-new interposer entirely; the API stays linkable.
-//   - Runtime: SetEnabled(true) opts a process in (default OFF — enforcement
-//     costs a TLS read per allocation and an fcntl per guarded reactor-side
-//     syscall, so only gating runs pay it). Benches and the CI selftest enable
-//     it; violations are counted (contracts.hot_allocs etc. after
-//     PublishTelemetry) or fatal under SetFailMode(kAbort).
+// One runtime gate, as for telemetry and footprints: SetEnabled(true) opts a
+// process in (default OFF — enforcement costs a TLS read per allocation and an
+// fcntl per guarded reactor-side syscall, so only gating runs pay it). Benches
+// and the CI selftest enable it; violations are counted (contracts.hot_allocs
+// etc. after PublishTelemetry) or fatal under SetFailMode(kAbort).
 //
 // Threading: region state is thread-local, so scopes opened on one thread never
 // leak to another; violation counters are process-wide relaxed atomics.
@@ -85,9 +81,6 @@ struct CounterSnapshot {
   uint64_t rank_inversions = 0;
   uint64_t reactor_blocks = 0;
 };
-
-#ifdef DUMBNET_CONTRACTS_ENABLED
-inline constexpr bool kCompiledIn = true;
 
 namespace internal {
 // Process-wide opt-in bit (relaxed: flipping mid-run only blurs coverage).
@@ -257,50 +250,7 @@ class MutexRankRegistrar {
   const void* addr_;
 };
 
-#else  // !DUMBNET_CONTRACTS_ENABLED
-
-inline constexpr bool kCompiledIn = false;
-constexpr bool Enabled() { return false; }
-inline void SetEnabled(bool) {}
-inline void NoteAlloc(std::size_t) {}
-inline void SetFailMode(FailMode) {}
-inline FailMode GetFailMode() { return FailMode::kCount; }
-using ViolationHook = void (*)(const Violation&);
-inline void SetViolationHook(ViolationHook) {}
-inline CounterSnapshot Counters() { return CounterSnapshot{}; }
-inline void ResetCounters() {}
-inline void PublishTelemetry() {}
-inline const char* LastViolationMessage() { return ""; }
-
-class HotScope {
- public:
-  explicit HotScope(const char*) {}
-};
-class HotExempt {
- public:
-  explicit HotExempt(const char*) {}
-};
-class ReactorScope {};
-
-inline int HotDepth() { return 0; }
-inline int ExemptDepth() { return 0; }
-inline int ReactorDepth() { return 0; }
-inline const char* CurrentHotScope() { return nullptr; }
-
-inline void RegisterMutexRank(const void*, int, const char*) {}
-inline void UnregisterMutexRank(const void*) {}
-inline int LookupMutexRank(const void*) { return -1; }
-inline void NoteLockAcquire(const void*) {}
-inline void NoteLockRelease(const void*) {}
-
-class MutexRankRegistrar {
- public:
-  MutexRankRegistrar(const void*, int, const char*) {}
-};
-
-#endif  // DUMBNET_CONTRACTS_ENABLED
-
-// --- Lock wrappers (both modes; enforcement folds away when compiled out) ----------
+// --- Lock wrappers -----------------------------------------------------------------
 // Drop-in for std::lock_guard / std::unique_lock on rank-annotated mutexes.
 // The acquire check runs before the mutex is taken (inversions are reported at
 // the site that would deadlock, not after). UniqueLock exposes the underlying
@@ -364,8 +314,6 @@ void NoteBlockingPoint(const char* what);
 #define DN_CONTRACTS_CAT2(a, b) a##b
 #define DN_CONTRACTS_CAT(a, b) DN_CONTRACTS_CAT2(a, b)
 
-#ifdef DUMBNET_CONTRACTS_ENABLED
-
 #define DN_HOT_SCOPE(name_)                       \
   ::dumbnet::contracts::HotScope DN_CONTRACTS_CAT(dn_hot_scope_, __COUNTER__) { \
     (name_)                                       \
@@ -387,27 +335,5 @@ void NoteBlockingPoint(const char* what);
   ::dumbnet::contracts::MutexRankRegistrar DN_CONTRACTS_CAT(dn_rank_, m_) { \
     &(m_), (rank_), #m_                                                \
   }
-
-#else
-
-#define DN_HOT_SCOPE(name_)     \
-  do {                          \
-  } while (0)
-#define DN_HOT_EXEMPT(reason_)  \
-  do {                          \
-  } while (0)
-#define DN_REACTOR_CONTEXT \
-  do {                     \
-  } while (0)
-#define DN_BLOCKING_POINT(what_) \
-  do {                           \
-  } while (0)
-// Still a member declaration (zero-enforcement) so class bodies parse the same.
-#define DN_MUTEX_RANK(m_, rank_)                                       \
-  ::dumbnet::contracts::MutexRankRegistrar DN_CONTRACTS_CAT(dn_rank_, m_) { \
-    &(m_), (rank_), #m_                                                \
-  }
-
-#endif  // DUMBNET_CONTRACTS_ENABLED
 
 #endif  // DUMBNET_SRC_ANALYSIS_CONTRACTS_H_

@@ -56,11 +56,6 @@ InvariantAuditor& SimulatedFabric::EnableAuditing(uint64_t every_events) {
   return *auditor_;
 }
 
-bool SimulatedFabric::EnableRaceDetection() {
-  footprint::SetEnabled(true);
-  return footprint::kCompiledIn;
-}
-
 void SimulatedFabric::BringUpAdopted(uint32_t controller_host, ControllerConfig config) {
   AddController(controller_host, config);
   controller_->AdoptTopology(topo_);

@@ -60,14 +60,6 @@ class SimulatedFabric {
   InvariantAuditor& EnableAuditing(uint64_t every_events = 256);
   InvariantAuditor* auditor() { return auditor_.get(); }
 
-  // Opts the run into footprint race detection: same-timestamp event pairs with
-  // conflicting declared footprints are reported through the simulator's default
-  // hazard path (DN_WARN + flight-recorder dump on the first hit). Returns false
-  // when footprint tracking is compiled out (-DDUMBNET_FOOTPRINTS=OFF), in which
-  // case nothing is recorded. dumbnet-explore drives the same machinery with its
-  // own hook instead.
-  bool EnableRaceDetection();
-
   Topology& topo() { return topo_; }
   Simulator& sim() { return *sim_; }
   Network& net() { return *net_; }

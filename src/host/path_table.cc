@@ -19,7 +19,6 @@ bool CachedRoute::UsesEdge(uint64_t a, uint64_t b) const {
 }
 
 void PathTable::Install(uint64_t dst_mac, PathTableEntry entry) {
-#ifdef DUMBNET_AUDIT_ENABLED
   // Invariant (Section 5.2): a compiled route carries one tag per switch on its
   // UID path — out-ports for every transit switch plus the final host port.
   for (const CachedRoute& r : entry.paths) {
@@ -29,7 +28,6 @@ void PathTable::Install(uint64_t dst_mac, PathTableEntry entry) {
   DUMBNET_AUDIT(!entry.has_backup ||
                     entry.backup.tags.size() == entry.backup.uid_path.size(),
                 "installed backup's tag count does not match its UID path");
-#endif
   entries_[dst_mac] = std::move(entry);
 }
 

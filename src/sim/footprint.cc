@@ -50,14 +50,12 @@ const char* FpAccessName(FpAccess access) {
   return "?";
 }
 
-#ifdef DUMBNET_FOOTPRINTS_ENABLED
 namespace internal {
 std::atomic<bool> g_enabled{false};
 thread_local bool g_collecting = false;
 }  // namespace internal
 
 void SetEnabled(bool on) { internal::g_enabled.store(on, std::memory_order_relaxed); }
-#endif
 
 Collector& Collector::Global() {
   thread_local Collector collector;
@@ -68,15 +66,11 @@ void Collector::BeginEvent() {
   cur_.label = nullptr;
   cur_.entity = 0;
   cur_.accesses.clear();
-#ifdef DUMBNET_FOOTPRINTS_ENABLED
   internal::g_collecting = true;
-#endif
 }
 
 EventFootprint Collector::TakeEvent() {
-#ifdef DUMBNET_FOOTPRINTS_ENABLED
   internal::g_collecting = false;
-#endif
   EventFootprint out = std::move(cur_);
   cur_ = EventFootprint{};
   return out;

@@ -18,15 +18,10 @@
 //                                       machine-checked form of the
 //                                       `dn-explore: commutes(<reason>)` annotation.
 //
-// Two gates stack, mirroring DUMBNET_TELEMETRY:
-//   - Compile time: CMake option DUMBNET_FOOTPRINTS (ON by default) defines
-//     DUMBNET_FOOTPRINTS_ENABLED. When OFF every macro compiles away and
-//     footprint::Active() is constexpr false, so the simulator's per-event hooks
-//     fold to nothing — the perf_core gate holds this to within 2% of baseline.
-//   - Runtime: SetEnabled(true) opts a run in (default OFF, the opposite of
-//     telemetry — footprints cost per-access vector pushes, so only race-hunting
-//     runs pay them). The simulator only collects within same-timestamp batches
-//     of two or more events; singleton batches cannot race and cost nothing.
+// One runtime gate: SetEnabled(true) opts a run in (default OFF, the opposite
+// of telemetry — footprints cost per-access vector pushes, so only race-hunting
+// runs pay them). The simulator only collects within same-timestamp batches of
+// two or more events; singleton batches cannot race and cost nothing.
 //
 // Threading: collection state is thread-local. A wire-runtime process runs one
 // node per OS thread, each with its own simulator (src/wire/node.h), so each
@@ -131,8 +126,6 @@ struct BatchHazard {
   const char* reason_b = nullptr;
 };
 
-#ifdef DUMBNET_FOOTPRINTS_ENABLED
-inline constexpr bool kCompiledIn = true;
 namespace internal {
 // The opt-in bit is process-wide and read from every node thread, so it is
 // atomic (relaxed: flipping it mid-run only blurs which events get tracked,
@@ -144,18 +137,11 @@ extern thread_local bool g_collecting;   // a tracked event is executing here
 inline bool Enabled() { return internal::g_enabled.load(std::memory_order_relaxed); }
 void SetEnabled(bool on);
 inline bool Active() { return Enabled() && internal::g_collecting; }
-#else
-inline constexpr bool kCompiledIn = false;
-constexpr bool Enabled() { return false; }
-inline void SetEnabled(bool) {}
-constexpr bool Active() { return false; }
-#endif
 
 // Accumulates the running event's footprint. The Simulator brackets each event
 // of a tracked batch with BeginEvent/TakeEvent; the DN_FP_* macros feed Record.
-// The API exists in every build (the explorer links against it); only the macro
-// call sites and the Active() fast path are compile-gated. Global() is a
-// thread-local instance, so each node thread collects its own simulator's batches.
+// Global() is a thread-local instance, so each node thread collects its own
+// simulator's batches.
 class Collector {
  public:
   static Collector& Global();
@@ -208,10 +194,7 @@ void FormatHazard(const BatchHazard& hazard, std::string& out);
 }  // namespace dumbnet
 
 // Footprint declaration macros. One predictable branch per call site when
-// compiled in but runtime-disabled (or outside a tracked batch); nothing at all
-// when compiled out.
-#ifdef DUMBNET_FOOTPRINTS_ENABLED
-
+// runtime-disabled (or outside a tracked batch).
 #define DN_FP_SCOPE(label_, entity_)                                          \
   do {                                                                        \
     if (::dumbnet::footprint::Active()) {                                     \
@@ -245,22 +228,5 @@ void FormatHazard(const BatchHazard& hazard, std::string& out);
           ::dumbnet::footprint::FpAccess::kCommute, (id_), (reason_));        \
     }                                                                         \
   } while (0)
-
-#else
-
-#define DN_FP_SCOPE(label_, entity_) \
-  do {                               \
-  } while (0)
-#define DN_FP_READ(space_, id_) \
-  do {                          \
-  } while (0)
-#define DN_FP_WRITE(space_, id_) \
-  do {                           \
-  } while (0)
-#define DN_FP_COMMUTES(space_, id_, reason_) \
-  do {                                       \
-  } while (0)
-
-#endif  // DUMBNET_FOOTPRINTS_ENABLED
 
 #endif  // DUMBNET_SRC_SIM_FOOTPRINT_H_

@@ -125,8 +125,8 @@ class Simulator {
   // may reorder `order` — initially the identity over canonical positions 0..n-1
   // (ascending scheduling seq, the order an untouched run executes). The batch
   // then runs in the permuted order. A non-permutation is ignored with a
-  // warning. Works whether or not footprints are compiled in, so minimized
-  // counterexample schedules replay on any build.
+  // warning. Works whether or not footprint tracking is enabled, so minimized
+  // counterexample schedules replay without it.
   using BatchPermuter =
       std::function<void(uint64_t batch_index, TimeNs at, std::vector<uint32_t>& order)>;
   void SetBatchPermuter(BatchPermuter permuter);

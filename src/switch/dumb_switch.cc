@@ -144,8 +144,8 @@ void DumbSwitch::ForwardTagged(Packet&& pkt, uint64_t transit_probe_id, PortNum 
   }
   // Path provenance: record the hop actually taken so the receiving host can
   // compare it with the sender's promise. Only armed packets carry a record
-  // (its hops were reserved when the sender armed it); telemetry-off builds
-  // skip the append entirely.
+  // (its hops were reserved when the sender armed it); runs with telemetry
+  // disabled skip the append entirely.
   if (telemetry::Enabled()) {
     pkt.provenance.AddHop(telemetry::PathHop{uid_, in_port, tag});
   }

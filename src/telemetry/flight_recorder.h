@@ -153,8 +153,6 @@ void PrintTopReport(std::ostream& os, const std::vector<TraceEvent>& events, siz
 
 // Record one trace event. `component` and `kind` are bare enumerator names
 // (e.g. kSwitch, kForward); `ts` is the simulated time in ns.
-#ifdef DUMBNET_TELEMETRY_ENABLED
-
 #define DN_TRACE_EVENT(comp_, kind_, ts_, id_, arg_)                         \
   do {                                                                       \
     if (::dumbnet::telemetry::Enabled()) {                                   \
@@ -167,13 +165,5 @@ void PrintTopReport(std::ostream& os, const std::vector<TraceEvent>& events, siz
       ::dumbnet::telemetry::FlightRecorder::Global().Record(_dn_ev);         \
     }                                                                        \
   } while (0)
-
-#else
-
-#define DN_TRACE_EVENT(comp_, kind_, ts_, id_, arg_) \
-  do {                                               \
-  } while (0)
-
-#endif  // DUMBNET_TELEMETRY_ENABLED
 
 #endif  // DUMBNET_SRC_TELEMETRY_FLIGHT_RECORDER_H_

@@ -6,7 +6,6 @@
 namespace dumbnet {
 namespace telemetry {
 
-#ifdef DUMBNET_TELEMETRY_ENABLED
 namespace internal {
 std::atomic<bool> g_enabled{true};
 }  // namespace internal
@@ -14,7 +13,6 @@ std::atomic<bool> g_enabled{true};
 void SetEnabled(bool on) {
   internal::g_enabled.store(on, std::memory_order_relaxed);
 }
-#endif
 
 namespace {
 

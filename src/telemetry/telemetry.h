@@ -1,14 +1,9 @@
 // Telemetry metrics registry: named counters, gauges, and log-bucketed
 // histograms, designed for near-zero cost when disabled.
 //
-// Two gates stack:
-//   - Compile time: CMake option DUMBNET_TELEMETRY (ON by default) defines
-//     DUMBNET_TELEMETRY_ENABLED. When OFF, telemetry::Enabled() is a constexpr
-//     false and every DN_COUNTER_INC / DN_TRACE_EVENT call site compiles away
-//     entirely — the registry API stays linkable so tools still build.
-//   - Runtime: a single relaxed-atomic enable bit, read branch-predictably at
-//     each instrumented call site. telemetry::SetEnabled(false) turns the whole
-//     subsystem into one well-predicted branch per call site.
+// One runtime gate: a single relaxed-atomic enable bit, read branch-predictably
+// at each instrumented call site. telemetry::SetEnabled(false) turns the whole
+// subsystem into one well-predicted branch per call site.
 //
 // Metric objects are owned by the registry and never deallocated while the
 // process lives, so call sites may cache raw pointers (the DN_*_INC macros
@@ -32,18 +27,11 @@
 namespace dumbnet {
 namespace telemetry {
 
-#ifdef DUMBNET_TELEMETRY_ENABLED
-inline constexpr bool kCompiledIn = true;
 namespace internal {
 extern std::atomic<bool> g_enabled;
 }  // namespace internal
 inline bool Enabled() { return internal::g_enabled.load(std::memory_order_relaxed); }
 void SetEnabled(bool on);
-#else
-inline constexpr bool kCompiledIn = false;
-constexpr bool Enabled() { return false; }
-inline void SetEnabled(bool) {}
-#endif
 
 // Monotonic event count. Relaxed increments: TSan-clean from pool workers.
 class Counter {
@@ -155,10 +143,8 @@ class MetricsRegistry {
 }  // namespace dumbnet
 
 // Hot-path instrumentation macros. Each call site pays one predictable branch
-// when telemetry is runtime-disabled and nothing at all when compiled out. The
-// metric lookup happens once per call site (function-local static).
-#ifdef DUMBNET_TELEMETRY_ENABLED
-
+// when telemetry is runtime-disabled. The metric lookup happens once per call
+// site (function-local static).
 #define DN_COUNTER_INC_N(name, n)                                              \
   do {                                                                         \
     if (::dumbnet::telemetry::Enabled()) {                                     \
@@ -185,20 +171,6 @@ class MetricsRegistry {
       _dn_hist->Record(v);                                                     \
     }                                                                          \
   } while (0)
-
-#else
-
-#define DN_COUNTER_INC_N(name, n) \
-  do {                            \
-  } while (0)
-#define DN_GAUGE_SET(name, v) \
-  do {                        \
-  } while (0)
-#define DN_HISTOGRAM_RECORD(name, v) \
-  do {                               \
-  } while (0)
-
-#endif  // DUMBNET_TELEMETRY_ENABLED
 
 #define DN_COUNTER_INC(name) DN_COUNTER_INC_N(name, 1)
 

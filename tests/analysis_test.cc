@@ -5,6 +5,9 @@
 // stacks, dangling WireLinks, stale cache entries — and must flag it.
 #include <gtest/gtest.h>
 
+#include <sys/wait.h>
+
+#include <cstdio>
 #include <fstream>
 #include <sstream>
 #include <string>
@@ -263,7 +266,6 @@ TEST(InvariantAuditorTest, AttachedAuditorRunsEveryNEvents) {
   EXPECT_TRUE(auditor.clean());
 }
 
-#ifdef DUMBNET_AUDIT_ENABLED
 TEST(AuditMacroTest, SwitchFlagsUnterminatedTagStack) {
   audit::ResetCounters();
   Topology t = SquareTopo();
@@ -295,7 +297,6 @@ TEST(AuditMacroTest, CleanTrafficTripsNothing) {
   EXPECT_TRUE(AuditTopoDbAgainstTruth(fabric.controller().db(), fabric.topo()).ok());
   audit::ResetCounters();
 }
-#endif  // DUMBNET_AUDIT_ENABLED
 
 // --- Path-graph serialization ------------------------------------------------------
 
@@ -508,6 +509,26 @@ TEST(BenchCompareTest, ToleranceIsRespected) {
                              {MakeRow("rate", 85, "graphs/s")}, 0.10)
                 .size(),
             1u);
+}
+
+// The gate's tolerance is fixed at the 0.20 default: dumbnet-check has no
+// option to loosen it, so a stray "--bench-tolerance nan" cannot switch it off.
+TEST(BenchCompareTest, CheckToolRejectsToleranceOption) {
+  const std::string cmd = std::string("'") + DUMBNET_CHECK_BINARY +
+                          "' --bench-json a.json --bench-baseline b.json"
+                          " --bench-tolerance 0.02 2>&1";
+  FILE* pipe = popen(cmd.c_str(), "r");
+  ASSERT_NE(pipe, nullptr);
+  std::string output;
+  char buf[256];
+  while (std::fgets(buf, sizeof(buf), pipe) != nullptr) {
+    output += buf;
+  }
+  const int status = pclose(pipe);
+  ASSERT_TRUE(WIFEXITED(status));
+  EXPECT_EQ(WEXITSTATUS(status), 2);
+  EXPECT_NE(output.find("unknown option '--bench-tolerance'"), std::string::npos)
+      << output;
 }
 
 TEST(BenchCompareTest, MissingAndParamMismatchedRowsAreFindings) {

@@ -71,9 +71,6 @@ RunOutcome ToyScenario(const Schedule& schedule) {
 }
 
 TEST(ExploreTest, FindsAndMinimizesInjectedRace) {
-  if (!footprint::kCompiledIn) {
-    GTEST_SKIP() << "footprints compiled out";
-  }
   ExploreReport report = Explore(ToyScenario, ExploreConfig{});
   // Canonical: x = (1*3)+7 = 10, mx = 9.
   EXPECT_EQ(report.base.state_hash, 10u * 1000 + 9);
@@ -93,9 +90,6 @@ TEST(ExploreTest, FindsAndMinimizesInjectedRace) {
 }
 
 TEST(ExploreTest, CounterexampleReplaysThroughPermuter) {
-  if (!footprint::kCompiledIn) {
-    GTEST_SKIP() << "footprints compiled out";
-  }
   ExploreReport report = Explore(ToyScenario, ExploreConfig{});
   ASSERT_TRUE(report.diverged);
   // Round-trip the counterexample through its wire form, then replay.
@@ -107,9 +101,6 @@ TEST(ExploreTest, CounterexampleReplaysThroughPermuter) {
 }
 
 TEST(ExploreTest, CommutingPairAloneProducesNoWork) {
-  if (!footprint::kCompiledIn) {
-    GTEST_SKIP() << "footprints compiled out";
-  }
   auto scenario = [](const Schedule& schedule) {
     Simulator sim;
     sim.SetBatchPermuter(MakePermuter(schedule));
@@ -138,9 +129,6 @@ TEST(ExploreTest, CommutingPairAloneProducesNoWork) {
 // A race only visible when BOTH batches are reordered: exploration must search
 // past depth one, and minimization must keep both (necessary) choices.
 TEST(ExploreTest, TwoChoiceRaceSurvivesMinimization) {
-  if (!footprint::kCompiledIn) {
-    GTEST_SKIP() << "footprints compiled out";
-  }
   auto scenario = [](const Schedule& schedule) {
     Simulator sim;
     sim.SetBatchPermuter(MakePermuter(schedule));
@@ -181,9 +169,6 @@ TEST(ExploreTest, TwoChoiceRaceSurvivesMinimization) {
 }
 
 TEST(ExploreTest, BudgetBoundsExploration) {
-  if (!footprint::kCompiledIn) {
-    GTEST_SKIP() << "footprints compiled out";
-  }
   ExploreConfig config;
   config.max_schedules = 1;  // base run only
   ExploreReport report = Explore(ToyScenario, config);

@@ -58,8 +58,6 @@ TEST(FootprintEffectTest, SameReasonComparesContentNotAddress) {
   EXPECT_FALSE(SameReason("max-merge", nullptr));
 }
 
-#ifdef DUMBNET_FOOTPRINTS_ENABLED
-
 class FootprintSimTest : public ::testing::Test {
  protected:
   void TearDown() override { SetEnabled(false); }
@@ -148,7 +146,7 @@ TEST_F(FootprintSimTest, MixedCommuteReasonsInOneEventEscalate) {
 }
 
 TEST_F(FootprintSimTest, RuntimeDisabledCollectsNothing) {
-  // Default state: compiled in but not enabled. Conflicting writes must not
+  // Default state: not enabled. Conflicting writes must not
   // be collected, and singleton batches never count toward batch indices.
   RunPair([] { DN_FP_WRITE(kScenario, 42); }, [] { DN_FP_WRITE(kScenario, 42); });
   EXPECT_EQ(sim_.hazards_detected(), 0u);
@@ -166,8 +164,6 @@ TEST_F(FootprintSimTest, SingletonBatchesDoNotAdvanceBatchIndex) {
   sim_.Run();
   EXPECT_EQ(sim_.batches_formed(), 1u);
 }
-
-#endif  // DUMBNET_FOOTPRINTS_ENABLED
 
 }  // namespace
 }  // namespace footprint

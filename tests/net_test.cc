@@ -78,9 +78,6 @@ TEST(PacketTest, UnarmedProvenanceAllocatesNothing) {
   EXPECT_TRUE(pkt.provenance.hops().empty());
   pkt.provenance.Arm({});
   EXPECT_FALSE(pkt.provenance.armed()) << "an empty promise arms nothing";
-  if (!contracts::kCompiledIn) {
-    GTEST_SKIP() << "contracts compiled out: no allocation counter";
-  }
   // A tag-less packet owns no heap memory unless its provenance is armed.
   contracts::SetEnabled(true);
   const uint64_t before = contracts::Counters().hot_allocs;

@@ -115,7 +115,7 @@ TEST(MetricsRegistry, RuntimeDisableStopsMacroRecording) {
   DN_COUNTER_INC("test.disable.counter");
   telemetry::SetEnabled(true);
   DN_COUNTER_INC("test.disable.counter");
-  EXPECT_EQ(c->value(), telemetry::kCompiledIn ? 2u : 0u);
+  EXPECT_EQ(c->value(), 2u);
 }
 
 // --- Log-bucketed histogram accuracy ------------------------------------------------
@@ -247,9 +247,6 @@ TEST(FlightRecorder, DumpOnFailureIsSafeOnEmptyRing) {
 }
 
 TEST(FlightRecorder, LogCaptureRecordsKvEvents) {
-  if (!telemetry::kCompiledIn) {
-    GTEST_SKIP() << "telemetry compiled out";
-  }
   auto& fr = FlightRecorder::Global();
   FlightRecorder::InstallLogCapture();
   fr.Clear();
@@ -283,10 +280,8 @@ TEST(TelemetryConcurrency, CountersAreRaceFreeFromPoolWorkers) {
   });
   EXPECT_EQ(c->value(), kIters);
   EXPECT_EQ(g->value(), static_cast<int64_t>(kIters));
-  if (telemetry::kCompiledIn) {
-    EXPECT_EQ(reg.GetCounter("test.concurrent.macro")->value(), kIters);
-    reg.GetCounter("test.concurrent.macro")->Reset();
-  }
+  EXPECT_EQ(reg.GetCounter("test.concurrent.macro")->value(), kIters);
+  reg.GetCounter("test.concurrent.macro")->Reset();
 }
 
 TEST(TelemetryConcurrency, RecorderAcceptsConcurrentWriters) {
@@ -321,9 +316,6 @@ TEST(PathProvenance, MatchHelper) {
 }
 
 TEST(PathProvenance, FabricRunIsDivergenceFree) {
-  if (!telemetry::kCompiledIn) {
-    GTEST_SKIP() << "telemetry compiled out";
-  }
   auto tb = MakePaperTestbed();
   ASSERT_TRUE(tb.ok());
   SimulatedFabric fabric(std::move(tb.value().topo));
@@ -343,9 +335,6 @@ TEST(PathProvenance, FabricRunIsDivergenceFree) {
 }
 
 TEST(PathProvenance, InjectedMisrouteRaisesDivergence) {
-  if (!telemetry::kCompiledIn) {
-    GTEST_SKIP() << "telemetry compiled out";
-  }
   auto tb = MakePaperTestbed();
   ASSERT_TRUE(tb.ok());
   SimulatedFabric fabric(std::move(tb.value().topo));

@@ -15,10 +15,9 @@
 // link-disjointness score. --json writes all findings machine-readably.
 //
 // Bench mode — compares a benchmark JSON report (bench/* --json output) against
-// a committed baseline and flags metrics that regressed beyond the tolerance:
+// a committed baseline and flags metrics that regressed by more than 20%:
 //
 //   dumbnet-check --bench-json run.json --bench-baseline bench/BENCH_baseline.json
-//                 [--bench-tolerance 0.20]
 //
 // The two modes compose: pass both a topology and --bench-json to gate on both.
 // Exit status: 0 clean, 1 findings reported, 2 usage/load error.
@@ -42,15 +41,14 @@ int Usage() {
                "                     [--max-backup-overlap <frac>]\n"
                "       dumbnet-check --bench-json <report.json>\n"
                "                     --bench-baseline <baseline.json>\n"
-               "                     [--bench-tolerance <frac>]\n"
                "\n"
                "Fabric mode checks a serialized state for: structural validity,\n"
                "unreachable hosts, port conflicts and dangling links, loops in\n"
                "primary paths, backups sharing a failed link with their primary,\n"
                "and tag stacks exceeding the one-byte header budget.\n"
-               "Bench mode flags metrics worse than the baseline by more than the\n"
-               "tolerance (default 0.20); time-like units regress by growing,\n"
-               "rates and ratios by shrinking.\n";
+               "Bench mode flags metrics worse than the baseline by more than\n"
+               "20%; time-like units regress by growing, rates and ratios by\n"
+               "shrinking.\n";
   return 2;
 }
 
@@ -66,8 +64,7 @@ bool ReadFile(const std::string& path, std::string* out) {
 }
 
 // Returns findings, or nullopt-equivalent via `ok=false` on load errors.
-int RunBenchGate(const std::string& report_path, const std::string& baseline_path,
-                 double tolerance) {
+int RunBenchGate(const std::string& report_path, const std::string& baseline_path) {
   std::string report_text;
   std::string baseline_text;
   if (!ReadFile(report_path, &report_text)) {
@@ -90,8 +87,7 @@ int RunBenchGate(const std::string& report_path, const std::string& baseline_pat
               << baseline.error().message() << "\n";
     return 2;
   }
-  auto findings =
-      dumbnet::CompareBenchRows(baseline.value(), report.value(), tolerance);
+  auto findings = dumbnet::CompareBenchRows(baseline.value(), report.value());
   for (const auto& f : findings) {
     std::cout << f.check << ": " << f.detail << "\n";
   }
@@ -110,7 +106,6 @@ int main(int argc, char** argv) {
   std::vector<std::string> pathgraph_paths;
   std::string bench_json;
   std::string bench_baseline;
-  double bench_tolerance = 0.20;
   dumbnet::FabricCheckOptions opts;
 
   for (int i = 1; i < argc; ++i) {
@@ -163,16 +158,6 @@ int main(int argc, char** argv) {
         return Usage();
       }
       bench_baseline = argv[++i];
-    } else if (arg == "--bench-tolerance") {
-      if (i + 1 >= argc) {
-        return Usage();
-      }
-      char* end = nullptr;
-      bench_tolerance = std::strtod(argv[++i], &end);
-      if (end == argv[i] || bench_tolerance < 0.0) {
-        std::cerr << "dumbnet-check: --bench-tolerance must be a fraction >= 0\n";
-        return 2;
-      }
     } else if (arg == "--help" || arg == "-h") {
       Usage();
       return 0;
@@ -191,7 +176,7 @@ int main(int argc, char** argv) {
       std::cerr << "dumbnet-check: --bench-json and --bench-baseline go together\n";
       return Usage();
     }
-    int bench_rc = RunBenchGate(bench_json, bench_baseline, bench_tolerance);
+    int bench_rc = RunBenchGate(bench_json, bench_baseline);
     if (bench_rc != 0 || topo_path.empty()) {
       return bench_rc;
     }

@@ -314,11 +314,6 @@ int main(int argc, char** argv) {
     std::cerr << "dumbnet-explore: --schedules must be >= 1\n";
     return Usage();
   }
-  if (!dumbnet::footprint::kCompiledIn) {
-    std::cerr << "dumbnet-explore: warning: footprints compiled out "
-                 "(-DDUMBNET_FOOTPRINTS=OFF); hazards cannot be detected and no "
-                 "reorderings will be generated. Schedule replay still works.\n";
-  }
 
   auto run = [&opts](const Schedule& schedule) { return RunScenario(opts, schedule); };
 

@@ -544,10 +544,6 @@ int main(int argc, char** argv) {
   // Hosts legitimately give up on paths mid-churn; per-flow warnings would
   // swamp CI logs. Findings are reported through the property checks instead.
   dumbnet::SetLogLevel(dumbnet::LogLevel::kError);
-  if (!dumbnet::footprint::kCompiledIn) {
-    std::cerr << "dumbnet-fuzz: warning: footprints compiled out "
-                 "(-DDUMBNET_FOOTPRINTS=OFF); ordering hazards cannot be detected.\n";
-  }
 
   int exit_code = 0;
   uint64_t seeds_run = 0;
