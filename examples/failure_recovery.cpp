@@ -106,11 +106,20 @@ int main(int argc, char** argv) {
   };
   fabric.sim().ScheduleAfter(Ms(5), sample);
 
-  // Cut a leaf0 uplink at t = 12 ms.
+  // Cut the leaf0 uplink the flow is bound to at t = 12 ms (its first tag is
+  // that uplink's port on leaf 0).
   fabric.sim().ScheduleAfter(Ms(12), [&] {
     cut_at = fabric.Now();
-    std::printf("[%8.3f ms] *** cutting leaf0 <-> spine0 link ***\n", rel_ms());
-    fabric.topo().SetLinkUp(fabric.topo().LinkAtPort(leaves[0], 1), false);
+    PortNum uplink = 1;
+    if (const PathTableEntry* entry = fabric.agent(0).path_table().Find(fabric.agent(12).mac())) {
+      auto bound = entry->flow_binding.find(1);
+      if (bound != entry->flow_binding.end() && bound->second < entry->paths.size()) {
+        uplink = entry->paths[bound->second].tags.front();
+      }
+    }
+    std::printf("[%8.3f ms] *** cutting the flow's leaf0 uplink (port %u) ***\n", rel_ms(),
+                static_cast<unsigned>(uplink));
+    fabric.topo().SetLinkUp(fabric.topo().LinkAtPort(leaves[0], uplink), false);
   });
 
   fabric.Run();

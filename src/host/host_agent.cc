@@ -2,6 +2,7 @@
 
 #include <algorithm>
 
+#include "src/analysis/audit.h"
 #include "src/analysis/contracts.h"
 #include "src/telemetry/flight_recorder.h"
 #include "src/telemetry/telemetry.h"
@@ -9,8 +10,6 @@
 
 namespace dumbnet {
 namespace {
-
-constexpr int kMaxPathRequestRetries = 10;
 
 // Footprint entity salts within this host's kHost space (see DN_FP_* below).
 constexpr uint64_t kSaltSeenEvent = 0x5EE4;
@@ -76,14 +75,15 @@ Status HostAgent::Send(uint64_t dst_mac, uint64_t flow_id, DataPayload payload) 
   // a packet parked on a cache miss rebinds under the same identity when flushed.
   payload.flow_id = flow_id;
   auto route = path_table_.RouteFor(dst_mac, flow_id);
+  if (!route.ok() && bootstrapped_ && RouteOrAsk(dst_mac)) {
+    route = path_table_.RouteFor(dst_mac, flow_id);
+  }
   if (!route.ok()) {
-    // Cache miss: park the packet and ask the controller (Section 5.2).
+    // Neither cache level routes it: park the packet until the controller's
+    // answer arrives (Section 5.2).
     pending_[dst_mac].push_back(MakeEthernetPacket(mac_, dst_mac, kEtherTypeDumbNet, payload));
     ++stats_.data_blocked;
     DN_COUNTER_INC("host.data_blocked");
-    if (bootstrapped_) {
-      RequestPath(dst_mac);
-    }
     return Status::Ok();
   }
   // The packet's own storage: its tag stack (sized once) and, when telemetry
@@ -318,12 +318,7 @@ void HostAgent::DeliverLocal(const Packet& pkt) {
     } else {
       topo_cache_.UpsertHost(resp->dst_location);
     }
-    DN_FP_COMMUTES(kHost, footprint::FpKey(mac_, resp->dst_mac, kSaltOutstanding),
-                   kFpRequestDedup);
-    outstanding_requests_.erase(resp->dst_mac);
-    if (Status s = InstallRoutesFor(resp->dst_mac); s.ok()) {
-      FlushPending(resp->dst_mac);
-    }
+    AnswerPathRequest(resp->dst_mac);
     return;
   }
   if (const auto* boot = pkt.As<BootstrapPayload>()) {
@@ -496,12 +491,10 @@ void HostAgent::RepairAfterLinkChange(uint64_t uid_a, uint64_t uid_b) {
   for (uint64_t dst : starved) {
     // Local detours first (the cache already knows the link is down), controller
     // as a last resort.
-    if (Status s = InstallRoutesFor(dst); s.ok()) {
+    if (RouteOrAsk(dst)) {
       ++stats_.reroutes;
       DN_COUNTER_INC("host.reroutes");
       DN_TRACE_EVENT(kHost, kFailover, sim_->Now(), mac_, dst);
-    } else {
-      RequestPath(dst);
     }
   }
 }
@@ -554,8 +547,8 @@ void HostAgent::ApplyBootstrap(const BootstrapInfo& bootstrap) {
     topo_cache_.UpsertHosts(bootstrap.directory);
     ComputeGossipPeers(*bootstrap.directory);
   }
-  // Anything queued before bootstrap can now be requested — in MAC order, so
-  // the resulting request events are independent of hash-table layout.
+  // Anything queued before bootstrap can now be routed or requested — in MAC
+  // order, so the resulting events are independent of hash-table layout.
   std::vector<uint64_t> queued;
   queued.reserve(pending_.size());
   // dn-lint: allow(unordered-iter, order erased by the sort below)
@@ -566,7 +559,9 @@ void HostAgent::ApplyBootstrap(const BootstrapInfo& bootstrap) {
   }
   std::sort(queued.begin(), queued.end());
   for (uint64_t dst : queued) {
-    RequestPath(dst);
+    if (RouteOrAsk(dst)) {
+      FlushPending(dst);
+    }
   }
 }
 
@@ -638,45 +633,105 @@ void HostAgent::ComputeGossipPeers(const std::vector<HostLocation>& directory) {
   }
 }
 
+bool HostAgent::RouteOrAsk(uint64_t dst_mac) {
+  if (InstallRoutesFor(dst_mac).ok()) {
+    return true;
+  }
+  RequestPath(dst_mac);
+  return false;
+}
+
+uint64_t HostAgent::RequestKey(uint64_t dst_mac) const {
+  // Host MACs are 48-bit and switch UIDs carry a high tag byte (Topology's
+  // ID plan), so the two key spaces do not meet.
+  auto loc = topo_cache_.Locate(dst_mac);
+  return loc.ok() ? loc.value().switch_uid : dst_mac;
+}
+
 void HostAgent::RequestPath(uint64_t dst_mac) {
-  DN_FP_COMMUTES(kHost, footprint::FpKey(mac_, dst_mac, kSaltOutstanding),
-                 kFpRequestDedup);
-  if (!bootstrapped_ || outstanding_requests_.count(dst_mac) > 0) {
+  const uint64_t key = RequestKey(dst_mac);
+  DN_FP_COMMUTES(kHost, footprint::FpKey(mac_, key, kSaltOutstanding), kFpRequestDedup);
+  if (!bootstrapped_ || request_key_of_.count(dst_mac) > 0) {
     return;
   }
-  outstanding_requests_.insert(dst_mac);
+  // The controller answers with a switch-level path graph and the host adds
+  // the last hop from its directory (Sections 4.3, 5.2), so one answer routes
+  // every host behind the destination switch: later destinations join as
+  // waiters instead of asking again.
+  auto [it, inserted] = path_requests_.try_emplace(key);
+  std::vector<uint64_t>& waiters = it->second.waiters;
+  if (std::find(waiters.begin(), waiters.end(), dst_mac) == waiters.end()) {
+    waiters.push_back(dst_mac);
+  }
+  if (!inserted) {
+    return;
+  }
+  it->second.named_mac = dst_mac;
+  request_key_of_.emplace(dst_mac, key);
+  SendPathRequest(key);
+}
+
+void HostAgent::SendPathRequest(uint64_t key) {
+  PathRequest& req = path_requests_.at(key);
   ++stats_.path_requests;
   DN_COUNTER_INC("host.path_requests");
-  (void)SendToController(PathRequestPayload{mac_, dst_mac, /*attempt=*/0});
+  (void)SendToController(PathRequestPayload{mac_, req.named_mac, req.attempt});
+  // Exponential backoff, capped at 16 request timeouts, plus up to a quarter
+  // more of jitter. The jitter hashes (seed, host, key, attempt) rather than
+  // drawing from a stream, so a retry shifts no other random choice.
+  const TimeNs backoff = config_.request_timeout << std::min<uint64_t>(req.attempt, 4);
+  const uint64_t span = static_cast<uint64_t>(backoff / 4) + 1;
+  const TimeNs jitter = static_cast<TimeNs>(
+      footprint::FpKey(footprint::FpKey(config_.rng_seed, mac_), key, req.attempt) % span);
+  req.retry = sim_->ScheduleAfter(backoff + jitter, [this, key] { RetryPathRequest(key); });
+}
 
-  // Retry loop with a bounded count; give up and drop queued packets after that.
-  // The closure holds only a weak_ptr to itself (a shared self-capture would be a
-  // reference cycle and leak); the pending timer events own the chain, so it is
-  // freed as soon as the loop ends.
-  auto retry = std::make_shared<std::function<void(int)>>();
-  std::weak_ptr<std::function<void(int)>> weak_retry = retry;
-  *retry = [this, dst_mac, weak_retry](int attempt) {
-    DN_FP_SCOPE("host.path_retry", mac_);
-    DN_FP_COMMUTES(kHost, footprint::FpKey(mac_, dst_mac, kSaltOutstanding),
-                   kFpRequestDedup);
-    if (outstanding_requests_.count(dst_mac) == 0) {
-      return;  // answered
+void HostAgent::RetryPathRequest(uint64_t key) {
+  DN_FP_SCOPE("host.path_retry", mac_);
+  DN_FP_COMMUTES(kHost, footprint::FpKey(mac_, key, kSaltOutstanding), kFpRequestDedup);
+  auto it = path_requests_.find(key);
+  DUMBNET_ASSERT(it != path_requests_.end(), "path-request retry outlived its request");
+  PathRequest& req = it->second;
+  if (++req.attempt < kMaxPathRequestRetries) {
+    SendPathRequest(key);
+    return;
+  }
+  // Retries exhausted: drop every waiter's parked packets.
+  for (uint64_t dst : req.waiters) {
+    pending_.erase(dst);
+    ++stats_.path_giveups;
+    DN_COUNTER_INC("host.path_giveups");
+    DN_WARN << "host " << mac_ << ": giving up on path to " << dst;
+  }
+  request_key_of_.erase(req.named_mac);
+  path_requests_.erase(it);
+}
+
+void HostAgent::AnswerPathRequest(uint64_t dst_mac) {
+  // A late copy of an answered request finds no entry and only installs its
+  // own MAC; the key it recomputes names the footprint cell, nothing else.
+  auto named = request_key_of_.find(dst_mac);
+  const uint64_t key = named != request_key_of_.end() ? named->second : RequestKey(dst_mac);
+  DN_FP_COMMUTES(kHost, footprint::FpKey(mac_, key, kSaltOutstanding), kFpRequestDedup);
+  std::vector<uint64_t> waiters;
+  if (named != request_key_of_.end()) {
+    request_key_of_.erase(named);
+    auto it = path_requests_.find(key);
+    sim_->Cancel(it->second.retry);
+    waiters = std::move(it->second.waiters);
+    path_requests_.erase(it);
+  }
+  if (InstallRoutesFor(dst_mac).ok()) {
+    FlushPending(dst_mac);
+  }
+  // Siblings behind the same switch route from the merged graph; only those
+  // the cache still cannot route ask again.
+  std::sort(waiters.begin(), waiters.end());
+  for (uint64_t waiter : waiters) {
+    if (waiter != dst_mac && RouteOrAsk(waiter)) {
+      FlushPending(waiter);
     }
-    if (attempt >= kMaxPathRequestRetries) {
-      outstanding_requests_.erase(dst_mac);
-      pending_.erase(dst_mac);
-      ++stats_.path_giveups;
-      DN_COUNTER_INC("host.path_giveups");
-      DN_WARN << "host " << mac_ << ": giving up on path to " << dst_mac;
-      return;
-    }
-    ++stats_.path_requests;
-    (void)SendToController(
-        PathRequestPayload{mac_, dst_mac, static_cast<uint64_t>(attempt)});
-    auto next = weak_retry.lock();  // non-null: we are executing through an owner
-    sim_->ScheduleAfter(config_.request_timeout, [next, attempt] { (*next)(attempt + 1); });
-  };
-  sim_->ScheduleAfter(config_.request_timeout, [retry] { (*retry)(1); });
+  }
 }
 
 Status HostAgent::InstallRoutesFor(uint64_t dst_mac) {
@@ -719,6 +774,15 @@ Status HostAgent::InstallRoutesFor(uint64_t dst_mac) {
   }
   path_table_.Install(dst_mac, std::move(entry.value()));
   return Status::Ok();
+}
+
+size_t HostAgent::parked_packets() const {
+  size_t parked = 0;
+  // dn-lint: allow(unordered-iter, a sum does not depend on the order)
+  for (const auto& [dst, queue] : pending_) {
+    parked += queue.size();
+  }
+  return parked;
 }
 
 void HostAgent::FlushPending(uint64_t dst_mac) {

@@ -33,7 +33,8 @@ struct HostAgentConfig {
   uint32_t gossip_fanout = 3;
   // Host-side per-packet processing cost (DPDK pipeline).
   TimeNs process_delay = Us(2);
-  // Re-issue a path request if unanswered for this long.
+  // Re-issue a path request if unanswered for this long; each further retry
+  // doubles the wait, up to 16x, plus seeded jitter.
   TimeNs request_timeout = Ms(50);
   // Verify routes before installing them (can be disabled to measure its cost).
   bool verify_routes = true;
@@ -68,6 +69,9 @@ struct HostAgentStats {
 
 class HostAgent : public NetNode {
  public:
+  // Copies of one path request sent before the host gives up on it.
+  static constexpr uint64_t kMaxPathRequestRetries = 10;
+
   HostAgent(Network* net, uint32_t host_index, HostAgentConfig config = HostAgentConfig());
 
   // --- Identity ----------------------------------------------------------------
@@ -78,7 +82,8 @@ class HostAgent : public NetNode {
 
   // --- Data path -----------------------------------------------------------------
   // Sends application data to `dst_mac`. Uses the cached route bound to `flow_id`;
-  // on a cache miss the packet is queued and a path request goes to the controller.
+  // a PathTable miss is routed from the TopoCache when it can be, and otherwise
+  // the packet is queued and a path request goes to the controller.
   Status Send(uint64_t dst_mac, uint64_t flow_id, DataPayload payload);
 
   // Delivered application data (tags fully consumed, ø checked and removed).
@@ -92,6 +97,13 @@ class HostAgent : public NetNode {
   void RebindFlow(uint64_t dst_mac, uint64_t flow_id) {
     path_table_.ClearBinding(dst_mac, flow_id);
   }
+
+  // Asks the controller for a route to `dst_mac` without parking a packet (the
+  // gossip-peer and controller warm-ups do this). It records `dst_mac` as a
+  // waiter on the outstanding request for the destination's switch, and sends
+  // that request only when none is outstanding; the answer installs routes
+  // for every waiter.
+  void RequestPath(uint64_t dst_mac);
 
   // Application-supplied explicit route (verified before use).
   Status SendOnPath(uint64_t dst_mac, const std::vector<uint64_t>& uid_path,
@@ -155,6 +167,8 @@ class HostAgent : public NetNode {
   Network& net() { return *net_; }
   Simulator& sim() { return *sim_; }
   const std::vector<HostLocation>& gossip_peers() const { return gossip_peers_; }
+  // Packets parked on a cache miss, waiting for the controller's answer.
+  size_t parked_packets() const;
 
   // Floods a link event to gossip peers (also used by the controller service to
   // disseminate patches). `exclude_mac` suppresses the echo back to the sender.
@@ -190,10 +204,32 @@ class HostAgent : public NetNode {
   // independent of arrival order: this is what makes gossip floods and patch
   // application commute.
   bool RecordLinkObservation(uint64_t cell, bool up, TimeNs origin_time);
-  void RequestPath(uint64_t dst_mac);
+  // The step behind every PathTable miss: install routes for `dst_mac` from the
+  // TopoCache, and only when the cache cannot route it, ask the controller.
+  // Returns true when routes were installed.
+  bool RouteOrAsk(uint64_t dst_mac);
+  // The destination's switch UID from the directory, or the MAC itself when
+  // the directory does not place the host.
+  uint64_t RequestKey(uint64_t dst_mac) const;
+  // Sends the request's current attempt and arms its retry timer.
+  void SendPathRequest(uint64_t key);
+  void RetryPathRequest(uint64_t key);
+  // A response naming `dst_mac` arrived: resolve the request it answers and
+  // route (or re-ask for) every waiter.
+  void AnswerPathRequest(uint64_t dst_mac);
   void FlushPending(uint64_t dst_mac);
   void ComputeGossipPeers(const std::vector<HostLocation>& directory);
   Status InstallRoutesFor(uint64_t dst_mac);
+
+  // One outstanding controller question per request key (RequestKey).
+  struct PathRequest {
+    uint64_t named_mac = 0;  // the destination the query names
+    uint64_t attempt = 0;    // of the last copy sent
+    // Every destination the answer should route, named_mac included; bare
+    // warm-ups with no parked packet wait here too.
+    std::vector<uint64_t> waiters;
+    EventHandle retry;  // cancelled when the answer arrives
+  };
 
   Network* net_;
   Simulator* sim_;
@@ -222,7 +258,10 @@ class HostAgent : public NetNode {
 
   std::vector<HostLocation> gossip_peers_;
   std::unordered_map<uint64_t, std::deque<Packet>> pending_;  // dst -> queued packets
-  std::unordered_set<uint64_t> outstanding_requests_;
+  std::unordered_map<uint64_t, PathRequest> path_requests_;  // request key -> request
+  // Named MAC -> request key. A response is matched through the MAC it names,
+  // never through a key recomputed after Integrate, which can move the host.
+  std::unordered_map<uint64_t, uint64_t> request_key_of_;
   std::unordered_set<uint64_t> seen_events_;   // link-event dedup
   std::unordered_set<uint64_t> seen_patches_;  // patch re-flood dedup, by seq
   // Per-link freshest observation key, see RecordLinkObservation.

@@ -10,7 +10,7 @@ Status TopoCache::Integrate(const WirePathGraph& graph, const HostLocation& dst)
   }
   db_.UpsertHost(dst);
   if (!graph.backup.empty()) {
-    backups_[dst.mac] = graph.backup;
+    backups_[dst.switch_uid] = graph.backup;
   }
   return Status::Ok();
 }
@@ -129,8 +129,9 @@ Result<PathTableEntry> TopoCache::BuildEntry(uint64_t src_uid, uint64_t dst_mac,
   entry.paths = std::move(routes.value());
 
   // Attach the controller-provided backup when it is still compilable (i.e. its
-  // links are cached and up) and not identical to a cached primary.
-  auto backup_it = backups_.find(dst_mac);
+  // links are cached and up) and not identical to a cached primary. It is a
+  // switch path, so every host behind the destination switch shares it.
+  auto backup_it = backups_.find(dst.value().switch_uid);
   if (backup_it != backups_.end()) {
     auto backup = CompileUidPath(backup_it->second, dst.value().port);
     if (backup.ok()) {

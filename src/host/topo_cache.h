@@ -97,7 +97,7 @@ class TopoCache {
                    Result<std::vector<SwitchPath>>>
       path_memo_;
   mutable RouteStats route_stats_;
-  // Last backup path received per destination mac (UID form).
+  // Last backup path received per destination switch (UID form).
   std::unordered_map<uint64_t, std::vector<uint64_t>> backups_;
 };
 

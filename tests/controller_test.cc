@@ -6,6 +6,7 @@
 #include <gtest/gtest.h>
 
 #include <map>
+#include <set>
 
 #include "src/analysis/invariants.h"
 #include "src/topo/generators.h"
@@ -365,6 +366,294 @@ TEST_F(QueryCoalescingTest, DifferentRequestersAreNotMerged) {
   EXPECT_EQ(controller_->stats().queries_served - before.queries_served, 3u + 2u);
   EXPECT_EQ(responses_[0].size(), 1u);
   EXPECT_EQ(responses_[5].size(), 1u);
+}
+
+// --- Two-level route cache: TopoCache first, one question per switch --------
+
+// A fat-tree k=6 (three hosts per edge switch) with the controller on the last
+// host. After bring-up a host's TopoCache holds the switches on its warm-up
+// routes only, so some destination switches can be reached only by asking.
+std::unique_ptr<TestFabric> MakeColdFatTree(HostAgentConfig agent_config = HostAgentConfig()) {
+  FatTreeConfig config;
+  config.k = 6;
+  auto ft = MakeFatTree(config);
+  EXPECT_TRUE(ft.ok());
+  auto fabric = std::make_unique<TestFabric>(std::move(ft.value().topo), agent_config);
+  fabric->BringUpAdopted(static_cast<uint32_t>(fabric->host_count() - 1));
+  return fabric;
+}
+
+// Every host behind the first switch that `src`'s TopoCache does not hold.
+std::vector<uint32_t> HostsBehindUncachedSwitch(TestFabric& fabric, uint32_t src) {
+  const TopoCache& cache = fabric.agent(src).topo_cache();
+  uint64_t target = 0;
+  for (uint32_t h = 0; h < fabric.host_count() && target == 0; ++h) {
+    const uint64_t sw = fabric.agent(h).self_location().switch_uid;
+    if (!cache.db().IndexOf(sw).ok()) {
+      target = sw;
+    }
+  }
+  std::vector<uint32_t> hosts;
+  for (uint32_t h = 0; h < fabric.host_count(); ++h) {
+    if (target != 0 && fabric.agent(h).self_location().switch_uid == target) {
+      hosts.push_back(h);
+    }
+  }
+  return hosts;
+}
+
+class RouteCacheTest : public ::testing::Test {
+ protected:
+  // One cached path per destination, so the controller's backup is never a
+  // duplicate of a cached primary and every entry should carry it.
+  void SetUp() override {
+    HostAgentConfig config;
+    config.k_paths = 1;
+    fabric_ = MakeColdFatTree(config);
+  }
+
+  std::unique_ptr<TestFabric> fabric_;
+};
+
+TEST_F(RouteCacheTest, MissOnACachedSwitchIsRoutedWithoutAsking) {
+  HostAgent& src = fabric_->agent(0);
+  // A remote host with no PathTable entry whose switch the TopoCache holds.
+  uint32_t dst = 0;
+  for (uint32_t h = 1; h < fabric_->host_count() && dst == 0; ++h) {
+    const HostLocation& loc = fabric_->agent(h).self_location();
+    if (loc.switch_uid != src.self_location().switch_uid &&
+        src.topo_cache().db().IndexOf(loc.switch_uid).ok() &&
+        !src.path_table().Contains(fabric_->agent(h).mac())) {
+      dst = h;
+    }
+  }
+  ASSERT_NE(dst, 0u);
+  int received = 0;
+  fabric_->agent(dst).SetDataHandler([&](const Packet&, const DataPayload&) { ++received; });
+  const HostAgentStats before = src.stats();
+  ASSERT_TRUE(src.Send(fabric_->agent(dst).mac(), 1, DataPayload{}).ok());
+  EXPECT_EQ(src.parked_packets(), 0u);
+  fabric_->Run();
+
+  EXPECT_EQ(received, 1);
+  EXPECT_EQ(src.stats().path_requests, before.path_requests);
+  EXPECT_EQ(src.stats().data_blocked, before.data_blocked);
+  EXPECT_TRUE(src.path_table().Contains(fabric_->agent(dst).mac()));
+}
+
+TEST_F(RouteCacheTest, OneQueryRoutesEveryHostBehindASwitch) {
+  // Host 3's cache picks a first path other than the controller's backup, so
+  // the backup stays a separate field of every entry (checked below).
+  constexpr uint32_t kSrc = 3;
+  HostAgent& src = fabric_->agent(kSrc);
+  const std::vector<uint32_t> dsts = HostsBehindUncachedSwitch(*fabric_, kSrc);
+  ASSERT_EQ(dsts.size(), 3u);
+  std::vector<uint64_t> ctrl_backup;
+  src.SetControlHandler([&](const Packet& pkt) {
+    if (const auto* resp = pkt.As<PathResponsePayload>()) {
+      ctrl_backup = resp->graph->backup;
+    }
+    return false;
+  });
+  int received = 0;
+  for (uint32_t d : dsts) {
+    fabric_->agent(d).SetDataHandler([&](const Packet&, const DataPayload&) { ++received; });
+  }
+  const HostAgentStats before = src.stats();
+  const uint64_t served_before = fabric_->controller().stats().queries_served;
+  const TimeNs start = fabric_->Now();
+  for (uint32_t d : dsts) {
+    ASSERT_TRUE(src.Send(fabric_->agent(d).mac(), 1, DataPayload{}).ok());
+  }
+  fabric_->Run();
+
+  EXPECT_EQ(src.stats().path_requests - before.path_requests, 1u);
+  EXPECT_EQ(fabric_->controller().stats().queries_served - served_before, 1u);
+  EXPECT_EQ(received, 3);
+  EXPECT_EQ(src.parked_packets(), 0u);
+  ASSERT_FALSE(ctrl_backup.empty());
+  for (uint32_t d : dsts) {
+    const PathTableEntry* entry = src.path_table().Find(fabric_->agent(d).mac());
+    ASSERT_NE(entry, nullptr) << "host " << d;
+    ASSERT_EQ(entry->paths.size(), 1u);
+    ASSERT_NE(entry->paths.front().uid_path, ctrl_backup);
+    // The backup is kept per destination switch, so siblings built from the
+    // cache carry the controller's backup too.
+    EXPECT_TRUE(entry->has_backup) << "host " << d;
+    EXPECT_EQ(entry->backup.uid_path, ctrl_backup) << "host " << d;
+  }
+  // The answer cancelled the retry timer: the run ended before it was due.
+  EXPECT_TRUE(fabric_->sim().Empty());
+  EXPECT_LT(fabric_->Now(), start + HostAgentConfig().request_timeout);
+}
+
+TEST_F(RouteCacheTest, BareWarmUpJoinsTheOutstandingRequest) {
+  HostAgent& src = fabric_->agent(0);
+  const std::vector<uint32_t> dsts = HostsBehindUncachedSwitch(*fabric_, 0);
+  ASSERT_EQ(dsts.size(), 3u);
+  const uint64_t parked_mac = fabric_->agent(dsts[0]).mac();
+  const uint64_t warm_mac = fabric_->agent(dsts[1]).mac();
+  const HostAgentStats before = src.stats();
+  ASSERT_TRUE(src.Send(parked_mac, 1, DataPayload{}).ok());
+  src.RequestPath(warm_mac);  // no packet parked for this one
+  EXPECT_EQ(src.parked_packets(), 1u);
+  fabric_->Run();
+
+  EXPECT_EQ(src.stats().path_requests - before.path_requests, 1u);
+  EXPECT_EQ(src.stats().data_blocked - before.data_blocked, 1u);
+  EXPECT_EQ(src.parked_packets(), 0u);
+  EXPECT_NE(src.path_table().Find(parked_mac), nullptr);
+  EXPECT_NE(src.path_table().Find(warm_mac), nullptr);
+}
+
+// What one host sees when the controller never answers: the arrival time and
+// attempt of every request copy at the controller host.
+struct UnansweredRun {
+  std::vector<std::pair<TimeNs, uint64_t>> copies;
+  uint64_t giveups = 0;
+  size_t parked = 0;
+  size_t waiters = 0;
+};
+
+UnansweredRun RunUnanswered() {
+  std::unique_ptr<TestFabric> fabric = MakeColdFatTree();
+  UnansweredRun run;
+  HostAgent& src = fabric->agent(0);
+  HostAgent& ctrl_host = fabric->agent(static_cast<uint32_t>(fabric->host_count() - 1));
+  // The controller service stops answering: a recorder takes its place.
+  ctrl_host.SetControlHandler([&](const Packet& pkt) {
+    const auto* req = pkt.As<PathRequestPayload>();
+    if (req == nullptr) {
+      return false;
+    }
+    if (req->requester_mac == src.mac()) {
+      run.copies.emplace_back(fabric->Now(), req->attempt);
+    }
+    return true;
+  });
+  const std::vector<uint32_t> dsts = HostsBehindUncachedSwitch(*fabric, 0);
+  for (uint32_t d : dsts) {
+    EXPECT_TRUE(src.Send(fabric->agent(d).mac(), 1, DataPayload{}).ok());
+  }
+  run.waiters = dsts.size();
+  const uint64_t giveups_before = src.stats().path_giveups;
+  fabric->Run();
+  run.giveups = src.stats().path_giveups - giveups_before;
+  run.parked = src.parked_packets();
+  return run;
+}
+
+TEST(RouteCacheRetryTest, UnansweredRequestBacksOffThenGivesUpOnEveryWaiter) {
+  const UnansweredRun run = RunUnanswered();
+  const TimeNs timeout = HostAgentConfig().request_timeout;
+  ASSERT_EQ(run.copies.size(), HostAgent::kMaxPathRequestRetries);
+  for (size_t i = 0; i < run.copies.size(); ++i) {
+    EXPECT_EQ(run.copies[i].second, i);
+    if (i == 0) {
+      continue;
+    }
+    // Every copy takes the same route, so arrival gaps are the send gaps:
+    // timeout x 2^min(attempt, 4), plus jitter of under a quarter of that.
+    const TimeNs backoff = timeout << std::min<size_t>(i - 1, 4);
+    const TimeNs gap = run.copies[i].first - run.copies[i - 1].first;
+    EXPECT_GE(gap, backoff) << "copy " << i;
+    EXPECT_LE(gap, backoff + backoff / 4) << "copy " << i;
+  }
+  EXPECT_EQ(run.waiters, 3u);
+  EXPECT_EQ(run.giveups, run.waiters);
+  EXPECT_EQ(run.parked, 0u);
+
+  // The jitter is a hash of (seed, host, key, attempt): a second run repeats
+  // the schedule exactly.
+  const UnansweredRun again = RunUnanswered();
+  EXPECT_EQ(again.copies, run.copies);
+}
+
+// Routes built from the cache must be as good as the controller's: after an
+// all-pairs warm-up on a fat-tree k=4, each installed primary is exactly as
+// long as the controller's primary for its pair (stretch 1.0), and the routes
+// the flows are bound to load no link more than 10% above the controller's
+// primaries for the same pairs.
+TEST(RouteQualityTest, CacheRoutesMatchControllerPrimaries) {
+  FatTreeConfig config;
+  config.k = 4;
+  auto ft = MakeFatTree(config);
+  ASSERT_TRUE(ft.ok());
+  TestFabric fabric(std::move(ft.value().topo));
+  const auto ctrl_host = static_cast<uint32_t>(fabric.host_count() - 1);
+  fabric.BringUpAdopted(ctrl_host);
+
+  std::set<std::pair<uint32_t, uint64_t>> answered;  // (src host, dst mac)
+  for (uint32_t h = 0; h < ctrl_host; ++h) {
+    fabric.agent(h).SetControlHandler([&answered, h](const Packet& pkt) {
+      if (const auto* resp = pkt.As<PathResponsePayload>()) {
+        answered.emplace(h, resp->dst_mac);
+      }
+      return false;
+    });
+  }
+  for (uint32_t s = 0; s < ctrl_host; ++s) {
+    for (uint32_t d = 0; d < fabric.host_count(); ++d) {
+      if (d != s) {
+        ASSERT_TRUE(fabric.agent(s).Send(fabric.agent(d).mac(), 1, DataPayload{}).ok());
+      }
+    }
+  }
+  fabric.Run();
+
+  using Edge = std::pair<uint64_t, uint64_t>;
+  std::map<Edge, int> host_load;
+  std::map<Edge, int> ctrl_load;
+  auto count = [](const std::vector<uint64_t>& path, std::map<Edge, int>& load) {
+    for (size_t i = 0; i + 1 < path.size(); ++i) {
+      ++load[{path[i], path[i + 1]}];
+    }
+  };
+  size_t local = 0;
+  for (uint32_t s = 0; s < ctrl_host; ++s) {
+    HostAgent& src = fabric.agent(s);
+    std::vector<uint64_t> dst_macs;
+    for (uint32_t d = 0; d < fabric.host_count(); ++d) {
+      if (d != s) {
+        dst_macs.push_back(fabric.agent(d).mac());
+      }
+    }
+    auto graphs = fabric.controller().PrecomputePathGraphs(src.mac(), dst_macs);
+    ASSERT_TRUE(graphs.ok());
+    std::map<uint64_t, std::vector<uint64_t>> ctrl_primary;  // dst switch -> primary
+    for (const WirePathGraph& wg : graphs.value()) {
+      ctrl_primary[wg.dst_uid] = wg.primary;
+    }
+    for (uint64_t mac : dst_macs) {
+      const PathTableEntry* entry = src.path_table().Find(mac);
+      ASSERT_NE(entry, nullptr);
+      ASSERT_FALSE(entry->paths.empty());
+      const std::vector<uint64_t>& want = ctrl_primary.at(entry->dst.switch_uid);
+      if (answered.count({s, mac}) == 0) {
+        ++local;
+        EXPECT_EQ(entry->paths.front().uid_path.size(), want.size())
+            << "host " << s << " -> " << mac;
+      }
+      auto bound = entry->flow_binding.find(1);
+      ASSERT_NE(bound, entry->flow_binding.end());
+      count(bound->second < entry->paths.size() ? entry->paths[bound->second].uid_path
+                                                : entry->backup.uid_path,
+            host_load);
+      count(want, ctrl_load);
+    }
+  }
+  auto max_load = [](const std::map<Edge, int>& load) {
+    int m = 0;
+    for (const auto& [edge, n] : load) {
+      m = std::max(m, n);
+    }
+    return m;
+  };
+  EXPECT_GT(local, 0u);
+  std::printf("route quality: %zu cache-built routes, stretch 1.0; max routes per link "
+              "%d (bound) vs %d (controller primaries)\n",
+              local, max_load(host_load), max_load(ctrl_load));
+  EXPECT_LE(max_load(host_load) * 10, max_load(ctrl_load) * 11);
 }
 
 }  // namespace

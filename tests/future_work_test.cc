@@ -211,34 +211,42 @@ TEST(JoinProberTest, NoControllerKnownYieldsZero) {
 }
 
 TEST(FailoverTest, StandbyTakesOverFromReplicatedLog) {
-  auto tb = MakePaperTestbed();
+  // A fat-tree, not the paper testbed: there every host's cache holds every
+  // switch after bring-up, so no send would need the (dead) controller.
+  FatTreeConfig config;
+  config.k = 4;
+  auto tb = MakeFatTree(config);
   ASSERT_TRUE(tb.ok());
-  auto spines = tb.value().spines;
+  auto core = tb.value().core;
   TestFabric fabric(std::move(tb.value().topo));
-  fabric.BringUpAdopted(25);  // primary on host 25
+  fabric.BringUpAdopted(15);  // primary on host 15
 
   ReplicatedLog log(&fabric.sim(), ReplicatedLogConfig{3, Us(200)});
   fabric.controller().AttachLog(&log);
   TopoDb base_snapshot = fabric.controller().db();  // standby's initial snapshot
 
   // Some topology history accumulates.
-  LinkIndex li = fabric.topo().LinkAtPort(spines[0], 1);
+  LinkIndex li = fabric.topo().LinkAtPort(core[0], 1);
   fabric.topo().SetLinkUp(li, false);
   fabric.Run();
 
-  // Primary dies. A fresh host's query goes unanswered.
+  // Primary dies. A fresh host's query goes unanswered: the destination's
+  // switch is not in the source's TopoCache, so only the controller can route.
   fabric.controller().Stop();
-  HostAgent& src = fabric.agent(1);
-  HostAgent& dst = fabric.agent(17);
+  HostAgent& src = fabric.agent(0);
+  HostAgent& dst = fabric.agent(8);
+  auto dst_loc = src.topo_cache().Locate(dst.mac());
+  ASSERT_TRUE(dst_loc.ok());
+  ASSERT_FALSE(src.topo_cache().db().IndexOf(dst_loc.value().switch_uid).ok());
   int received = 0;
   dst.SetDataHandler([&](const Packet&, const DataPayload&) { ++received; });
   ASSERT_TRUE(src.Send(dst.mac(), 9, DataPayload{}).ok());
   fabric.RunUntil(fabric.Now() + Ms(100));
   EXPECT_EQ(received, 0);
 
-  // Standby on host 26 rebuilds the database from snapshot + replica log and
+  // Standby on host 14 rebuilds the database from snapshot + replica log and
   // takes over: it re-bootstraps every host with its own identity.
-  ControllerService standby(&fabric.agent(26));
+  ControllerService standby(&fabric.agent(14));
   TopoDb rebuilt = base_snapshot;
   ReplicatedLog::ApplyTo(log.ReplicaLog(1), rebuilt);
   standby.AdoptDatabase(std::move(rebuilt));
@@ -248,8 +256,8 @@ TEST(FailoverTest, StandbyTakesOverFromReplicatedLog) {
   EXPECT_EQ(received, 1);
   EXPECT_GE(standby.stats().queries_served, 1u);
   // And the standby's view includes the pre-failover link state.
-  uint64_t spine_uid = fabric.topo().switch_at(spines[0]).uid;
-  auto idx = standby.db().IndexOf(spine_uid);
+  uint64_t core_uid = fabric.topo().switch_at(core[0]).uid;
+  auto idx = standby.db().IndexOf(core_uid);
   ASSERT_TRUE(idx.ok());
   LinkIndex mirrored = standby.db().mirror().LinkAtPort(idx.value(), 1);
   ASSERT_NE(mirrored, kInvalidLink);
