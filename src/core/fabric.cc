@@ -39,7 +39,7 @@ bool SimulatedFabric::BringUp(uint32_t controller_host, ControllerConfig config,
   bool ready = false;
   controller_->Start([&ready] { ready = true; });
   Run();
-  return ready;
+  return ready && controller_->unacked_hosts().empty();
 }
 
 InvariantAuditor& SimulatedFabric::EnableAuditing(uint64_t every_events) {

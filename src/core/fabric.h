@@ -37,7 +37,8 @@ class SimulatedFabric {
                                    DiscoveryConfig discovery = DiscoveryConfig());
 
   // Convenience: AddController + Start (with discovery) + run the simulation
-  // until the controller reports ready. Returns false if bring-up never completed.
+  // until it is idle. Returns false if bring-up never completed or any host
+  // never acknowledged its bootstrap (ControllerService::unacked_hosts).
   bool BringUp(uint32_t controller_host, ControllerConfig config = ControllerConfig(),
                DiscoveryConfig discovery = DiscoveryConfig());
 

@@ -19,11 +19,21 @@ constexpr uint64_t kSaltCtrlDbVersion = 0xDBE5;
 constexpr uint64_t kSaltCtrlCpu = 0xC901;
 constexpr uint64_t kSaltPatchPending = 0x9A5B;
 constexpr uint64_t kSaltQueuedQuery = 0x9C0A;
+constexpr uint64_t kSaltBootQueue = 0xB0F1;
+constexpr uint64_t kSaltUnacked = 0xB0AC;
+constexpr uint64_t kSaltResend = 0xB05E;
+// Uplink room the bootstrap pump leaves free for path responses and floods
+// that reach the NIC while a bootstrap is still in the send pipeline.
+constexpr int64_t kPumpHeadroom = 64 * 1024;
 constexpr const char kFpCpuQueue[] =
     "single-server fifo cpu; service order shifts latency only";
 constexpr const char kFpQueryCoalesce[] =
     "max-merge of queued query attempts; served content is a function of the attempt";
 constexpr const char kFpDbBump[] = "db version bump";
+constexpr const char kFpBootFifo[] =
+    "bootstrap fifo drained in order; pump timing shifts latency only";
+constexpr const char kFpAckSet[] =
+    "unacked-host set; an ack racing a resend only duplicates a bootstrap hosts ignore";
 constexpr const char kFpPatchAccum[] =
     "patch accumulation; delivery is lww-merged at hosts";
 
@@ -146,60 +156,178 @@ Result<TagList> ControllerService::TagsToHost(const HostLocation& dst, Rng* rng)
 }
 
 void ControllerService::BootstrapHosts() {
-  // MAC-sorted (TopoDb::Directory), which is what lets every host adopt this one
-  // vector as its shared host base without a private sorted copy.
-  auto directory = std::make_shared<const std::vector<HostLocation>>(db_.Directory());
-  HostLocation controller_loc{agent_->mac(), controller_switch_uid_, controller_port_};
+  // MAC-sorted and indexed by switch once, here: every host adopts this one
+  // directory as its shared host base.
+  auto directory = std::make_shared<const HostDirectory>(db_.Directory());
+  boot_directory_ = directory;
+  resend_round_ = 0;
   for (const HostLocation& loc : *directory) {
-    BootstrapInfo boot;
-    boot.self = loc;
-    boot.controller_mac = agent_->mac();
-    boot.controller_location = controller_loc;
-    boot.directory = directory;
     if (loc.mac == agent_->mac()) {
-      boot.path_to_controller = {};  // co-located
-      agent_->ApplyBootstrap(boot);
+      BootstrapInfo boot;
+      boot.self = loc;
+      boot.controller_mac = agent_->mac();
+      boot.controller_location = {agent_->mac(), controller_switch_uid_, controller_port_};
+      boot.directory = directory;
+      agent_->ApplyBootstrap(boot);  // co-located: no path, no ack
       continue;
     }
-    auto to_controller = db_.IndexOf(loc.switch_uid);
-    auto ctrl_idx = db_.IndexOf(controller_switch_uid_);
-    if (!to_controller.ok() || !ctrl_idx.ok()) {
-      continue;
+    auto boot = MakeBootstrap(loc);
+    unacked_[loc.mac] = boot;
+    if (boot != nullptr) {
+      (void)QueueBootstrap(std::move(boot));
     }
-    // Per-host randomized paths, deliberately NOT the shared SSSP tree: each
-    // host's stored path-to-controller must be decorrelated from the others', or
-    // one link failure strands every host's control channel at once. The cached
-    // adjacency snapshot plus scratch still makes this allocation-free.
-    auto path = ShortestPathScaled(RoutingGraph(), to_controller.value(), ctrl_idx.value(),
-                                   &rng_, tags_scratch_, nullptr);
-    if (!path.ok()) {
-      continue;
-    }
-    auto up_tags = db_.CompileTagsForUidPath(db_.PathToUids(path.value()), controller_port_);
-    if (!up_tags.ok()) {
-      continue;
-    }
-    boot.path_to_controller = std::move(up_tags.value());
-
-    auto down_tags = TagsToHost(loc, &rng_);
-    if (!down_tags.ok()) {
-      continue;
-    }
-    ++stats_.bootstraps_sent;
-    DN_FP_COMMUTES(kCtrlCpu, footprint::FpKey(agent_->mac(), kSaltCtrlCpu),
-                   kFpCpuQueue);
-    TimeNs start = std::max(sim_->Now(), cpu_free_);
-    cpu_free_ = start + config_.query_cost;
-    sim_->ScheduleAt(cpu_free_, [this, tags = std::move(down_tags.value()), mac = loc.mac,
-                                 boot = BootstrapPayload{std::make_shared<const BootstrapInfo>(
-                                     std::move(boot))}] {
-      agent_->SendTags(tags, mac, boot);
-    });
   }
+  if (unacked_.empty()) {
+    boot_directory_.reset();
+  }
+  ArmBootstrapResend();
+}
+
+std::shared_ptr<const BootstrapInfo> ControllerService::MakeBootstrap(
+    const HostLocation& loc) {
+  auto to_controller = db_.IndexOf(loc.switch_uid);
+  auto ctrl_idx = db_.IndexOf(controller_switch_uid_);
+  if (!to_controller.ok() || !ctrl_idx.ok()) {
+    return nullptr;
+  }
+  // Per-host randomized paths, deliberately NOT the shared SSSP tree: each
+  // host's stored path-to-controller must be decorrelated from the others', or
+  // one link failure strands every host's control channel at once. The cached
+  // adjacency snapshot plus scratch still makes this allocation-free.
+  auto path = ShortestPathScaled(RoutingGraph(), to_controller.value(), ctrl_idx.value(),
+                                 &rng_, tags_scratch_, nullptr);
+  if (!path.ok()) {
+    return nullptr;
+  }
+  auto up_tags = db_.CompileTagsForUidPath(db_.PathToUids(path.value()), controller_port_);
+  if (!up_tags.ok()) {
+    return nullptr;
+  }
+  auto boot = std::make_shared<BootstrapInfo>();
+  boot->self = loc;
+  boot->controller_mac = agent_->mac();
+  boot->controller_location = {agent_->mac(), controller_switch_uid_, controller_port_};
+  boot->path_to_controller = std::move(up_tags.value());
+  boot->directory = boot_directory_;
+  return boot;
+}
+
+bool ControllerService::QueueBootstrap(std::shared_ptr<const BootstrapInfo> info) {
+  auto down_tags = TagsToHost(info->self, &rng_);
+  if (!down_tags.ok()) {
+    return false;
+  }
+  ++stats_.bootstraps_sent;
+  OutgoingBootstrap out;
+  out.mac = info->self.mac;
+  out.tags = std::move(down_tags.value());
+  out.payload = BootstrapPayload{std::move(info)};
+  out.bytes = MakeDumbNetPacket(agent_->mac(), out.mac, out.tags, out.payload).WireSize();
+  boot_queue_.push_back(std::move(out));
+  DN_FP_COMMUTES(kCtrlCpu, footprint::FpKey(agent_->mac(), kSaltCtrlCpu), kFpCpuQueue);
+  TimeNs start = std::max(sim_->Now(), cpu_free_);
+  cpu_free_ = start + config_.query_cost;
+  sim_->ScheduleAt(cpu_free_, [this] {
+    ++boot_ready_;
+    PumpBootstraps();
+  });
+  return true;
+}
+
+void ControllerService::PumpBootstraps() {
+  DN_FP_SCOPE("ctrl.bootstrap_pump", agent_->mac());
+  DN_FP_COMMUTES(kCtrlCpu, footprint::FpKey(agent_->mac(), kSaltBootQueue), kFpBootFifo);
+  if (pump_armed_) {
+    return;  // the armed pump event sends when there is room
+  }
+  Network& net = agent_->net();
+  const LinkIndex uplink = net.topo().host_at(agent_->host_index()).link;
+  const NodeId self = NodeId::Host(agent_->host_index());
+  const TimeNs now = sim_->Now();
+  while (boot_ready_ > 0) {
+    OutgoingBootstrap& head = boot_queue_.front();
+    const TimeNs at =
+        std::max(pump_next_, net.EgressRoomAt(uplink, self, head.bytes + kPumpHeadroom));
+    if (at > now) {
+      pump_armed_ = true;
+      sim_->ScheduleAt(at, [this] {
+        pump_armed_ = false;
+        PumpBootstraps();
+      });
+      return;
+    }
+    agent_->SendTags(head.tags, head.mac, std::move(head.payload));
+    boot_queue_.pop_front();
+    --boot_ready_;
+    pump_next_ = now + agent_->config().process_delay;
+  }
+  if (boot_queue_.empty()) {
+    ArmBootstrapResend();
+  }
+}
+
+void ControllerService::ArmBootstrapResend() {
+  if (resend_timer_.valid() || unacked_.empty() || !boot_queue_.empty() ||
+      resend_round_ >= kMaxBootstrapResends) {
+    return;
+  }
+  // The host's request backoff (HostAgent::SendPathRequest): exponential,
+  // capped at 16 request timeouts, plus up to a quarter more of hashed jitter.
+  const TimeNs backoff = agent_->config().request_timeout
+                         << std::min<uint32_t>(resend_round_, 4);
+  const uint64_t span = static_cast<uint64_t>(backoff / 4) + 1;
+  const TimeNs jitter = static_cast<TimeNs>(
+      footprint::FpKey(footprint::FpKey(config_.rng_seed, agent_->mac()), kSaltResend,
+                       resend_round_) %
+      span);
+  resend_timer_ = sim_->ScheduleAfter(backoff + jitter, [this] { ResendBootstraps(); });
+}
+
+void ControllerService::ResendBootstraps() {
+  DN_FP_SCOPE("ctrl.bootstrap_resend", agent_->mac());
+  DN_FP_COMMUTES(kCtrlCpu, footprint::FpKey(agent_->mac(), kSaltUnacked), kFpAckSet);
+  resend_timer_ = EventHandle();
+  if (!ready_) {
+    return;  // stopped: a crashed controller resends nothing
+  }
+  ++resend_round_;
+  for (auto& [mac, boot] : unacked_) {
+    if (boot == nullptr) {
+      auto loc = db_.LocateHost(mac);
+      if (loc.ok()) {
+        boot = MakeBootstrap(loc.value());
+      }
+    }
+    if (boot != nullptr && QueueBootstrap(boot)) {
+      ++stats_.bootstrap_resends;
+      DN_COUNTER_INC("ctrl.bootstrap_resends");
+    }
+  }
+  ArmBootstrapResend();
+}
+
+void ControllerService::AckBootstrap(uint64_t host_mac) {
+  DN_FP_COMMUTES(kCtrlCpu, footprint::FpKey(agent_->mac(), kSaltUnacked), kFpAckSet);
+  if (unacked_.erase(host_mac) == 0 || !unacked_.empty()) {
+    return;
+  }
+  boot_directory_.reset();  // hosts hold it now
+  sim_->Cancel(resend_timer_);
+  resend_timer_ = EventHandle();
+}
+
+std::vector<uint64_t> ControllerService::unacked_hosts() const {
+  std::vector<uint64_t> out;
+  out.reserve(unacked_.size());
+  for (const auto& [mac, boot] : unacked_) {
+    out.push_back(mac);
+  }
+  return out;
 }
 
 bool ControllerService::HandleControl(const Packet& pkt) {
   if (const auto* req = pkt.As<PathRequestPayload>()) {
+    AckBootstrap(req->requester_mac);
     if (!ready_) {
       return true;  // swallowed; the host's retry will find us ready
     }

@@ -8,6 +8,7 @@
 #define DUMBNET_SRC_CTRL_CONTROLLER_H_
 
 #include <cstdint>
+#include <deque>
 #include <functional>
 #include <map>
 #include <memory>
@@ -45,7 +46,8 @@ struct ControllerStats {
   // Copies of a query that arrived while the same (requester, dst) query was
   // still queued: merged into it, no CPU charged (see HandleControl).
   uint64_t queries_coalesced = 0;
-  uint64_t bootstraps_sent = 0;
+  uint64_t bootstraps_sent = 0;   // originals and resends, once each
+  uint64_t bootstrap_resends = 0;
   uint64_t link_events = 0;
   uint64_t patches_sent = 0;
   uint64_t reprobes = 0;
@@ -59,8 +61,9 @@ class ControllerService {
   ControllerService(HostAgent* agent, ControllerConfig config = ControllerConfig(),
                     DiscoveryConfig discovery_config = DiscoveryConfig());
 
-  // Full bring-up: run discovery, then bootstrap every host. `on_ready` fires when
-  // all bootstraps are on the wire.
+  // Full bring-up: run discovery, then bootstrap every host. `on_ready` fires
+  // once the bootstraps are queued and the controller serves queries; the
+  // bootstraps themselves leave as the uplink has room (see PumpBootstraps).
   void Start(std::function<void()> on_ready);
 
   // Bench/test path: adopt a ground-truth topology directly (skipping the probing
@@ -76,6 +79,13 @@ class ControllerService {
   // unanswered until a standby takes over).
   void Stop() { ready_ = false; }
   bool serving() const { return ready_; }
+
+  // Hosts whose bootstrap has not been acknowledged yet, in MAC order. A
+  // host acknowledges its bootstrap with the first path request it sends
+  // (HostAgent::ApplyBootstrap always sends one); until then the controller
+  // resends it, up to kMaxBootstrapResends times.
+  std::vector<uint64_t> unacked_hosts() const;
+  static constexpr uint32_t kMaxBootstrapResends = 10;
 
   TopoDb& db() { return db_; }
   DiscoveryService& discovery() { return discovery_; }
@@ -118,6 +128,20 @@ class ControllerService {
   void OnLinkEvent(const LinkEventPayload& ev);
   void FlushPatch();
   void BootstrapHosts();
+  // `loc`'s bootstrap, its path to the controller drawn from rng_; null when
+  // the controller cannot route to it yet.
+  std::shared_ptr<const BootstrapInfo> MakeBootstrap(const HostLocation& loc);
+  // Compiles the path down to `info`'s host, charges one query_cost of CPU
+  // and appends it to the pump's FIFO, where it becomes ready when that CPU
+  // slot ends. False when the host cannot be routed to.
+  bool QueueBootstrap(std::shared_ptr<const BootstrapInfo> info);
+  // Sends ready bootstraps from the FIFO head while the controller's uplink
+  // queue has room for them; otherwise re-arms for the moment it will.
+  void PumpBootstraps();
+  // Arms the resend timer when bootstraps are unacked and none is queued.
+  void ArmBootstrapResend();
+  void ResendBootstraps();
+  void AckBootstrap(uint64_t host_mac);
   // Tag path from the controller to a host (compiled on the global db). `rng`
   // breaks equal-cost ties: bulk work (bootstraps) passes the shared stream,
   // query serving passes a per-query stream derived from (requester, dst,
@@ -156,6 +180,26 @@ class ControllerService {
   // Path queries waiting in the CPU queue -> the highest attempt seen for each.
   // An ordered map keyed on the exact MAC pair: no hash, so no collisions.
   std::map<QueryKey, uint64_t> queued_queries_;
+
+  // Bootstrap pump: bootstraps in CPU order. The first `boot_ready_` have
+  // finished their CPU slot and wait only for room on the uplink.
+  struct OutgoingBootstrap {
+    uint64_t mac = 0;
+    TagList tags;  // controller -> host, ø excluded
+    BootstrapPayload payload;
+    int64_t bytes = 0;  // wire size
+  };
+  std::deque<OutgoingBootstrap> boot_queue_;
+  size_t boot_ready_ = 0;
+  bool pump_armed_ = false;
+  // No send before this: the previous bootstrap is still in the host's send
+  // pipeline, where the uplink backlog cannot see it yet.
+  TimeNs pump_next_ = 0;
+  // Unacknowledged hosts -> the bootstrap to resend (null: not buildable yet).
+  std::map<uint64_t, std::shared_ptr<const BootstrapInfo>> unacked_;
+  std::shared_ptr<const HostDirectory> boot_directory_;  // held while any is unacked
+  EventHandle resend_timer_;  // valid while armed
+  uint32_t resend_round_ = 0;
 
   // Pending patch accumulation.
   std::vector<WireLink> pending_removed_;

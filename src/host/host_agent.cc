@@ -55,7 +55,6 @@ HostAgent::HostAgent(Network* net, uint32_t host_index, HostAgentConfig config)
       host_index_(host_index),
       mac_(net->topo().host_at(host_index).mac),
       config_(config),
-      rng_(config.rng_seed ^ mac_),
       path_table_(config.rng_seed ^ mac_ ^ 0xABCDULL) {
   net->RegisterHostNode(host_index, this);
 }
@@ -523,8 +522,32 @@ void HostAgent::FloodToPeers(const Payload& payload, uint64_t exclude_mac) {
 // ---------------------------------------------------------------------------------
 // Bootstrap & controller protocol
 
+bool HostAgent::HoldsBootstrap(const BootstrapInfo& bootstrap) const {
+  if (!bootstrapped_ || !(self_ == bootstrap.self) ||
+      controller_mac_ != bootstrap.controller_mac) {
+    return false;
+  }
+  const TagList& up = bootstrap.path_to_controller;
+  const size_t len = !up.empty() && up.back() == kPathEndTag ? up.size() - 1 : up.size();
+  if (len != controller_tags_.size() ||
+      !std::equal(controller_tags_.begin(), controller_tags_.end(), up.begin())) {
+    return false;
+  }
+  const TopoDb::SharedDirectory& held = topo_cache_.db().host_base();
+  if (held == bootstrap.directory || bootstrap.directory == nullptr) {
+    return true;
+  }
+  return held != nullptr && *held == *bootstrap.directory;
+}
+
 void HostAgent::ApplyBootstrap(const BootstrapInfo& bootstrap) {
   DN_FP_WRITE(kHost, footprint::FpKey(mac_, kSaltBootstrap));
+  if (HoldsBootstrap(bootstrap)) {
+    // A resend whose original already arrived (its ack was still on the
+    // way): nothing to change, and the warm-up request below is already
+    // outstanding or answered.
+    return;
+  }
   self_ = bootstrap.self;
   controller_mac_ = bootstrap.controller_mac;
   controller_tags_ = bootstrap.path_to_controller;
@@ -565,71 +588,32 @@ void HostAgent::ApplyBootstrap(const BootstrapInfo& bootstrap) {
   }
 }
 
-void HostAgent::ComputeGossipPeers(const std::vector<HostLocation>& directory) {
+void HostAgent::ComputeGossipPeers(const HostDirectory& directory) {
   gossip_peers_.clear();
-  // All hosts on our own switch ("starts from the hosts on the same switch").
-  for (const HostLocation& loc : directory) {
-    if (loc.mac != mac_ && loc.switch_uid == self_.switch_uid) {
-      gossip_peers_.push_back(loc);
+  // All hosts on our own switch ("starts from the hosts on the same switch"),
+  // read from the directory's per-switch index.
+  for (uint32_t pos : directory.On(self_.switch_uid)) {
+    if (directory[pos].mac != mac_) {
+      gossip_peers_.push_back(directory[pos]);
     }
   }
   // Plus `gossip_fanout` ring successors by MAC order, skipping same-switch hosts
-  // (already peers). The ring guarantees the flood reaches every switch.
-  //
-  // The controller hands out the directory MAC-sorted (BootstrapHosts), so the
-  // common path walks it as the ring directly — no per-host re-sort, no linear
-  // lookup per successor, which at 16K+ hosts dominated bootstrap CPU. Arbitrary
-  // (unsorted) directories take the original sort-and-scan fallback.
-  auto by_mac = [](const HostLocation& a, const HostLocation& b) { return a.mac < b.mac; };
-  if (std::is_sorted(directory.begin(), directory.end(), by_mac)) {
-    const size_t n = directory.size();
-    const size_t start = static_cast<size_t>(
-        std::lower_bound(directory.begin(), directory.end(), HostLocation{mac_, 0, 0},
-                         by_mac) -
-        directory.begin());
-    const bool self_at_start = start < n && directory[start].mac == mac_;
-    uint32_t added = 0;
-    for (size_t k = 0; k < n && added < config_.gossip_fanout; ++k) {
-      const HostLocation& loc =
-          directory[(start + k + (self_at_start ? 1 : 0)) % n];
-      if (loc.mac == mac_ || loc.switch_uid == self_.switch_uid) {
-        continue;
-      }
-      gossip_peers_.push_back(loc);
-      ++added;
-      // Warm the route to this ring peer so failure floods do not stall on a
-      // controller query.
-      RequestPath(loc.mac);
-    }
-    return;
-  }
-  std::vector<uint64_t> macs;
-  macs.reserve(directory.size() + 1);
-  for (const HostLocation& loc : directory) {
-    if (loc.mac != mac_) {
-      macs.push_back(loc.mac);
-    }
-  }
-  macs.push_back(mac_);
-  std::sort(macs.begin(), macs.end());
-  auto self_it = std::find(macs.begin(), macs.end(), mac_);
-  size_t start = static_cast<size_t>(self_it - macs.begin());
+  // (already peers). The ring guarantees the flood reaches every switch. The
+  // directory is MAC-sorted, so the ring is the directory itself.
+  const size_t n = directory.size();
+  const size_t start = directory.LowerBound(mac_);
+  const bool self_at_start = start < n && directory[start].mac == mac_;
   uint32_t added = 0;
-  for (size_t i = 1; i < macs.size() && added < config_.gossip_fanout; ++i) {
-    uint64_t mac = macs[(start + i) % macs.size()];
-    if (mac == mac_) {
+  for (size_t k = 0; k < n && added < config_.gossip_fanout; ++k) {
+    const HostLocation& loc = directory[(start + k + (self_at_start ? 1 : 0)) % n];
+    if (loc.mac == mac_ || loc.switch_uid == self_.switch_uid) {
       continue;
     }
-    auto loc = std::find_if(directory.begin(), directory.end(),
-                            [mac](const HostLocation& l) { return l.mac == mac; });
-    if (loc == directory.end() || loc->switch_uid == self_.switch_uid) {
-      continue;
-    }
-    gossip_peers_.push_back(*loc);
+    gossip_peers_.push_back(loc);
     ++added;
     // Warm the route to this ring peer so failure floods do not stall on a
     // controller query.
-    RequestPath(mac);
+    RequestPath(loc.mac);
   }
 }
 

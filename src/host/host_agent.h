@@ -116,6 +116,9 @@ class HostAgent : public NetNode {
 
   // --- Bootstrap -------------------------------------------------------------------
   // Normally arrives from the controller; also callable directly in tests.
+  // Idempotent: a bootstrap equal to the one already applied (a controller
+  // resend) changes nothing. A first bootstrap always sends a path request
+  // for the controller, and that request is what acknowledges it.
   void ApplyBootstrap(const BootstrapInfo& bootstrap);
 
   // --- Control-plane plug-ins --------------------------------------------------------
@@ -167,6 +170,7 @@ class HostAgent : public NetNode {
   Network& net() { return *net_; }
   Simulator& sim() { return *sim_; }
   const std::vector<HostLocation>& gossip_peers() const { return gossip_peers_; }
+  const HostAgentConfig& config() const { return config_; }
   // Packets parked on a cache miss, waiting for the controller's answer.
   size_t parked_packets() const;
 
@@ -218,7 +222,9 @@ class HostAgent : public NetNode {
   // route (or re-ask for) every waiter.
   void AnswerPathRequest(uint64_t dst_mac);
   void FlushPending(uint64_t dst_mac);
-  void ComputeGossipPeers(const std::vector<HostLocation>& directory);
+  void ComputeGossipPeers(const HostDirectory& directory);
+  // True when `bootstrap` says what this host already applied.
+  bool HoldsBootstrap(const BootstrapInfo& bootstrap) const;
   Status InstallRoutesFor(uint64_t dst_mac);
 
   // One outstanding controller question per request key (RequestKey).
@@ -239,7 +245,6 @@ class HostAgent : public NetNode {
   uint32_t host_index_;
   uint64_t mac_;
   HostAgentConfig config_;
-  Rng rng_;
 
   bool bootstrapped_ = false;
   HostLocation self_;

@@ -1,8 +1,60 @@
 #include "src/host/topo_cache.h"
 
+#include <map>
+#include <tuple>
+#include <unordered_map>
+
 #include "src/routing/graph.h"
+#include "src/sim/footprint.h"
 
 namespace dumbnet {
+
+struct RouteSnapshot {
+  explicit RouteSnapshot(SwitchGraph g) : graph(std::move(g)), hash(graph.ContentHash()) {}
+
+  const SwitchGraph graph;
+  const uint64_t hash;
+  // KShortestPaths results on `graph`, keyed on (src_idx, dst_idx, k). Exact:
+  // Yen draws no randomness, and every mirror mutation bumps the db version,
+  // which moves the cache to another snapshot.
+  std::map<std::tuple<uint32_t, uint32_t, uint32_t>, Result<std::vector<SwitchPath>>> memo;
+};
+
+namespace {
+
+constexpr const char kFpSharedKspMemo[] =
+    "memo of a pure function of an immutable snapshot: every writer stores the same paths";
+
+// Live snapshots by content hash. Per thread: a wire-runtime process runs one
+// node per thread, and the memo is written without a lock. Entries are weak,
+// so a snapshot dies with its last cache; dead entries are swept in bulk.
+class SnapshotInterner {
+ public:
+  std::shared_ptr<RouteSnapshot> Intern(SwitchGraph graph) {
+    const uint64_t hash = graph.ContentHash();
+    auto [lo, hi] = table_.equal_range(hash);
+    for (auto it = lo; it != hi; ++it) {
+      if (auto live = it->second.lock(); live != nullptr && live->graph == graph) {
+        return live;
+      }
+    }
+    if (table_.size() >= sweep_at_) {
+      std::erase_if(table_, [](const auto& entry) { return entry.second.expired(); });
+      sweep_at_ = std::max<size_t>(kMinSweep, 2 * table_.size());
+    }
+    // Not make_shared: the weak entry must not pin the snapshot's storage.
+    std::shared_ptr<RouteSnapshot> fresh(new RouteSnapshot(std::move(graph)));
+    table_.emplace(hash, fresh);
+    return fresh;
+  }
+
+ private:
+  static constexpr size_t kMinSweep = 1024;
+  std::unordered_multimap<uint64_t, std::weak_ptr<RouteSnapshot>> table_;
+  size_t sweep_at_ = kMinSweep;
+};
+
+}  // namespace
 
 Status TopoCache::Integrate(const WirePathGraph& graph, const HostLocation& dst) {
   if (Status s = db_.MergePathGraph(graph); !s.ok()) {
@@ -50,14 +102,16 @@ void TopoCache::ApplyPatch(const std::vector<WireLink>& removed,
   }
 }
 
-const SwitchGraph& TopoCache::RoutingGraph() const {
-  if (graph_cache_ == nullptr || graph_version_ != db_.version()) {
-    graph_cache_ = std::make_shared<const SwitchGraph>(db_.mirror());
+RouteSnapshot& TopoCache::Snapshot() const {
+  if (snapshot_ == nullptr || graph_version_ != db_.version()) {
+    static thread_local SnapshotInterner interner;
+    snapshot_ = interner.Intern(SwitchGraph(db_.mirror()));
     graph_version_ = db_.version();
-    path_memo_.clear();
   }
-  return *graph_cache_;
+  return *snapshot_;
 }
+
+const SwitchGraph& TopoCache::RoutingGraph() const { return Snapshot().graph; }
 
 Result<CachedRoute> TopoCache::CompileUidPath(const std::vector<uint64_t>& uid_path,
                                               PortNum final_port) const {
@@ -86,13 +140,15 @@ Result<std::vector<CachedRoute>> TopoCache::ComputeRoutes(uint64_t src_uid,
   if (!dst_idx.ok()) {
     return dst_idx.error();
   }
-  const SwitchGraph& graph = RoutingGraph();  // first: a rebuild clears the memo
-  auto [it, inserted] = path_memo_.try_emplace(
+  RouteSnapshot& snap = Snapshot();
+  DN_FP_COMMUTES(kTopoCache, footprint::FpKey(snap.hash, src_idx.value(), dst_idx.value()),
+                 kFpSharedKspMemo);
+  auto [it, inserted] = snap.memo.try_emplace(
       std::make_tuple(src_idx.value(), dst_idx.value(), k), std::vector<SwitchPath>());
   if (inserted) {
     // One scratch per thread: a wire-runtime process runs one node per thread.
     static thread_local KspScratch scratch;
-    it->second = KShortestPaths(graph, src_idx.value(), dst_idx.value(), k, scratch);
+    it->second = KShortestPaths(snap.graph, src_idx.value(), dst_idx.value(), k, scratch);
     ++route_stats_.ksp_runs;
   } else {
     ++route_stats_.ksp_memo_hits;

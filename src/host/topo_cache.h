@@ -6,9 +6,7 @@
 #define DUMBNET_SRC_HOST_TOPO_CACHE_H_
 
 #include <cstdint>
-#include <map>
 #include <memory>
-#include <tuple>
 #include <vector>
 
 #include "src/host/path_table.h"
@@ -18,6 +16,10 @@
 #include "src/util/result.h"
 
 namespace dumbnet {
+
+// One routing snapshot: the adjacency of a mirror state plus the Yen runs made
+// on it (defined in topo_cache.cc).
+struct RouteSnapshot;
 
 class TopoCache {
  public:
@@ -53,6 +55,9 @@ class TopoCache {
   // unreachable within the cache. The switch paths are computed once per
   // (graph snapshot, source switch, destination switch, k) and memoized; the
   // tags are compiled on every call with the destination's current port.
+  // Snapshots are interned by content per thread: caches whose mirrors give
+  // equal adjacencies share one snapshot and its memo, since Yen is a pure
+  // function of the adjacency.
   Result<std::vector<CachedRoute>> ComputeRoutes(uint64_t src_uid, uint64_t dst_mac,
                                                  uint32_t k) const;
 
@@ -63,12 +68,16 @@ class TopoCache {
   Result<HostLocation> Locate(uint64_t mac) const { return db_.LocateHost(mac); }
   void UpsertHost(const HostLocation& loc) { db_.UpsertHost(loc); }
   // Adopts a bootstrap directory as the shared host base (TopoDb::UpsertHosts).
-  void UpsertHosts(TopoDb::HostDirectory directory) { db_.UpsertHosts(std::move(directory)); }
+  void UpsertHosts(TopoDb::SharedDirectory directory) { db_.UpsertHosts(std::move(directory)); }
 
   const TopoDb& db() const { return db_; }
   TopoDb& db() { return db_; }
 
   const RouteStats& route_stats() const { return route_stats_; }
+
+  // The adjacency ComputeRoutes runs on. Caches on one thread whose mirrors
+  // have equal adjacencies return the same object.
+  const SwitchGraph& RoutingGraph() const;
 
   // Rough memory footprint in bytes (Section 7.3 discusses cache cost). The
   // shared host directory is charged as an equal share per holder, so summing
@@ -78,24 +87,18 @@ class TopoCache {
  private:
   Result<CachedRoute> CompileUidPath(const std::vector<uint64_t>& uid_path,
                                      PortNum final_port) const;
-  // Adjacency snapshot for db_.mirror(), rebuilt only when the db version moved
-  // (the controller's RoutingGraph() pattern). ComputeRoutes is hot during
-  // bring-up — every response triggers route builds over an unchanged mirror —
-  // so the snapshot is cached across those const calls. A rebuild also drops
-  // path_memo_, which belongs to the snapshot it was computed on.
-  const SwitchGraph& RoutingGraph() const;
+  // The routing snapshot for db_.mirror(), re-interned only when the db
+  // version moved (the controller's RoutingGraph() pattern). ComputeRoutes is
+  // hot during bring-up — every response triggers route builds over an
+  // unchanged mirror — so the snapshot is cached across those const calls.
+  RouteSnapshot& Snapshot() const;
 
   TopoDb db_;
-  // shared_ptr: copyable with the cache (copies share the immutable snapshot
-  // until either side's db version moves on).
-  mutable std::shared_ptr<const SwitchGraph> graph_cache_;
+  // Shared with every cache on this thread whose mirror has the same
+  // adjacency, and with copies of this cache until either side's db version
+  // moves on.
+  mutable std::shared_ptr<RouteSnapshot> snapshot_;
   mutable uint64_t graph_version_ = UINT64_MAX;
-  // KShortestPaths results on graph_cache_, keyed on (src_idx, dst_idx, k).
-  // Exact: Yen draws no randomness, and every mirror mutation bumps the db
-  // version. Holds the current snapshot's entries only.
-  mutable std::map<std::tuple<uint32_t, uint32_t, uint32_t>,
-                   Result<std::vector<SwitchPath>>>
-      path_memo_;
   mutable RouteStats route_stats_;
   // Last backup path received per destination switch (UID form).
   std::unordered_map<uint64_t, std::vector<uint64_t>> backups_;

@@ -265,6 +265,29 @@ int64_t Network::QueueBacklog(LinkIndex li, const NodeId& from) const {
   return backlog;
 }
 
+TimeNs Network::EgressRoomAt(LinkIndex li, const NodeId& from, int64_t bytes) const {
+  const TimeNs now = sim_->Now();
+  if (li >= dirs_.size()) {
+    return now;
+  }
+  const Link& link = topo_->link_at(li);
+  const DirState& dir = dirs_[li][link.a.node == from ? 0 : 1];
+  const int64_t room = std::max<int64_t>(0, config_.queue_capacity_bytes - bytes);
+  const uint64_t cur = sim_->CurrentSeq();
+  TimeNs at = now;
+  int64_t backlog = dir.queued_bytes;
+  for (size_t i = dir.head; i < dir.pending.size() && backlog > room; ++i) {
+    const PendingTx& p = dir.pending[i];
+    if (!PendingDone(p, now, cur)) {
+      // Retired by an event at p.done: any event filed there later runs
+      // after it and sees the bytes gone.
+      at = p.done;
+    }
+    backlog -= p.size;
+  }
+  return at;
+}
+
 void Network::OnLinkStateChange(LinkIndex li, bool up) {
   const Link link = topo_->link_at(li);
   for (const Endpoint& e : {link.a, link.b}) {

@@ -101,6 +101,7 @@ class Network {
 
   // The simulator every node's events run on. Node constructors cache it.
   Simulator& sim() { return *sim_; }
+  const Simulator& sim() const { return *sim_; }
   Topology& topo() { return *topo_; }
   const Topology& topo() const { return *topo_; }
   const NetworkStats& stats() const { return stats_; }
@@ -122,6 +123,12 @@ class Network {
   // Bytes currently queued for transmission on the (link, direction-from-`from`)
   // egress — the physical signal ECN marking reads (no state added to switches).
   virtual int64_t QueueBacklog(LinkIndex li, const NodeId& from) const;
+
+  // The earliest virtual time, not before now, at which `bytes` more fit in
+  // that egress queue if nothing else is sent: now when they fit already,
+  // else the serialization end that frees enough of the backlog (the queue's
+  // full drain when `bytes` exceed its capacity).
+  virtual TimeNs EgressRoomAt(LinkIndex li, const NodeId& from, int64_t bytes) const;
 
  protected:
   // Registered node for `id`, or nullptr. Wire adapters deliver decoded frames

@@ -15,6 +15,7 @@
 #include <variant>
 #include <vector>
 
+#include "src/routing/host_directory.h"
 #include "src/routing/tags.h"
 #include "src/routing/wire_types.h"
 #include "src/sim/time.h"
@@ -119,7 +120,7 @@ struct BootstrapInfo {
   uint64_t controller_mac = 0;
   HostLocation controller_location;
   TagList path_to_controller;  // ø included
-  std::shared_ptr<const std::vector<HostLocation>> directory;
+  std::shared_ptr<const HostDirectory> directory;
 };
 
 // The bootstrap travels behind one shared pointer (like PathResponsePayload's

@@ -11,13 +11,12 @@ bool MacLess(const HostLocation& a, const HostLocation& b) { return a.mac < b.ma
 
 }  // namespace
 
-uint32_t TopoDb::EnsureSwitch(uint64_t uid, uint8_t num_ports) {
-  (void)num_ports;  // the mirror always allocates the full port space
+uint32_t TopoDb::EnsureSwitch(uint64_t uid) {
   auto it = uid_to_index_.find(uid);
   if (it != uid_to_index_.end()) {
     return it->second;
   }
-  uint32_t index = mirror_.AddSwitch(kMaxPorts);
+  uint32_t index = mirror_.AddSwitch(0);
   uid_to_index_.emplace(uid, index);
   index_to_uid_.push_back(uid);
   ++version_;
@@ -67,6 +66,11 @@ Status TopoDb::AddLink(const WireLink& link, bool revive) {
     mirror_.DetachLink(existing);
     ++version_;
   }
+  if (link.port_a > kMaxPorts || link.port_b > kMaxPorts) {
+    return Error(ErrorCode::kOutOfRange, "link port beyond the port space");
+  }
+  mirror_.GrowPorts(a, link.port_a);
+  mirror_.GrowPorts(b, link.port_b);
   auto r = mirror_.ConnectSwitches(a, link.port_a, b, link.port_b);
   if (!r.ok()) {
     return r.error();
@@ -95,31 +99,12 @@ void TopoDb::UpsertHost(const HostLocation& loc) {
   hosts_[loc.mac] = loc;
 }
 
-void TopoDb::UpsertHosts(HostDirectory directory) {
+void TopoDb::UpsertHosts(SharedDirectory directory) {
   if (directory == nullptr) {
     return;
   }
-  const bool strictly_sorted =
-      std::adjacent_find(directory->begin(), directory->end(),
-                         [](const HostLocation& a, const HostLocation& b) {
-                           return !MacLess(a, b);
-                         }) == directory->end();
-  if (!strictly_sorted) {
-    // Sort once into a private copy; the stable sort keeps duplicates in input
-    // order, so keeping the last of each run is "a later entry wins".
-    std::vector<HostLocation> copy = *directory;
-    std::stable_sort(copy.begin(), copy.end(), MacLess);
-    std::vector<HostLocation> unique;
-    unique.reserve(copy.size());
-    for (size_t i = 0; i < copy.size(); ++i) {
-      if (i + 1 == copy.size() || copy[i + 1].mac != copy[i].mac) {
-        unique.push_back(copy[i]);
-      }
-    }
-    directory = std::make_shared<const std::vector<HostLocation>>(std::move(unique));
-  }
   // Hosts only the old base knew stay known: they move to the overlay (unless
-  // it already has them). Both vectors are sorted, so one merge walk suffices.
+  // it already has them). Both are sorted, so one merge walk suffices.
   if (base_hosts_ != nullptr && base_hosts_ != directory) {
     auto next = directory->begin();
     for (const HostLocation& old : *base_hosts_) {
@@ -136,16 +121,6 @@ void TopoDb::UpsertHosts(HostDirectory directory) {
   std::erase_if(hosts_, [this](const auto& entry) {
     return FindInBase(entry.first) != nullptr;
   });
-}
-
-const HostLocation* TopoDb::FindInBase(uint64_t mac) const {
-  if (base_hosts_ == nullptr) {
-    return nullptr;
-  }
-  auto it = std::lower_bound(
-      base_hosts_->begin(), base_hosts_->end(), mac,
-      [](const HostLocation& loc, uint64_t key) { return loc.mac < key; });
-  return it != base_hosts_->end() && it->mac == mac ? &*it : nullptr;
 }
 
 Status TopoDb::MergePathGraph(const WirePathGraph& graph) {

@@ -5,9 +5,9 @@
 // TopoDb fed by path-graph responses. Internally it maintains a Topology mirror so
 // all routing algorithms (shortest path, k-SP, path graph) run on it unchanged.
 //
-// Host locations live in two layers. The base is an immutable, MAC-sorted
-// directory shared by pointer: every host bootstrapped from one controller
-// directory holds the same vector instead of a private copy of it. The overlay
+// Host locations live in two layers. The base is an immutable HostDirectory
+// shared by pointer: every host bootstrapped from one controller directory
+// holds the same object instead of a private copy of it. The overlay
 // is a small per-instance map of the locations that differ from (or are missing
 // from) the base — host moves, path-response locations — and wins over it.
 #ifndef DUMBNET_SRC_ROUTING_TOPO_DB_H_
@@ -18,6 +18,7 @@
 #include <unordered_map>
 #include <vector>
 
+#include "src/routing/host_directory.h"
 #include "src/routing/wire_types.h"
 #include "src/topo/topology.h"
 #include "src/util/result.h"
@@ -29,8 +30,9 @@ class TopoDb {
   TopoDb() = default;
 
   // Registers a switch if unseen; returns its local mirror index either way.
-  // `num_ports` grows a previously seen switch if a higher port shows up.
-  uint32_t EnsureSwitch(uint64_t uid, uint8_t num_ports = kMaxPorts);
+  // The mirror's port map starts empty and grows to the highest port a link
+  // is recorded on.
+  uint32_t EnsureSwitch(uint64_t uid);
 
   // Records a link; idempotent. Both switches are auto-registered. When the link
   // is already known, `revive` controls whether it is marked up again (the
@@ -47,12 +49,10 @@ class TopoDb {
   void UpsertHost(const HostLocation& loc);
 
   // Bulk form of UpsertHost over a whole directory, with the same result as
-  // calling it once per entry in order (a later duplicate MAC wins). The
-  // directory becomes the shared base; it is kept by pointer when already
-  // strictly MAC-sorted, otherwise sorted once into a private copy. Null is a
-  // no-op.
-  using HostDirectory = std::shared_ptr<const std::vector<HostLocation>>;
-  void UpsertHosts(HostDirectory directory);
+  // calling it once per entry in MAC order. The directory becomes the shared
+  // base, kept by pointer. Null is a no-op.
+  using SharedDirectory = std::shared_ptr<const HostDirectory>;
+  void UpsertHosts(SharedDirectory directory);
 
   // Merges a path graph received from the controller: its switches and links all
   // become part of this db. New links are inserted up; links already known keep
@@ -74,7 +74,7 @@ class TopoDb {
 
   // The shared base directory (null before the first UpsertHosts) and the
   // number of overlay entries; memory accounting and tests read these.
-  const HostDirectory& host_base() const { return base_hosts_; }
+  const SharedDirectory& host_base() const { return base_hosts_; }
   size_t overlay_host_count() const { return hosts_.size(); }
 
   // True if a link between (uid_a, port_a) and (uid_b, port_b) is recorded.
@@ -108,14 +108,16 @@ class TopoDb {
  private:
   Result<LinkIndex> FindLinkAt(uint64_t uid, PortNum port) const;
   // The base's entry for `mac`, or null.
-  const HostLocation* FindInBase(uint64_t mac) const;
+  const HostLocation* FindInBase(uint64_t mac) const {
+    return base_hosts_ != nullptr ? base_hosts_->Find(mac) : nullptr;
+  }
 
   Topology mirror_;
   std::unordered_map<uint64_t, uint32_t> uid_to_index_;
   std::vector<uint64_t> index_to_uid_;
-  // Base: shared, immutable, strictly MAC-sorted. Overlay: never holds an
-  // entry equal to the base's for the same MAC.
-  HostDirectory base_hosts_;
+  // Base: shared and immutable. Overlay: never holds an entry equal to the
+  // base's for the same MAC.
+  SharedDirectory base_hosts_;
   std::unordered_map<uint64_t, HostLocation> hosts_;
   uint64_t version_ = 0;
 };

@@ -43,6 +43,14 @@ uint32_t Topology::AddSwitch(uint8_t num_ports) {
   return static_cast<uint32_t>(switches_.size() - 1);
 }
 
+void Topology::GrowPorts(uint32_t sw, PortNum num_ports) {
+  SwitchInfo& info = switches_[sw];
+  if (num_ports > info.num_ports) {
+    info.num_ports = num_ports;
+    info.port_link.resize(static_cast<size_t>(num_ports) + 1, kInvalidLink);
+  }
+}
+
 uint32_t Topology::AddHost() {
   HostInfo info;
   info.mac = host_mac_base() + hosts_.size();

@@ -98,6 +98,11 @@ class Topology {
   uint32_t AddSwitch(uint8_t num_ports);
   uint32_t AddHost();
 
+  // Raises switch `sw`'s port count to `num_ports`; never shrinks it. A
+  // discovered mirror adds switches with no ports and grows each one to the
+  // highest port it has seen a link on.
+  void GrowPorts(uint32_t sw, PortNum num_ports);
+
   // Connects two endpoints with a fresh link. Fails if a port is out of range or
   // already wired.
   Result<LinkIndex> Connect(Endpoint a, Endpoint b, double bandwidth_gbps = 10.0,

@@ -294,13 +294,13 @@ bool GetPayload(ByteReader& r, Payload* payload) {
         if (!r.ok() || r.remaining() < n * 17) {
           return false;
         }
-        auto dir = std::make_shared<std::vector<HostLocation>>(n);
-        for (HostLocation& loc : *dir) {
+        std::vector<HostLocation> dir(n);
+        for (HostLocation& loc : dir) {
           if (!GetLocation(r, &loc)) {
             return false;
           }
         }
-        p->directory = std::move(dir);
+        p->directory = std::make_shared<const HostDirectory>(std::move(dir));
       }
       *payload = BootstrapPayload{std::move(p)};
       break;

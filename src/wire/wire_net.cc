@@ -68,6 +68,13 @@ int64_t WireNetAdapter::QueueBacklog(LinkIndex li, const NodeId& from) const {
   return backlog_probe_(1);
 }
 
+TimeNs WireNetAdapter::EgressRoomAt(LinkIndex li, const NodeId& from, int64_t bytes) const {
+  (void)li;
+  (void)from;
+  (void)bytes;
+  return sim().Now();
+}
+
 void WireNetAdapter::DeliverLocal(Packet&& pkt, PortNum in_port) {
   NetNode* node = self_node_ != nullptr ? self_node_ : (self_node_ = NodeFor(self_));
   if (node == nullptr) {

@@ -13,6 +13,8 @@
 //   * QueueBacklog reports the port connection's unsent byte count, so the
 //     switch's ECN marking reads real socket backpressure instead of the
 //     simulated egress queue.
+//   * EgressRoomAt always reports room now: the connection's send buffer
+//     takes the frame, and socket backpressure paces it.
 //
 // Inbound, the node decodes kPacket frames and calls DeliverLocal(), which
 // forwards to the registered NetNode — the same HandlePacket entry the
@@ -55,6 +57,7 @@ class WireNetAdapter : public Network {
   void SendFromSwitchOn(uint32_t sw, PortNum port, LinkIndex li, Packet pkt) override;
   void SendFromHost(uint32_t host, Packet pkt) override;
   int64_t QueueBacklog(LinkIndex li, const NodeId& from) const override;
+  TimeNs EgressRoomAt(LinkIndex li, const NodeId& from, int64_t bytes) const override;
 
   // A decoded kPacket frame arrived on `in_port` of the local node.
   void DeliverLocal(Packet&& pkt, PortNum in_port);

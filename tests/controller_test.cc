@@ -656,5 +656,153 @@ TEST(RouteQualityTest, CacheRoutesMatchControllerPrimaries) {
   EXPECT_LE(max_load(host_load) * 10, max_load(ctrl_load) * 11);
 }
 
+// --- Bootstrap pump, acks and resends ----------------------------------------
+
+// The bringup_ls4k fabric: 4 spines x 64 leaves x 64 hosts. A bootstrap there
+// (~70 KB) takes longer to serialize than its 30 us CPU slot, so bootstraps
+// sent at CPU pace overflowed the controller's uplink queue.
+TEST(BootstrapPumpTest, EveryHostOfA4kLeafSpineIsBootstrapped) {
+  LeafSpineConfig config;
+  config.num_spine = 4;
+  config.num_leaf = 64;
+  config.hosts_per_leaf = 64;
+  config.switch_ports = 72;
+  auto ls = MakeLeafSpine(config);
+  ASSERT_TRUE(ls.ok());
+  TestFabric fabric(std::move(ls.value().topo));
+  ASSERT_EQ(fabric.host_count(), 4096u);
+  DiscoveryConfig discovery;
+  discovery.max_ports = config.switch_ports;
+  ASSERT_TRUE(fabric.BringUp(0, ControllerConfig(), discovery));
+  size_t bootstrapped = 0;
+  for (uint32_t h = 0; h < fabric.host_count(); ++h) {
+    if (fabric.agent(h).bootstrapped()) {
+      ++bootstrapped;
+    }
+  }
+  EXPECT_EQ(bootstrapped, fabric.host_count());
+  EXPECT_EQ(fabric.net().stats().dropped_queue_full, 0u);
+  EXPECT_TRUE(fabric.controller().unacked_hosts().empty());
+  EXPECT_EQ(fabric.controller().stats().bootstrap_resends, 0u);
+}
+
+std::unique_ptr<TestFabric> MakeSmallLeafSpine() {
+  LeafSpineConfig config;
+  config.num_spine = 2;
+  config.num_leaf = 3;
+  config.hosts_per_leaf = 4;
+  config.switch_ports = 8;
+  auto ls = MakeLeafSpine(config);
+  EXPECT_TRUE(ls.ok());
+  return std::make_unique<TestFabric>(std::move(ls.value().topo));
+}
+
+// Takes a host's uplink down the moment the controller starts serving, which
+// is after discovery found the host and before its bootstrap leaves, and
+// brings it back `restore_after` later (never when negative).
+struct UplinkSaboteur {
+  TestFabric* fabric;
+  LinkIndex link;
+  TimeNs restore_after;
+
+  void Poll() {
+    if (!fabric->has_controller() || !fabric->controller().serving()) {
+      fabric->sim().ScheduleAfter(Us(5), [this] { Poll(); });
+      return;
+    }
+    fabric->topo().SetLinkUp(link, false);
+    if (restore_after >= 0) {
+      fabric->sim().ScheduleAfter(restore_after,
+                                  [this] { fabric->topo().SetLinkUp(link, true); });
+    }
+  }
+};
+
+TEST(BootstrapAckTest, ResendReachesAHostWhoseUplinkCameBack) {
+  auto fabric = MakeSmallLeafSpine();
+  const uint32_t host = static_cast<uint32_t>(fabric->host_count() - 1);
+  UplinkSaboteur saboteur{fabric.get(), fabric->topo().host_at(host).link, Ms(10)};
+  fabric->sim().ScheduleAt(0, [&saboteur] { saboteur.Poll(); });
+  ASSERT_TRUE(fabric->BringUp(0, ControllerConfig(), FastDiscovery(8)));
+  EXPECT_TRUE(fabric->agent(host).bootstrapped());
+  EXPECT_TRUE(fabric->controller().unacked_hosts().empty());
+  EXPECT_GE(fabric->controller().stats().bootstrap_resends, 1u);
+}
+
+TEST(BootstrapAckTest, HostThatNeverAcksFailsBringUpAndIsNamed) {
+  auto fabric = MakeSmallLeafSpine();
+  const uint32_t host = static_cast<uint32_t>(fabric->host_count() - 1);
+  UplinkSaboteur saboteur{fabric.get(), fabric->topo().host_at(host).link, -1};
+  fabric->sim().ScheduleAt(0, [&saboteur] { saboteur.Poll(); });
+  EXPECT_FALSE(fabric->BringUp(0, ControllerConfig(), FastDiscovery(8)));
+  EXPECT_FALSE(fabric->agent(host).bootstrapped());
+  EXPECT_EQ(fabric->controller().unacked_hosts(),
+            std::vector<uint64_t>{fabric->agent(host).mac()});
+  EXPECT_EQ(fabric->controller().stats().bootstrap_resends,
+            ControllerService::kMaxBootstrapResends);
+}
+
+// What a bring-up leaves behind at one host, and across the fabric.
+struct BootstrapOutcome {
+  uint64_t host_requests = 0;
+  uint64_t host_responses = 0;
+  uint64_t fabric_requests = 0;
+  uint64_t fabric_responses = 0;
+  size_t routes = 0;
+};
+
+// Brings up the small leaf-spine; with `duplicate`, `host` gets its bootstrap
+// a second time 3 us after the first, while its warm-up requests are out.
+BootstrapOutcome RunWithDuplicateBootstrap(uint32_t host, bool duplicate) {
+  auto fabric = MakeSmallLeafSpine();
+  HostAgent& agent = fabric->agent(host);
+  std::shared_ptr<const BootstrapInfo> boot;
+  agent.SetControlHandler([&](const Packet& pkt) {
+    const auto* payload = pkt.As<BootstrapPayload>();
+    if (payload == nullptr || boot != nullptr) {
+      return false;
+    }
+    boot = payload->info;
+    if (duplicate) {
+      fabric->sim().ScheduleAfter(Us(3), [&] {
+        const uint64_t requests = agent.stats().path_requests;
+        const std::vector<HostLocation> peers = agent.gossip_peers();
+        const uint64_t version = agent.topo_cache().db().version();
+        const TopoDb::SharedDirectory directory = agent.topo_cache().db().host_base();
+        const size_t routes = agent.path_table().size();
+        agent.ApplyBootstrap(*boot);
+        EXPECT_EQ(agent.stats().path_requests, requests);
+        EXPECT_EQ(agent.gossip_peers(), peers);
+        EXPECT_EQ(agent.topo_cache().db().version(), version);
+        EXPECT_EQ(agent.topo_cache().db().host_base(), directory);
+        EXPECT_EQ(agent.path_table().size(), routes);
+      });
+    }
+    return false;  // the agent applies it
+  });
+  EXPECT_TRUE(fabric->BringUp(0, ControllerConfig(), FastDiscovery(8)));
+  EXPECT_NE(boot, nullptr);
+  BootstrapOutcome out;
+  out.host_requests = agent.stats().path_requests;
+  out.host_responses = agent.stats().path_responses;
+  out.routes = agent.path_table().size();
+  for (uint32_t h = 0; h < fabric->host_count(); ++h) {
+    out.fabric_requests += fabric->agent(h).stats().path_requests;
+    out.fabric_responses += fabric->agent(h).stats().path_responses;
+  }
+  return out;
+}
+
+TEST(BootstrapAckTest, DuplicateBootstrapChangesNothing) {
+  const BootstrapOutcome once = RunWithDuplicateBootstrap(5, false);
+  const BootstrapOutcome twice = RunWithDuplicateBootstrap(5, true);
+  EXPECT_GT(once.host_requests, 0u);
+  EXPECT_EQ(twice.host_requests, once.host_requests);
+  EXPECT_EQ(twice.host_responses, once.host_responses);
+  EXPECT_EQ(twice.routes, once.routes);
+  EXPECT_EQ(twice.fabric_requests, once.fabric_requests);
+  EXPECT_EQ(twice.fabric_responses, once.fabric_responses);
+}
+
 }  // namespace
 }  // namespace dumbnet

@@ -2,6 +2,8 @@
 // and HostAgent behaviours that do not need a controller.
 #include <gtest/gtest.h>
 
+#include <set>
+
 #include "src/host/host_agent.h"
 #include "src/host/path_table.h"
 #include "src/host/path_verifier.h"
@@ -232,6 +234,35 @@ TEST(TopoCacheTest, MemoizedRoutesFollowEveryCacheChange) {
   ExpectFreshRoutes(cache, 100, 55);
 }
 
+// Caches whose mirrors have equal adjacencies share one snapshot and its Yen
+// runs. A link going down in one moves only that cache to a new snapshot; each
+// keeps routing over its own view, and they share again once the views meet.
+TEST(TopoCacheTest, EqualCachesShareOneSnapshotUntilALinkSplitsThem) {
+  TopoCache a;
+  TopoCache b;
+  ASSERT_TRUE(a.Integrate(DiamondGraph(), HostLocation{55, 103, 7}).ok());
+  ASSERT_TRUE(b.Integrate(DiamondGraph(), HostLocation{55, 103, 7}).ok());
+  ExpectFreshRoutes(a, 100, 55);
+  ExpectFreshRoutes(b, 100, 55);
+  EXPECT_EQ(&a.RoutingGraph(), &b.RoutingGraph());
+  EXPECT_EQ(a.route_stats().ksp_runs, 1u);
+  EXPECT_EQ(b.route_stats().ksp_runs, 0u);  // b's routes came from a's Yen run
+  EXPECT_EQ(b.route_stats().ksp_memo_hits, 1u);
+
+  ASSERT_TRUE(a.MarkLinkAt(101, 2, false).ok());
+  EXPECT_NE(&a.RoutingGraph(), &b.RoutingGraph());
+  ASSERT_EQ(a.ComputeRoutes(100, 55, 4).value().size(), 1u);
+  ASSERT_EQ(b.ComputeRoutes(100, 55, 4).value().size(), 2u);
+  ExpectFreshRoutes(a, 100, 55);
+  ExpectFreshRoutes(b, 100, 55);
+
+  ASSERT_TRUE(a.MarkLinkAt(101, 2, true).ok());
+  EXPECT_EQ(&a.RoutingGraph(), &b.RoutingGraph());
+  const uint64_t runs = a.route_stats().ksp_runs;
+  ExpectFreshRoutes(a, 100, 55);
+  EXPECT_EQ(a.route_stats().ksp_runs, runs);  // b's snapshot already had it
+}
+
 TEST(TopoCacheTest, ApproxBytesGrows) {
   TopoCache cache;
   size_t before = cache.ApproxBytes();
@@ -373,7 +404,7 @@ TEST(HostAgentTest, BootstrappedHostsShareOneDirectory) {
   TestFabric fabric(std::move(tb.value().topo));
   fabric.BringUpAdopted(25);
 
-  const TopoDb::HostDirectory& shared = fabric.agent(0).topo_cache().db().host_base();
+  const TopoDb::SharedDirectory& shared = fabric.agent(0).topo_cache().db().host_base();
   ASSERT_NE(shared, nullptr);
   EXPECT_EQ(shared->size(), fabric.host_count());
   size_t directory_share_sum = 0;
@@ -393,6 +424,24 @@ TEST(HostAgentTest, BootstrappedHostsShareOneDirectory) {
   // Summed over every holder, the shared directory is charged once, not once
   // per host.
   EXPECT_EQ(directory_share_sum, shared->size() * 24);
+}
+
+// Hosts behind one leaf learn the same switches in the same order, so their
+// caches route over one shared snapshot rather than one each.
+TEST(HostAgentTest, HostsWithEqualCachesShareOneSnapshot) {
+  LeafSpineConfig config;
+  config.num_spine = 2;
+  config.num_leaf = 4;
+  config.hosts_per_leaf = 6;
+  auto ls = MakeLeafSpine(config);
+  ASSERT_TRUE(ls.ok());
+  TestFabric fabric(std::move(ls.value().topo));
+  fabric.BringUpAdopted(0);
+  std::set<const SwitchGraph*> snapshots;
+  for (uint32_t h = 0; h < fabric.host_count(); ++h) {
+    snapshots.insert(&fabric.agent(h).topo_cache().RoutingGraph());
+  }
+  EXPECT_LT(snapshots.size(), fabric.host_count() / 2);
 }
 
 }  // namespace

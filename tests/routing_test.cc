@@ -597,13 +597,13 @@ TEST(PathGraphBatchTest, UnreachableDestinationYieldsErrorEntry) {
 
 // --- TopoDb host store: shared base + overlay ---------------------------------------
 
-TopoDb::HostDirectory SortedDirectory() {
-  return std::make_shared<const std::vector<HostLocation>>(
+TopoDb::SharedDirectory SortedDirectory() {
+  return std::make_shared<const HostDirectory>(
       std::vector<HostLocation>{{10, 100, 1}, {20, 100, 2}, {30, 101, 1}});
 }
 
 TEST(TopoDbHostsTest, SortedDirectoryIsSharedNotCopied) {
-  TopoDb::HostDirectory dir = SortedDirectory();
+  TopoDb::SharedDirectory dir = SortedDirectory();
   TopoDb a;
   TopoDb b;
   a.UpsertHosts(dir);
@@ -640,30 +640,55 @@ TEST(TopoDbHostsTest, OverlayMoveWinsOverBase) {
 
 TEST(TopoDbHostsTest, BulkUpsertMatchesOneByOne) {
   // Unsorted, with a duplicate MAC whose later entry must win.
-  auto unsorted = std::make_shared<const std::vector<HostLocation>>(std::vector<HostLocation>{
-      {30, 101, 1}, {10, 100, 1}, {20, 100, 2}, {10, 102, 9}});
+  const std::vector<HostLocation> unsorted{
+      {30, 101, 1}, {10, 100, 1}, {20, 100, 2}, {10, 102, 9}};
   TopoDb bulk;
   bulk.UpsertHost(HostLocation{10, 103, 3});  // overwritten by the directory
   bulk.UpsertHost(HostLocation{50, 103, 4});  // kept
-  bulk.UpsertHosts(unsorted);
+  bulk.UpsertHosts(std::make_shared<const HostDirectory>(unsorted));
   TopoDb one_by_one;
   one_by_one.UpsertHost(HostLocation{10, 103, 3});
   one_by_one.UpsertHost(HostLocation{50, 103, 4});
-  for (const HostLocation& loc : *unsorted) {
+  for (const HostLocation& loc : unsorted) {
     one_by_one.UpsertHost(loc);
   }
-  EXPECT_NE(bulk.host_base(), unsorted);  // sorted into a private copy
+  EXPECT_EQ(bulk.host_base()->size(), 3u);  // sorted, one entry per MAC
   EXPECT_EQ(bulk.Directory(), one_by_one.Directory());
   EXPECT_EQ(bulk.host_count(), 4u);
   EXPECT_EQ(bulk.LocateHost(10).value(), (HostLocation{10, 102, 9}));
 
   // A second directory replaces the base; hosts only the old one knew stay.
-  bulk.UpsertHosts(std::make_shared<const std::vector<HostLocation>>(
+  bulk.UpsertHosts(std::make_shared<const HostDirectory>(
       std::vector<HostLocation>{{20, 104, 1}, {40, 104, 2}}));
   one_by_one.UpsertHost(HostLocation{20, 104, 1});
   one_by_one.UpsertHost(HostLocation{40, 104, 2});
   EXPECT_EQ(bulk.Directory(), one_by_one.Directory());
   EXPECT_EQ(bulk.host_count(), 5u);
+}
+
+TEST(HostDirectoryTest, IndexesHostsBySwitchInMacOrder) {
+  const HostDirectory dir(std::vector<HostLocation>{
+      {40, 101, 3}, {10, 100, 1}, {30, 100, 2}, {20, 101, 1}, {50, 102, 1}});
+  ASSERT_EQ(dir.size(), 5u);
+  for (size_t i = 1; i < dir.size(); ++i) {
+    EXPECT_LT(dir[i - 1].mac, dir[i].mac);
+  }
+  auto macs_on = [&dir](uint64_t uid) {
+    std::vector<uint64_t> macs;
+    for (uint32_t pos : dir.On(uid)) {
+      macs.push_back(dir[pos].mac);
+    }
+    return macs;
+  };
+  EXPECT_EQ(macs_on(100), (std::vector<uint64_t>{10, 30}));
+  EXPECT_EQ(macs_on(101), (std::vector<uint64_t>{20, 40}));
+  EXPECT_EQ(macs_on(102), (std::vector<uint64_t>{50}));
+  EXPECT_TRUE(macs_on(99).empty());
+  EXPECT_TRUE(macs_on(103).empty());
+  ASSERT_NE(dir.Find(30), nullptr);
+  EXPECT_EQ(*dir.Find(30), (HostLocation{30, 100, 2}));
+  EXPECT_EQ(dir.Find(35), nullptr);
+  EXPECT_EQ(dir.LowerBound(35), 3u);
 }
 
 }  // namespace

@@ -83,7 +83,7 @@ std::vector<Packet> SamplePackets() {
   boot->controller_mac = 0x111;
   boot->controller_location = HostLocation{0x111, 0xCAFE, 6};
   boot->path_to_controller = {2, 3, kPathEndTag};
-  boot->directory = std::make_shared<std::vector<HostLocation>>(
+  boot->directory = std::make_shared<const HostDirectory>(
       std::vector<HostLocation>{{0x909, 0xFACE, 5}, {0x111, 0xCAFE, 6}});
   out.push_back(MakeDumbNetPacket(0x111, 0x909, {2, 3}, BootstrapPayload{boot}));
 
@@ -230,14 +230,14 @@ TEST(FrameTest, PacketFramesMatchGoldenBytes) {
                 "4e4401048600000009090000000000001101000000000000009803000203ff00"
                 "0000000000000000000000000000000000000000000000070909000000000000"
                 "cefa0000000000000511010000000000001101000000000000feca0000000000"
-                "000603000203ff01020000000909000000000000cefa00000000000005110100"
-                "0000000000feca00000000000006");
+                "000603000203ff01020000001101000000000000feca00000000000006090900"
+                "0000000000cefa00000000000005");
     }
   }
 }
 
-// The codec keeps a directory's wire order; a host store fed an unsorted one
-// (the sample's is) must still resolve every MAC from its private sorted copy.
+// A frame may carry a directory in any order: the decoder sorts and indexes
+// it once, and a host store fed the result resolves every MAC.
 TEST(FrameTest, DecodedUnsortedDirectoryResolvesEveryMac) {
   for (const Packet& pkt : SamplePackets()) {
     const auto* sent = pkt.As<BootstrapPayload>();
@@ -246,18 +246,21 @@ TEST(FrameTest, DecodedUnsortedDirectoryResolvesEveryMac) {
     }
     const BootstrapInfo* boot = sent->info.get();
     ASSERT_NE(boot, nullptr);
-    auto decoded = DecodePacketBody(BodyOf(EncodePacketFrame(pkt)));
+    ASSERT_EQ(boot->directory->size(), 2u);
+    // The directory's two 17-byte entries end the body: swap them.
+    const std::string frame = EncodePacketFrame(pkt);
+    std::string body(BodyOf(frame));
+    const size_t at = body.size() - 2 * 17;
+    std::rotate(body.begin() + static_cast<std::ptrdiff_t>(at),
+                body.begin() + static_cast<std::ptrdiff_t>(at + 17), body.end());
+    auto decoded = DecodePacketBody(body);
     ASSERT_TRUE(decoded.ok());
     const auto* got_payload = decoded.value().As<BootstrapPayload>();
     ASSERT_NE(got_payload, nullptr);
     const BootstrapInfo* got = got_payload->info.get();
     ASSERT_NE(got, nullptr);
     ASSERT_NE(got->directory, nullptr);
-    ASSERT_EQ(*got->directory, *boot->directory);
-    ASSERT_FALSE(std::is_sorted(got->directory->begin(), got->directory->end(),
-                                [](const HostLocation& a, const HostLocation& b) {
-                                  return a.mac < b.mac;
-                                }));
+    EXPECT_EQ(*got->directory, *boot->directory);
     TopoDb db;
     db.UpsertHosts(got->directory);
     EXPECT_EQ(db.host_count(), got->directory->size());
