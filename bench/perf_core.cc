@@ -14,6 +14,8 @@
 //   bring_up_wall         full discovery + bootstrap wall-clock, 1k/4k/16k hosts
 //   host_routes_per_sec   TopoCache::BuildEntry over every edge-switch pair
 //   packet_path_*         warm fat-tree ping mesh: wall ns per switch hop, events/s
+//   notification_storm_*  fat-tree link-down storms: wall ns per delivered copy,
+//                         peak descriptors and packet bodies
 #include <algorithm>
 #include <chrono>
 #include <cstdio>
@@ -610,6 +612,65 @@ PacketPathResult RunPacketPath(int rounds) {
   return r;
 }
 
+// ---------------------------------------------------------------------------
+// Workload 6: a notification storm. On a fat-tree k=8 with adopted bring-up,
+// one aggregation-core link goes down and the fabric runs to quiescence, then
+// it comes back up and the fabric runs again; each round takes another link.
+// Every delivery of the storm is a hop-limited flood copy or the hosts'
+// reaction to one, so wall ns per delivered copy prices the flood path, and
+// the pools' high-water marks show how many bodies its copies shared.
+// ---------------------------------------------------------------------------
+struct StormResult {
+  double ns_per_copy = 0;
+  uint64_t copies = 0;
+  size_t descriptors_peak = 0;
+  size_t bodies_peak = 0;
+  size_t left_live = 0;  // descriptors and bodies still out at quiescence
+};
+
+StormResult RunNotificationStorm(int rounds) {
+  FatTreeConfig config;
+  config.k = 8;
+  auto ft = MakeFatTree(config);
+  std::vector<std::pair<uint32_t, uint32_t>> agg_core;  // (aggregation, core) pairs
+  for (uint32_t agg : ft.value().aggregation) {
+    for (uint32_t core : ft.value().core) {
+      agg_core.emplace_back(agg, core);
+    }
+  }
+  SimulatedFabric fabric(std::move(ft.value().topo));
+  fabric.BringUpAdopted(0);
+  std::vector<LinkIndex> links;
+  const Topology& topo = fabric.topo();
+  for (LinkIndex li = 0; li < topo.link_count(); ++li) {
+    const Link& link = topo.link_at(li);
+    for (const auto& [agg, core] : agg_core) {
+      if ((link.a.node == NodeId::Switch(agg) && link.b.node == NodeId::Switch(core)) ||
+          (link.b.node == NodeId::Switch(agg) && link.a.node == NodeId::Switch(core))) {
+        links.push_back(li);
+      }
+    }
+  }
+  StormResult r;
+  const uint64_t delivered_before = fabric.net().stats().delivered;
+  const double secs = WallSeconds([&] {
+    for (int i = 0; i < rounds; ++i) {
+      const LinkIndex li = links[static_cast<size_t>(i) * 7 % links.size()];
+      fabric.topo().SetLinkUp(li, false);
+      fabric.Run();
+      fabric.topo().SetLinkUp(li, true);
+      fabric.Run();
+    }
+  });
+  const Network::PacketPoolStats pools = fabric.net().packet_pool_stats();
+  r.copies = fabric.net().stats().delivered - delivered_before;
+  r.ns_per_copy = secs * 1e9 / static_cast<double>(r.copies);
+  r.descriptors_peak = pools.descriptors_peak;
+  r.bodies_peak = pools.bodies_peak;
+  r.left_live = pools.descriptors_live + pools.bodies_live;
+  return r;
+}
+
 }  // namespace
 
 int main(int argc, char** argv) {
@@ -762,16 +823,44 @@ int main(int argc, char** argv) {
   report.Add("perf_core", "hot_scope_allocs", static_cast<double>(path_allocs), "allocs",
              {{"section", "packet_path"}});
 
+  // --- 6. notification storm ----------------------------------------------
+  const int storm_rounds = args.quick ? 2 : 8;
+  StormResult storm;
+  const uint64_t storm_allocs =
+      HotAllocsDuring([&] { storm = RunNotificationStorm(storm_rounds); });
+  std::printf("\nnotification storm (fat-tree k=8, %d aggregation-core link down/up rounds):\n",
+              storm_rounds);
+  std::printf("  %12.1f ns per delivered copy (%lu copies)\n", storm.ns_per_copy,
+              static_cast<unsigned long>(storm.copies));
+  std::printf("  %12zu descriptors, %zu bodies at peak\n", storm.descriptors_peak,
+              storm.bodies_peak);
+  if (storm.left_live != 0) {
+    std::fprintf(stderr, "notification storm: %zu descriptors/bodies out at quiescence\n",
+                 storm.left_live);
+    return 1;
+  }
+  const bench::JsonReporter::Params storm_params = {
+      {"topology", "fattree8"}, {"rounds", std::to_string(storm_rounds)}};
+  report.Add("perf_core", "notification_storm_ns_per_copy", storm.ns_per_copy, "ns",
+             storm_params);
+  report.Add("perf_core", "notification_storm_descriptors_peak",
+             static_cast<double>(storm.descriptors_peak), "descriptors", storm_params);
+  report.Add("perf_core", "notification_storm_bodies_peak",
+             static_cast<double>(storm.bodies_peak), "bodies", storm_params);
+  report.Add("perf_core", "hot_scope_allocs", static_cast<double>(storm_allocs), "allocs",
+             {{"section", "notification_storm"}});
+
   if (args.quick) {
     std::printf("\n(quick mode: reduced event count, repeats, and host sweep)\n");
   }
   std::printf("\nhot-scope allocations (contract checker): drain=%lu batch=%lu "
-              "bring_up=%lu routes=%lu packet_path=%lu\n",
+              "bring_up=%lu routes=%lu packet_path=%lu storm=%lu\n",
               static_cast<unsigned long>(drain_allocs),
               static_cast<unsigned long>(batch_allocs),
               static_cast<unsigned long>(bring_up_allocs),
               static_cast<unsigned long>(route_allocs),
-              static_cast<unsigned long>(path_allocs));
+              static_cast<unsigned long>(path_allocs),
+              static_cast<unsigned long>(storm_allocs));
   dumbnet::contracts::PublishTelemetry();
   if (!report.WriteTo(args.json_path)) {
     return 1;

@@ -75,7 +75,7 @@ class SimulatedFabric {
   Topology topo_;
   // Declared before net_, so it is destroyed after every node: events still
   // pending at teardown hand their parked packets back to the network's pool,
-  // which outlives the network until they do (FlightQueue::Pool).
+  // which outlives the network until they do (PacketPool).
   std::unique_ptr<Simulator> sim_;
   std::unique_ptr<Network> net_;
   std::vector<std::unique_ptr<DumbSwitch>> switches_;

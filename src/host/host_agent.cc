@@ -127,10 +127,11 @@ void HostAgent::SendTags(const TagList& tags, uint64_t dst_mac, Payload payload)
 
 void HostAgent::ScheduleSend(Packet&& pkt) {
   // Per-packet fast path: parking the packet and filing its send event must
-  // not allocate (pool and event-slot growth aside).
+  // not allocate (pool and event-slot growth aside). The packet is parked
+  // once; its handle goes on to the network.
   DN_HOT_SCOPE("host.send");
   auto send = [this, pkt = packets_->Park(std::move(pkt))]() mutable {
-    net_->SendFromHost(host_index_, std::move(*pkt));
+    net_->SendFromHost(host_index_, std::move(pkt));
   };
   static_assert(EventFn::kStoresInline<decltype(send)>);
   ReserveEventSlot(*sim_);
@@ -166,19 +167,25 @@ Status HostAgent::SendToController(Payload payload) {
 // Receive path
 
 void HostAgent::HandlePacket(const Packet& pkt, PortNum in_port) {
-  HandlePacket(Packet(pkt), in_port);
+  Receive(packets_->Park(Packet(pkt)), in_port);
 }
 
 void HostAgent::HandlePacket(Packet&& pkt, PortNum in_port) {
+  Receive(packets_->Park(std::move(pkt)), in_port);
+}
+
+void HostAgent::Receive(PooledPacket pkt, PortNum in_port) {
   (void)in_port;  // hosts have a single NIC
-  if (pkt.eth.ether_type != kEtherTypeDumbNet) {
+  if (pkt->eth.ether_type != kEtherTypeDumbNet) {
     ++stats_.dropped_malformed;
     return;
   }
-  // Hop-limited fabric broadcast (stage-1 failure notification). Handling it is
-  // host software work like any other packet, so it pays the processing delay.
-  if (pkt.tags.empty()) {
-    if (const auto* ev_ptr = pkt.As<PortEventPayload>()) {
+  // Hop-limited fabric broadcast (stage-1 failure notification), read in
+  // place: its body may be shared with the flood's other copies. Handling it
+  // is host software work like any other packet, so it pays the processing
+  // delay.
+  if (pkt->tags.empty()) {
+    if (const auto* ev_ptr = pkt->As<PortEventPayload>()) {
       PortEventPayload ev = *ev_ptr;
       sim_->ScheduleAfter(config_.process_delay, [this, ev] {
         ProcessLinkState(ev.switch_uid, ev.port, ev.up, ev.origin_time,
@@ -188,13 +195,13 @@ void HostAgent::HandlePacket(Packet&& pkt, PortNum in_port) {
     }
     return;
   }
-  if (pkt.tags.size() == 1 && pkt.tags.front() == kPathEndTag) {
+  if (pkt->tags.size() == 1 && pkt->tags.front() == kPathEndTag) {
     // Fully consumed path: this packet is for us. Strip ø and deliver (the kernel
     // module's EtherType + ø check, Section 5.1). Per-packet fast path: the
-    // packet moves into a pool node and its deliver event must not allocate
-    // (pool and event-slot growth aside).
+    // packet's handle moves into its deliver event, which must not allocate
+    // (event-slot growth aside).
     DN_HOT_SCOPE("host.deliver");
-    auto deliver = [this, pkt = packets_->Park(std::move(pkt))] { DeliverLocal(*pkt); };
+    auto deliver = [this, pkt = std::move(pkt)] { DeliverLocal(*pkt); };
     static_assert(EventFn::kStoresInline<decltype(deliver)>);
     ReserveEventSlot(*sim_);
     sim_->ScheduleAfter(config_.process_delay, std::move(deliver));
@@ -202,8 +209,8 @@ void HostAgent::HandlePacket(Packet&& pkt, PortNum in_port) {
   }
   // Tags remain: only discovery probes are allowed to hit a host mid-path — the
   // remaining tags are the reply path (Section 4.1).
-  if (pkt.As<ProbePayload>() != nullptr) {
-    HandleTransitProbe(std::move(pkt));
+  if (pkt->As<ProbePayload>() != nullptr) {
+    HandleTransitProbe(std::move(pkt.Mutable()));
     return;
   }
   ++stats_.dropped_malformed;

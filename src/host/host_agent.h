@@ -158,9 +158,11 @@ class HostAgent : public NetNode {
   }
 
   // --- NetNode ------------------------------------------------------------------------
+  // The fabric's delivery: a packet for this host keeps its body, and the
+  // handle moves into its deliver event; a notification is read in place.
+  void Receive(PooledPacket pkt, PortNum in_port) override;
+  // Packets handed over by value are parked first, then take the path above.
   void HandlePacket(const Packet& pkt, PortNum in_port) override;
-  // The fabric's delivery: takes ownership, so a packet for this host moves
-  // into its deliver event instead of being copied.
   void HandlePacket(Packet&& pkt, PortNum in_port) override;
 
   // --- Introspection -------------------------------------------------------------------
@@ -239,9 +241,9 @@ class HostAgent : public NetNode {
 
   Network* net_;
   Simulator* sim_;
-  // The network's packet-node pool: send and deliver events park their
-  // packet here, so the events stay within EventFn's inline buffer.
-  FlightQueue::Pool* packets_;
+  // The network's packet-body pool: every packet this host sends is parked
+  // here once, so its send event carries an 8-byte handle.
+  PacketPool* packets_;
   uint32_t host_index_;
   uint64_t mac_;
   HostAgentConfig config_;

@@ -38,21 +38,28 @@ LinkIndex DumbSwitch::UpLinkAt(PortNum port) const {
 }
 
 void DumbSwitch::HandlePacket(const Packet& pkt, PortNum in_port) {
-  HandlePacket(Packet(pkt), in_port);
+  Receive(packets_->Park(Packet(pkt)), in_port);
 }
 
 void DumbSwitch::HandlePacket(Packet&& pkt, PortNum in_port) {
-  if (pkt.eth.ether_type != kEtherTypeDumbNet) {
+  Receive(packets_->Park(std::move(pkt)), in_port);
+}
+
+void DumbSwitch::Receive(PooledPacket pkt, PortNum in_port) {
+  if (pkt->eth.ether_type != kEtherTypeDumbNet) {
     // The dumb switch speaks only DumbNet; a mixed MPLS deployment would pass other
     // traffic through the legacy pipeline, which we do not model here.
     ++stats_.dropped_foreign;
     return;
   }
   // Hop-limited broadcast notifications carry no tags.
-  if (pkt.tags.empty()) {
-    if (auto* ev = std::get_if<PortEventPayload>(&pkt.payload);
-        ev != nullptr && ev->hops_left > 0) {
-      ev->hops_left = static_cast<uint8_t>(ev->hops_left - 1);
+  if (pkt->tags.empty()) {
+    if (const auto* ev = pkt->As<PortEventPayload>(); ev != nullptr && ev->hops_left > 0) {
+      // This copy's siblings may still be in flight on other links: the relay
+      // writes a body of its own (one clone per relay), which every port of
+      // the flood then shares.
+      auto& relay = std::get<PortEventPayload>(pkt.Mutable().payload);
+      relay.hops_left = static_cast<uint8_t>(relay.hops_left - 1);
       ++stats_.notifications_relayed;
       FloodNotification(std::move(pkt), in_port);
     }
@@ -60,23 +67,26 @@ void DumbSwitch::HandlePacket(Packet&& pkt, PortNum in_port) {
   }
   // Invariant (Section 3.2): every tagged packet entering a switch carries a
   // ø-terminated stack within the one-byte-per-hop header budget.
-  DUMBNET_AUDIT(pkt.tags.size() <= audit::kMaxTagStackDepth,
+  DUMBNET_AUDIT(pkt->tags.size() <= audit::kMaxTagStackDepth,
                 "tag stack exceeds header budget at switch hop");
-  DUMBNET_AUDIT(pkt.tags.back() == kPathEndTag,
+  DUMBNET_AUDIT(pkt->tags.back() == kPathEndTag,
                 "tag stack not \xC3\xB8-terminated at switch hop");
   uint64_t probe_id = 0;
-  if (const auto* probe = pkt.As<ProbePayload>()) {
+  if (const auto* probe = pkt->As<ProbePayload>()) {
     probe_id = probe->probe_id;
   }
   ForwardTagged(std::move(pkt), probe_id, in_port);
 }
 
-void DumbSwitch::ForwardTagged(Packet&& pkt, uint64_t transit_probe_id, PortNum in_port) {
+void DumbSwitch::ForwardTagged(PooledPacket handle, uint64_t transit_probe_id,
+                               PortNum in_port) {
   // Per-packet fast path: tag pop, egress check, ECN read, counters and
-  // parking the packet for its tx event must not allocate. The declared-cold
+  // handing the packet to its tx event must not allocate. The declared-cold
   // ends are the drop branches (counter / trace registration) and storage
-  // growth (a chunk of pool nodes, an event slot).
+  // growth (a chunk of packet bodies, an event slot).
   DN_HOT_SCOPE("switch.forward");
+  // A tagged packet's body is its own: the tag pops in place.
+  Packet& pkt = handle.Mutable();
   const PortNum tag = pkt.tags.front();
   if (tag == kPathEndTag) {
     // ø reached a switch: the path was one hop short. Drop.
@@ -105,7 +115,7 @@ void DumbSwitch::ForwardTagged(Packet&& pkt, uint64_t transit_probe_id, PortNum 
     reply.payload = IdReplyPayload{transit_probe_id, uid_};
     reply.sent_time = pkt.sent_time;
     ++stats_.id_replies;
-    ForwardTagged(std::move(reply), transit_probe_id, PortNum{0});
+    ForwardTagged(packets_->Park(std::move(reply)), transit_probe_id, PortNum{0});
     return;
   }
 
@@ -149,9 +159,9 @@ void DumbSwitch::ForwardTagged(Packet&& pkt, uint64_t transit_probe_id, PortNum 
   if (telemetry::Enabled()) {
     pkt.provenance.AddHop(telemetry::PathHop{uid_, in_port, tag});
   }
-  auto tx = [this, tag, li, pkt = packets_->Park(std::move(pkt))]() mutable {
+  auto tx = [this, tag, li, pkt = std::move(handle)]() mutable {
     DN_FP_SCOPE("switch.tx", uid_);
-    net_->SendFromSwitchOn(index_, tag, li, std::move(*pkt));
+    net_->SendFromSwitchOn(index_, tag, li, std::move(pkt));
   };
   static_assert(EventFn::kStoresInline<decltype(tx)>);
   ReserveEventSlot(*sim_);
@@ -200,13 +210,12 @@ void DumbSwitch::EmitAlarm(PortNum port, bool up) {
   pkt.payload = PortEventPayload{uid_,        port,       up, config_.notify_hops,
                                  alarm.seq++, sim_->Now()};
   ++stats_.notifications_sent;
-  FloodNotification(std::move(pkt), kPathEndTag);
+  FloodNotification(packets_->Park(std::move(pkt)), kPathEndTag);
 }
 
-void DumbSwitch::FloodNotification(Packet&& pkt, PortNum skip) {
+void DumbSwitch::FloodNotification(PooledPacket pkt, PortNum skip) {
   // A notification storm sends one of these per switch per copy heard: the
-  // port scan and parking the packet must not allocate (storage growth
-  // aside).
+  // port scan and filing the event must not allocate (storage growth aside).
   DN_HOT_SCOPE("switch.flood");
   // One event sends on every port, in ascending port order. That is
   // order-equivalent to one event per port: those would have had adjacent
@@ -222,11 +231,17 @@ void DumbSwitch::FloodNotification(Packet&& pkt, PortNum skip) {
   if (ports.none()) {
     return;
   }
-  auto tx = [this, ports, pkt = packets_->Park(std::move(pkt))] {
+  // Every port's copy shares the one body; the last port takes the event's
+  // own handle. An unstamped body (an alarm's first flood) is cloned per port
+  // when the network stamps it, so each copy gets its own id, in ascending
+  // port order.
+  auto tx = [this, ports, pkt = std::move(pkt)]() mutable {
     DN_FP_SCOPE("switch.tx", uid_);
+    size_t left = ports.count();
     for (uint32_t p = 1; p <= num_ports_; ++p) {
       if (ports.test(p)) {
-        net_->SendFromSwitch(index_, static_cast<PortNum>(p), *pkt);
+        net_->SendFromSwitch(index_, static_cast<PortNum>(p),
+                             --left == 0 ? std::move(pkt) : pkt.Share());
       }
     }
   };

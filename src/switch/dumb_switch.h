@@ -50,10 +50,13 @@ class DumbSwitch : public NetNode {
  public:
   DumbSwitch(Network* net, uint32_t index, DumbSwitchConfig config = DumbSwitchConfig());
 
+  // Forwarding fast path: the tag pop / ECN mark / provenance append happen
+  // in the packet's own body, and its handle moves from ingress to the egress
+  // tx event. A relayed notification writes one private body that every
+  // port's copy of the flood shares.
+  void Receive(PooledPacket pkt, PortNum in_port) override;
+  // Packets handed over by value are parked first, then take the path above.
   void HandlePacket(const Packet& pkt, PortNum in_port) override;
-  // Forwarding fast path: takes ownership, so the tag pop / ECN mark /
-  // provenance append all happen in place and the packet moves (never copies)
-  // from ingress to the egress tx event.
   void HandlePacket(Packet&& pkt, PortNum in_port) override;
   void HandlePortChange(PortNum port, bool up) override;
 
@@ -70,12 +73,12 @@ class DumbSwitch : public NetNode {
   // Pops the first tag and forwards; handles ID queries; shared by transit packets
   // and self-generated replies. `in_port` is recorded as the provenance ingress
   // (0 for self-generated packets such as ID replies).
-  void ForwardTagged(Packet&& pkt, uint64_t transit_probe_id, PortNum in_port);
+  void ForwardTagged(PooledPacket handle, uint64_t transit_probe_id, PortNum in_port);
 
   // Floods a hop-limited notification out every wired port except `skip`
   // (kPathEndTag = no skip) that is up now, from one event after the
   // forwarding delay.
-  void FloodNotification(Packet&& pkt, PortNum skip);
+  void FloodNotification(PooledPacket pkt, PortNum skip);
 
   void EmitAlarm(PortNum port, bool up);
 
@@ -84,9 +87,9 @@ class DumbSwitch : public NetNode {
 
   Network* net_;
   Simulator* sim_;
-  // The network's packet-node pool: forward and flood events park
-  // their packet here, so the events stay within EventFn's inline buffer.
-  FlightQueue::Pool* packets_;
+  // The network's packet-body pool: packets this switch makes or is handed
+  // by value are parked here, so its events carry an 8-byte handle.
+  PacketPool* packets_;
   uint32_t index_;
   uint64_t uid_;
   uint8_t num_ports_;

@@ -229,6 +229,12 @@ void Connection::ReadReady() {
           }
         }
       }
+      if (static_cast<size_t>(n) < sizeof(buf)) {
+        // A short read emptied the socket buffer. The fd is level-triggered,
+        // so epoll reports any later bytes; another recv now would only
+        // return EAGAIN.
+        return;
+      }
       continue;
     }
     if (n == 0) {

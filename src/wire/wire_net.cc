@@ -12,7 +12,8 @@ WireNetAdapter::WireNetAdapter(Simulator* sim, Topology* topo, NodeId self,
                                NetworkConfig config)
     : Network(sim, topo, config), self_(self) {}
 
-void WireNetAdapter::SendFromSwitchOn(uint32_t sw, PortNum port, LinkIndex li, Packet pkt) {
+void WireNetAdapter::SendFromSwitchOn(uint32_t sw, PortNum port, LinkIndex li,
+                                      PooledPacket pkt) {
   if (NodeId::Switch(sw) != self_) {
     DN_ERROR << "wire: switch " << sw << " sent through node "
              << self_.ToString() << "'s adapter";
@@ -21,19 +22,19 @@ void WireNetAdapter::SendFromSwitchOn(uint32_t sw, PortNum port, LinkIndex li, P
   Emit(li, port, std::move(pkt));
 }
 
-void WireNetAdapter::SendFromHost(uint32_t host, Packet pkt) {
+void WireNetAdapter::SendFromHost(uint32_t host, PooledPacket pkt) {
   if (NodeId::Host(host) != self_) {
     DN_ERROR << "wire: host " << host << " sent through node "
              << self_.ToString() << "'s adapter";
     return;
   }
-  if (pkt.sent_time == 0) {
-    pkt.sent_time = sim().Now();
+  if (pkt->sent_time == 0) {
+    pkt.Mutable().sent_time = sim().Now();
   }
   Emit(topo().host_at(host).link, 1, std::move(pkt));
 }
 
-void WireNetAdapter::Emit(LinkIndex li, PortNum out_port, Packet&& pkt) {
+void WireNetAdapter::Emit(LinkIndex li, PortNum out_port, PooledPacket&& pkt) {
   if (li == kInvalidLink) {
     ++wire_stats_.dropped_unwired;
     return;
@@ -50,7 +51,7 @@ void WireNetAdapter::Emit(LinkIndex li, PortNum out_port, Packet&& pkt) {
   ++wire_stats_.tx_packets;
   DN_COUNTER_INC("wire.tx_packets");
   if (send_hook_) {
-    send_hook_(out_port, pkt);
+    send_hook_(out_port, *pkt);
   }
 }
 
@@ -83,7 +84,7 @@ void WireNetAdapter::DeliverLocal(Packet&& pkt, PortNum in_port) {
   }
   ++wire_stats_.rx_packets;
   DN_COUNTER_INC("wire.rx_packets");
-  node->HandlePacket(std::move(pkt), in_port);
+  node->Receive(packet_pool().Park(std::move(pkt)), in_port);
 }
 
 }  // namespace wire

@@ -17,8 +17,8 @@
 //     takes the frame, and socket backpressure paces it.
 //
 // Inbound, the node decodes kPacket frames and calls DeliverLocal(), which
-// forwards to the registered NetNode — the same HandlePacket entry the
-// simulator uses. Link liveness flows through the inherited plumbing: the node
+// parks the packet and hands it to the registered NetNode — the same Receive
+// entry the simulator uses. Link liveness flows through the inherited plumbing: the node
 // flips its local topology's adjacent links as sockets come and go, and the
 // base class's link observer schedules the usual detect-delayed
 // HandlePortChange on the private simulator (the non-local endpoint's node
@@ -54,8 +54,9 @@ class WireNetAdapter : public Network {
   void set_send_hook(SendHook hook) { send_hook_ = std::move(hook); }
   void set_backlog_probe(BacklogProbe probe) { backlog_probe_ = std::move(probe); }
 
-  void SendFromSwitchOn(uint32_t sw, PortNum port, LinkIndex li, Packet pkt) override;
-  void SendFromHost(uint32_t host, Packet pkt) override;
+  using Network::SendFromHost;
+  void SendFromSwitchOn(uint32_t sw, PortNum port, LinkIndex li, PooledPacket pkt) override;
+  void SendFromHost(uint32_t host, PooledPacket pkt) override;
   int64_t QueueBacklog(LinkIndex li, const NodeId& from) const override;
   TimeNs EgressRoomAt(LinkIndex li, const NodeId& from, int64_t bytes) const override;
 
@@ -67,7 +68,7 @@ class WireNetAdapter : public Network {
 
  private:
   // Shared tail of both send paths: link-state check, id stamp, hook.
-  void Emit(LinkIndex li, PortNum out_port, Packet&& pkt);
+  void Emit(LinkIndex li, PortNum out_port, PooledPacket&& pkt);
 
   NodeId self_;
   NetNode* self_node_ = nullptr;  // lazily resolved after registration

@@ -7,6 +7,7 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <memory>
 #include <string>
 #include <utility>
 #include <vector>
@@ -246,6 +247,7 @@ struct ReplayResult {
   uint64_t events = 0;
   TimeNs end_time = 0;
   uint64_t dropped_gray = 0;
+  uint64_t delivered = 0;
 };
 
 ReplayResult Snapshot(SimulatedFabric& fabric) {
@@ -257,6 +259,7 @@ ReplayResult Snapshot(SimulatedFabric& fabric) {
   r.events = fabric.executed_events();
   r.end_time = fabric.Now();
   r.dropped_gray = fabric.net().stats().dropped_gray;
+  r.delivered = fabric.net().stats().delivered;
   return r;
 }
 
@@ -265,6 +268,7 @@ void ExpectSameReplay(const ReplayResult& a, const ReplayResult& b) {
   EXPECT_EQ(a.events, b.events);
   EXPECT_EQ(a.end_time, b.end_time);
   EXPECT_EQ(a.dropped_gray, b.dropped_gray);
+  EXPECT_EQ(a.delivered, b.delivered);
 }
 
 // Probing discovery, then both spine uplinks die at one instant while hosts
@@ -297,14 +301,76 @@ ReplayResult RunDiscoveryAndDoubleSpineFailure() {
   return Snapshot(fabric);
 }
 
+struct ProxyCounts {
+  uint64_t switch_packets = 0;  // seen by the proxies in front of the switches
+  uint64_t switch_shared = 0;   // of those, handed over by const reference
+  uint64_t host_packets = 0;
+  uint64_t delivered = 0;  // by the network while the proxies were in place
+};
+
+// A NetNode in front of a switch that overrides only the two HandlePacket
+// overloads, as a tracing proxy written before NetNode::Receive would: the
+// fabric reaches it through Receive's default, and it counts what it sees.
+class CountingProxy : public NetNode {
+ public:
+  CountingProxy(NetNode* inner, ProxyCounts* counts) : inner_(inner), counts_(counts) {}
+  void HandlePacket(const Packet& pkt, PortNum in_port) override {
+    ++counts_->switch_packets;
+    ++counts_->switch_shared;
+    inner_->HandlePacket(pkt, in_port);
+  }
+  void HandlePacket(Packet&& pkt, PortNum in_port) override {
+    ++counts_->switch_packets;
+    inner_->HandlePacket(std::move(pkt), in_port);
+  }
+  void HandlePortChange(PortNum port, bool up) override { inner_->HandlePortChange(port, up); }
+
+ private:
+  NetNode* inner_;
+  ProxyCounts* counts_;
+};
+
+// Counts what reaches a host without leaving the handle path.
+class HandleCounter : public NetNode {
+ public:
+  HandleCounter(HostAgent* inner, ProxyCounts* counts) : inner_(inner), counts_(counts) {}
+  void Receive(PooledPacket pkt, PortNum in_port) override {
+    ++counts_->host_packets;
+    inner_->Receive(std::move(pkt), in_port);
+  }
+  void HandlePacket(const Packet& pkt, PortNum in_port) override {
+    inner_->HandlePacket(pkt, in_port);
+  }
+  void HandlePortChange(PortNum port, bool up) override { inner_->HandlePortChange(port, up); }
+
+ private:
+  HostAgent* inner_;
+  ProxyCounts* counts_;
+};
+
 // A seeded chaos schedule on an adopted fabric: 3 flapping links, an outage,
 // and `gray_links` lossy links. Gray drops are keyed on (link, direction,
-// packet id), and packet ids come from per-origin counters.
-ReplayResult RunChurnSchedule(uint32_t gray_links) {
+// packet id), and packet ids come from per-origin counters. With `proxies`,
+// every switch sits behind a CountingProxy and every host behind a
+// HandleCounter for the schedule.
+ReplayResult RunChurnSchedule(uint32_t gray_links, ProxyCounts* proxies = nullptr) {
   auto testbed = MakePaperTestbed();
   EXPECT_TRUE(testbed.ok());
   SimulatedFabric fabric(std::move(testbed.value().topo));
   fabric.BringUpAdopted(25);
+  std::vector<std::unique_ptr<NetNode>> fronts;
+  if (proxies != nullptr) {
+    for (uint32_t s = 0; s < fabric.switch_count(); ++s) {
+      fronts.push_back(
+          std::make_unique<CountingProxy>(&fabric.dumb_switch(s), proxies));
+      fabric.net().RegisterSwitchNode(s, fronts.back().get());
+    }
+    for (uint32_t h = 0; h < fabric.host_count(); ++h) {
+      fronts.push_back(std::make_unique<HandleCounter>(&fabric.agent(h), proxies));
+      fabric.net().RegisterHostNode(h, fronts.back().get());
+    }
+    proxies->delivered = fabric.net().stats().delivered;
+  }
 
   chaos::ChaosConfig config;
   config.seed = 11;
@@ -316,7 +382,17 @@ ReplayResult RunChurnSchedule(uint32_t gray_links) {
   EXPECT_FALSE(sched.empty());
   chaos::RunSchedule(fabric, sched);
   EXPECT_TRUE(chaos::CheckConvergence(fabric, sched.TouchedLinks()).empty());
-  return Snapshot(fabric);
+  ReplayResult result = Snapshot(fabric);
+  if (proxies != nullptr) {
+    proxies->delivered = result.delivered - proxies->delivered;
+    for (uint32_t s = 0; s < fabric.switch_count(); ++s) {
+      fabric.net().RegisterSwitchNode(s, &fabric.dumb_switch(s));
+    }
+    for (uint32_t h = 0; h < fabric.host_count(); ++h) {
+      fabric.net().RegisterHostNode(h, &fabric.agent(h));
+    }
+  }
+  return result;
 }
 
 TEST(DeterminismTest, DiscoveryAndDoubleSpineFailureReplayIsBitIdentical) {
@@ -340,6 +416,22 @@ TEST(DeterminismTest, GrayLossScheduleReplayIsBitIdentical) {
   ASSERT_GT(first.events, 1000u);
   EXPECT_GT(first.dropped_gray, 0u) << "the schedule never ate a packet";
   ExpectSameReplay(first, second);
+}
+
+// A proxy that overrides only the two HandlePacket overloads, registered in
+// front of every switch, reaches the switches through NetNode::Receive's
+// fallback (shared flood bodies by const reference, the rest by rvalue). It
+// sees every packet the fabric delivers to a switch, and the run converges to
+// the same digest, event count and drops as the handle path.
+TEST(DeterminismTest, ProxiedSwitchesSeeEveryPacketAndConverge) {
+  const ReplayResult direct = RunChurnSchedule(/*gray_links=*/2);
+  ProxyCounts counts;
+  const ReplayResult proxied = RunChurnSchedule(/*gray_links=*/2, &counts);
+  ExpectSameReplay(direct, proxied);
+  EXPECT_GT(counts.switch_shared, 0u) << "no shared flood body reached a proxy";
+  EXPECT_GT(counts.switch_packets, counts.switch_shared);
+  EXPECT_GT(counts.host_packets, 0u);
+  EXPECT_EQ(counts.switch_packets + counts.host_packets, counts.delivered);
 }
 
 // The controller seeds a fresh tie-break stream per query (seed ^ query key,

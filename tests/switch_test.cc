@@ -264,5 +264,92 @@ TEST(DumbSwitchTest, FloodIsOneEventOverPortsUpWhenScheduled) {
   EXPECT_EQ(net.stats().dropped_link_down, 1u);
 }
 
+// A relayed notification writes a body of its own: the copy's siblings, which
+// share the body it arrived in, keep their hop count, and the relay's flood
+// shares its one new body across every port.
+TEST(DumbSwitchTest, RelayingASharedCopyLeavesItsSiblingsUnchanged) {
+  // S0 with hosts on ports 1..3.
+  Topology topo;
+  topo.AddSwitch(8);
+  for (PortNum port = 1; port <= 3; ++port) {
+    topo.AttachHost(topo.AddHost(), 0, port).value();
+  }
+  Simulator sim;
+  Network net(&sim, &topo);
+  DumbSwitch sw(&net, 0);
+  std::vector<std::unique_ptr<SinkHost>> hosts;
+  for (uint32_t h = 0; h < 3; ++h) {
+    hosts.push_back(std::make_unique<SinkHost>(&net, h));
+  }
+  Packet note = MakeEthernetPacket(0x77, kBroadcastMac, kEtherTypeDumbNet,
+                                   PortEventPayload{0x99, 3, false, 3, 1, 0});
+  note.pkt_id = 0x5EED;
+  PooledPacket copy = net.packet_pool().Park(std::move(note));
+  PooledPacket sibling = copy.Share();  // still in flight elsewhere
+  sw.Receive(std::move(copy), PortNum{1});
+  EXPECT_EQ(sw.stats().notifications_relayed, 1u);
+  EXPECT_EQ(sibling->As<PortEventPayload>()->hops_left, 3) << "the sibling was written";
+  EXPECT_FALSE(sibling.shared());
+
+  sim.RunUntil(Us(1));  // the flood ran; its copies are on the wire
+  const Network::PacketPoolStats mid = net.packet_pool_stats();
+  EXPECT_EQ(mid.descriptors_live, 2u);
+  EXPECT_EQ(mid.bodies_live, 2u) << "the sibling's body and the relay's one";
+  sim.Run();
+  EXPECT_TRUE(hosts[0]->received.empty());
+  for (uint32_t h : {1u, 2u}) {
+    ASSERT_EQ(hosts[h]->received.size(), 1u) << "host " << h;
+    EXPECT_EQ(hosts[h]->received[0].As<PortEventPayload>()->hops_left, 2);
+    EXPECT_EQ(hosts[h]->received[0].pkt_id, 0x5EEDu);
+  }
+  EXPECT_EQ(sibling->As<PortEventPayload>()->hops_left, 3);
+}
+
+// An alarm's first flood is unstamped, so each port's copy gets its own id;
+// the switches that relay a copy keep its id on every port they flood.
+TEST(DumbSwitchTest, AlarmCopiesGetDistinctIdsAndRelaysKeepThem) {
+  // Hub S0 with leaves S1..S3 on its ports 1..3 (each on its own port 1), two
+  // hosts on each leaf's ports 2 and 3, and host H6 on S0's port 4.
+  Topology topo;
+  topo.AddSwitch(8);
+  for (uint32_t leaf = 1; leaf <= 3; ++leaf) {
+    topo.AddSwitch(8);
+    topo.ConnectSwitches(0, static_cast<PortNum>(leaf), leaf, 1).value();
+  }
+  for (uint32_t leaf = 1; leaf <= 3; ++leaf) {
+    topo.AttachHost(topo.AddHost(), leaf, 2).value();
+    topo.AttachHost(topo.AddHost(), leaf, 3).value();
+  }
+  const uint32_t h6 = topo.AddHost();
+  topo.AttachHost(h6, 0, 4).value();
+  Simulator sim;
+  Network net(&sim, &topo);
+  std::vector<std::unique_ptr<DumbSwitch>> switches;
+  for (uint32_t s = 0; s < 4; ++s) {
+    switches.push_back(std::make_unique<DumbSwitch>(&net, s));
+  }
+  std::vector<std::unique_ptr<SinkHost>> hosts;
+  for (uint32_t h = 0; h <= h6; ++h) {
+    hosts.push_back(std::make_unique<SinkHost>(&net, h));
+  }
+  topo.SetLinkUp(topo.host_at(h6).link, false);  // S0 alarms on port 4
+  sim.Run();
+  EXPECT_EQ(switches[0]->stats().notifications_sent, 1u);
+  std::vector<uint64_t> ids;
+  for (uint32_t leaf = 1; leaf <= 3; ++leaf) {
+    EXPECT_EQ(switches[leaf]->stats().notifications_relayed, 1u) << "leaf " << leaf;
+    const std::vector<Packet>& a = hosts[2 * (leaf - 1)]->received;
+    const std::vector<Packet>& b = hosts[2 * (leaf - 1) + 1]->received;
+    ASSERT_EQ(a.size(), 1u);
+    ASSERT_EQ(b.size(), 1u);
+    EXPECT_NE(a[0].pkt_id, 0u);
+    EXPECT_EQ(a[0].pkt_id, b[0].pkt_id) << "a relay keeps the copy's id on every port";
+    ids.push_back(a[0].pkt_id);
+  }
+  EXPECT_NE(ids[0], ids[1]);
+  EXPECT_NE(ids[0], ids[2]);
+  EXPECT_NE(ids[1], ids[2]);
+}
+
 }  // namespace
 }  // namespace dumbnet
