@@ -12,7 +12,9 @@
 // one branch; only a violation reaches the out-of-line recorder.
 //
 // Failures are counted in a global AuditLog so tests can assert "no invariant
-// tripped during this run" or "this corruption was caught".
+// tripped during this run" or "this corruption was caught". Each (file, line)
+// site logs its first failure with a flight-recorder dump, then only a running
+// count at powers of ten; every failure is still counted.
 #ifndef DUMBNET_SRC_ANALYSIS_AUDIT_H_
 #define DUMBNET_SRC_ANALYSIS_AUDIT_H_
 
@@ -37,6 +39,7 @@ struct AuditCounters {
 
 // Global audit state, shared across all threads running protocol objects.
 const AuditCounters& Counters();
+// Also resets the per-site counts, so each site logs its next failure in full.
 void ResetCounters();
 
 // Most recent failure message, for test diagnostics. Empty if none.

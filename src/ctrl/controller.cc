@@ -25,8 +25,6 @@ constexpr uint64_t kSaltResend = 0xB05E;
 // Uplink room the bootstrap pump leaves free for path responses and floods
 // that reach the NIC while a bootstrap is still in the send pipeline.
 constexpr int64_t kPumpHeadroom = 64 * 1024;
-constexpr const char kFpCpuQueue[] =
-    "single-server fifo cpu; service order shifts latency only";
 constexpr const char kFpQueryCoalesce[] =
     "max-merge of queued query attempts; served content is a function of the attempt";
 constexpr const char kFpDbBump[] = "db version bump";
@@ -54,7 +52,8 @@ ControllerService::ControllerService(HostAgent* agent, ControllerConfig config,
       sim_(&agent->sim()),
       config_(config),
       discovery_(agent, discovery_config),
-      rng_(config.rng_seed) {
+      rng_(config.rng_seed),
+      cpu_(sim_, footprint::FpKey(agent->mac(), kSaltCtrlCpu)) {
   agent_->SetControlHandler([this](const Packet& pkt) { return HandleControl(pkt); });
 }
 
@@ -62,13 +61,10 @@ void ControllerService::Start(std::function<void()> on_ready) {
   discovery_.Start([this, on_ready = std::move(on_ready)] {
     db_ = discovery_.db();  // snapshot; further updates flow through both
     InvalidateRoutingCaches();
-    controller_switch_uid_ = discovery_.attach_switch_uid();
-    controller_port_ = discovery_.attach_port();
-    BootstrapHosts();
+    BecomeReady();
     DN_INFO << "controller ready: " << stats_.bootstraps_sent
             << " bootstraps sent, attach uid=" << controller_switch_uid_
             << " port=" << int{controller_port_};
-    ready_ = true;
     if (on_ready) {
       on_ready();
     }
@@ -95,25 +91,13 @@ void ControllerService::AdoptTopology(const Topology& truth) {
                                   truth.switch_at(sw_end.node.index).uid, sw_end.port});
     }
   }
-  auto self = db_.LocateHost(agent_->mac());
-  if (self.ok()) {
-    controller_switch_uid_ = self.value().switch_uid;
-    controller_port_ = self.value().port;
-  }
-  BootstrapHosts();
-  ready_ = true;
+  BecomeReady();
 }
 
 void ControllerService::AdoptDatabase(TopoDb db) {
   db_ = std::move(db);
   InvalidateRoutingCaches();
-  auto self = db_.LocateHost(agent_->mac());
-  if (self.ok()) {
-    controller_switch_uid_ = self.value().switch_uid;
-    controller_port_ = self.value().port;
-  }
-  BootstrapHosts();
-  ready_ = true;
+  BecomeReady();
 }
 
 const SwitchGraph& ControllerService::RoutingGraph() {
@@ -133,11 +117,12 @@ void ControllerService::InvalidateRoutingCaches() {
   wire_cache_version_ = kNoGraphVersion;
 }
 
-Result<TagList> ControllerService::TagsToHost(const HostLocation& dst, Rng* rng) {
-  auto src_idx = db_.IndexOf(controller_switch_uid_);
+Result<TagList> ControllerService::TagsTo(uint64_t from_uid, const HostLocation& dst,
+                                          Rng* rng) {
+  auto src_idx = db_.IndexOf(from_uid);
   auto dst_idx = db_.IndexOf(dst.switch_uid);
   if (!src_idx.ok() || !dst_idx.ok()) {
-    return Error(ErrorCode::kNotFound, "controller or destination switch unknown");
+    return Error(ErrorCode::kNotFound, "source or destination switch unknown");
   }
   // Per-call randomized Dijkstra (scratch-based, so no allocation): response tags
   // must re-randomize on every retry so repeated queries dodge links the
@@ -155,20 +140,22 @@ Result<TagList> ControllerService::TagsToHost(const HostLocation& dst, Rng* rng)
   return tags.value();
 }
 
-void ControllerService::BootstrapHosts() {
+void ControllerService::BecomeReady() {
+  // Discovery records the controller's own host at its attach point.
+  auto self = db_.LocateHost(agent_->mac());
+  if (self.ok()) {
+    controller_switch_uid_ = self.value().switch_uid;
+    controller_port_ = self.value().port;
+  }
   // MAC-sorted and indexed by switch once, here: every host adopts this one
   // directory as its shared host base.
   auto directory = std::make_shared<const HostDirectory>(db_.Directory());
   boot_directory_ = directory;
   resend_round_ = 0;
   for (const HostLocation& loc : *directory) {
-    if (loc.mac == agent_->mac()) {
-      BootstrapInfo boot;
-      boot.self = loc;
-      boot.controller_mac = agent_->mac();
-      boot.controller_location = {agent_->mac(), controller_switch_uid_, controller_port_};
-      boot.directory = directory;
-      agent_->ApplyBootstrap(boot);  // co-located: no path, no ack
+    if (loc.mac == agent_->mac()) {  // co-located: no path, no ack
+      agent_->ApplyBootstrap(
+          BootstrapInfo{loc, agent_->mac(), ControllerLocation(), {}, directory});
       continue;
     }
     auto boot = MakeBootstrap(loc);
@@ -181,39 +168,25 @@ void ControllerService::BootstrapHosts() {
     boot_directory_.reset();
   }
   ArmBootstrapResend();
+  ready_ = true;
 }
 
 std::shared_ptr<const BootstrapInfo> ControllerService::MakeBootstrap(
     const HostLocation& loc) {
-  auto to_controller = db_.IndexOf(loc.switch_uid);
-  auto ctrl_idx = db_.IndexOf(controller_switch_uid_);
-  if (!to_controller.ok() || !ctrl_idx.ok()) {
-    return nullptr;
-  }
   // Per-host randomized paths, deliberately NOT the shared SSSP tree: each
   // host's stored path-to-controller must be decorrelated from the others', or
   // one link failure strands every host's control channel at once. The cached
   // adjacency snapshot plus scratch still makes this allocation-free.
-  auto path = ShortestPathScaled(RoutingGraph(), to_controller.value(), ctrl_idx.value(),
-                                 &rng_, tags_scratch_, nullptr);
-  if (!path.ok()) {
-    return nullptr;
-  }
-  auto up_tags = db_.CompileTagsForUidPath(db_.PathToUids(path.value()), controller_port_);
+  auto up_tags = TagsTo(loc.switch_uid, ControllerLocation(), &rng_);
   if (!up_tags.ok()) {
     return nullptr;
   }
-  auto boot = std::make_shared<BootstrapInfo>();
-  boot->self = loc;
-  boot->controller_mac = agent_->mac();
-  boot->controller_location = {agent_->mac(), controller_switch_uid_, controller_port_};
-  boot->path_to_controller = std::move(up_tags.value());
-  boot->directory = boot_directory_;
-  return boot;
+  return std::make_shared<const BootstrapInfo>(BootstrapInfo{
+      loc, agent_->mac(), ControllerLocation(), std::move(up_tags.value()), boot_directory_});
 }
 
 bool ControllerService::QueueBootstrap(std::shared_ptr<const BootstrapInfo> info) {
-  auto down_tags = TagsToHost(info->self, &rng_);
+  auto down_tags = TagsTo(controller_switch_uid_, info->self, &rng_);
   if (!down_tags.ok()) {
     return false;
   }
@@ -224,10 +197,7 @@ bool ControllerService::QueueBootstrap(std::shared_ptr<const BootstrapInfo> info
   out.payload = BootstrapPayload{std::move(info)};
   out.bytes = MakeDumbNetPacket(agent_->mac(), out.mac, out.tags, out.payload).WireSize();
   boot_queue_.push_back(std::move(out));
-  DN_FP_COMMUTES(kCtrlCpu, footprint::FpKey(agent_->mac(), kSaltCtrlCpu), kFpCpuQueue);
-  TimeNs start = std::max(sim_->Now(), cpu_free_);
-  cpu_free_ = start + config_.query_cost;
-  sim_->ScheduleAt(cpu_free_, [this] {
+  cpu_.Run(config_.query_cost, [this] {
     ++boot_ready_;
     PumpBootstraps();
   });
@@ -346,14 +316,10 @@ bool ControllerService::HandleControl(const Packet& pkt) {
       DN_COUNTER_INC("ctrl.queries_coalesced");
       return true;
     }
-    // The CPU queue head is a read-modify-write, but service order only shifts
-    // latency: each query's response content is derived from (requester, dst,
-    // attempt), never from the shared rng stream — see ServePathRequest.
-    DN_FP_COMMUTES(kCtrlCpu, footprint::FpKey(agent_->mac(), kSaltCtrlCpu),
-                   kFpCpuQueue);
-    TimeNs start = std::max(sim_->Now(), cpu_free_);
-    cpu_free_ = start + config_.query_cost;
-    sim_->ScheduleAt(cpu_free_, [this, key] { ServePathRequest(key); });
+    // Service order on the CPU only shifts latency: each query's response
+    // content is derived from (requester, dst, attempt), never from the shared
+    // rng stream — see ServePathRequest.
+    cpu_.Run(config_.query_cost, [this, key] { ServePathRequest(key); });
     return true;
   }
   if (const auto* ev = pkt.As<LinkEventPayload>()) {
@@ -433,7 +399,7 @@ void ControllerService::ServePathRequest(QueryKey key) {
 
   Rng query_rng(config_.rng_seed ^
                 footprint::FpKey(req.requester_mac, req.dst_mac, req.attempt));
-  auto tags = TagsToHost(requester.value(), &query_rng);
+  auto tags = TagsTo(controller_switch_uid_, requester.value(), &query_rng);
   if (!tags.ok()) {
     ++stats_.queries_failed;
     return;
@@ -568,10 +534,7 @@ void ControllerService::OnLinkEvent(const LinkEventPayload& ev) {
       discovery_.db().SetLinkState(ev.switch_uid, ev.port, false);
       pending_removed_.push_back(link.value());
       if (log_ != nullptr) {
-        TopoEvent tev;
-        tev.kind = TopoEvent::Kind::kLinkDown;
-        tev.link = link.value();
-        log_->Append(tev);
+        log_->Append(TopoEvent{TopoEvent::Kind::kLinkDown, link.value(), {}});
       }
     }
   } else {
@@ -585,10 +548,7 @@ void ControllerService::OnLinkEvent(const LinkEventPayload& ev) {
         DN_FP_WRITE(kCtrlDb, CtrlEdgeCell(agent_->mac(), link.value()));
         db_.SetLinkState(ev.switch_uid, ev.port, true);
         pending_added_.push_back(link.value());
-        if (!patch_scheduled_) {
-          patch_scheduled_ = true;
-          sim_->ScheduleAfter(config_.patch_aggregation, [this] { FlushPatch(); });
-        }
+        SchedulePatch();
       }
       return;
     }
@@ -606,18 +566,16 @@ void ControllerService::OnLinkEvent(const LinkEventPayload& ev) {
       (void)db_.AddLink(link.value());
       pending_added_.push_back(link.value());
       if (log_ != nullptr) {
-        TopoEvent tev;
-        tev.kind = TopoEvent::Kind::kLinkAdded;
-        tev.link = link.value();
-        log_->Append(tev);
+        log_->Append(TopoEvent{TopoEvent::Kind::kLinkAdded, link.value(), {}});
       }
-      if (!patch_scheduled_) {
-        patch_scheduled_ = true;
-        sim_->ScheduleAfter(config_.patch_aggregation, [this] { FlushPatch(); });
-      }
+      SchedulePatch();
     });
     return;
   }
+  SchedulePatch();
+}
+
+void ControllerService::SchedulePatch() {
   if (!patch_scheduled_) {
     patch_scheduled_ = true;
     sim_->ScheduleAfter(config_.patch_aggregation, [this] { FlushPatch(); });

@@ -32,8 +32,9 @@ struct ControllerConfig {
   // (leaving a plain single-route cache at the hosts).
   bool send_detours = true;
   bool send_backup = true;
-  // CPU cost to serve one path query (single-server model; produces the paper's
-  // Figure 10 cold-path tail under concurrent queries).
+  // Controller CPU time to serve one path query or to compile one bootstrap
+  // (both share the controller's single-server queue): sets how long a cold
+  // query waits behind a backlog, and the bring-up's bootstrap pace.
   TimeNs query_cost = Us(30);
   // Aggregation window before flooding a topology patch (stage 2).
   TimeNs patch_aggregation = Ms(2);
@@ -126,8 +127,12 @@ class ControllerService {
   // answers it.
   void ServePathRequest(QueryKey key);
   void OnLinkEvent(const LinkEventPayload& ev);
+  // Arms FlushPatch after the aggregation window unless it is armed.
+  void SchedulePatch();
   void FlushPatch();
-  void BootstrapHosts();
+  // Takes the controller's attach point from db_, bootstraps every host and
+  // starts serving.
+  void BecomeReady();
   // `loc`'s bootstrap, its path to the controller drawn from rng_; null when
   // the controller cannot route to it yet.
   std::shared_ptr<const BootstrapInfo> MakeBootstrap(const HostLocation& loc);
@@ -142,11 +147,14 @@ class ControllerService {
   void ArmBootstrapResend();
   void ResendBootstraps();
   void AckBootstrap(uint64_t host_mac);
-  // Tag path from the controller to a host (compiled on the global db). `rng`
+  // Tag path from switch `from_uid` to a host (compiled on the global db). `rng`
   // breaks equal-cost ties: bulk work (bootstraps) passes the shared stream,
   // query serving passes a per-query stream derived from (requester, dst,
   // attempt) so a response's content never depends on service order.
-  Result<TagList> TagsToHost(const HostLocation& dst, Rng* rng);
+  Result<TagList> TagsTo(uint64_t from_uid, const HostLocation& dst, Rng* rng);
+  HostLocation ControllerLocation() const {
+    return {agent_->mac(), controller_switch_uid_, controller_port_};
+  }
 
   HostAgent* agent_;
   Simulator* sim_;
@@ -154,6 +162,8 @@ class ControllerService {
   TopoDb db_;
   DiscoveryService discovery_;
   Rng rng_;
+  // Serves path queries and compiles bootstraps.
+  CpuQueue cpu_;
   ReplicatedLog* log_ = nullptr;
 
   // Routing caches, all keyed on db_.version() (see RoutingGraph()).
@@ -176,7 +186,6 @@ class ControllerService {
   uint64_t controller_switch_uid_ = 0;
   PortNum controller_port_ = 0;
   bool ready_ = false;
-  TimeNs cpu_free_ = 0;
   // Path queries waiting in the CPU queue -> the highest attempt seen for each.
   // An ordered map keyed on the exact MAC pair: no hash, so no collisions.
   std::map<QueryKey, uint64_t> queued_queries_;

@@ -11,17 +11,18 @@ uint64_t PortKey(uint64_t uid, PortNum port) { return (uid << 8) | port; }
 
 // Footprint salts/families. Everything substantive in discovery runs serialized
 // on the prober's CPU queue; the conflict surface at batch granularity is the
-// queue-head read-modify-write at enqueue time plus first-wins probe resolution.
+// enqueue (declared by CpuQueue) plus first-wins probe resolution.
 constexpr uint64_t kSaltDiscCpu = 0xD15C;
 constexpr uint64_t kSaltInflight = 0x1F17;
-constexpr const char kFpDiscCpu[] =
-    "single-server fifo cpu; service order shifts latency only";
 constexpr const char kFpProbeFirstWins[] = "first-wins probe resolution";
 
 }  // namespace
 
 DiscoveryService::DiscoveryService(HostAgent* agent, DiscoveryConfig config)
-    : agent_(agent), sim_(&agent->sim()), config_(config) {}
+    : agent_(agent),
+      sim_(&agent->sim()),
+      config_(config),
+      cpu_(sim_, footprint::FpKey(agent->mac(), kSaltDiscCpu)) {}
 
 void DiscoveryService::Start(std::function<void()> on_complete) {
   on_complete_ = std::move(on_complete);
@@ -32,40 +33,48 @@ void DiscoveryService::Start(std::function<void()> on_complete) {
   // 0-1-ø, 0-2-ø, ... (Section 4.1: "combine port number probing and switch ID
   // query"). Only the probe whose port points back at us returns.
   for (PortNum p = 1; p <= config_.max_ports; ++p) {
-    ProbeCtx ctx;
-    ctx.kind = ProbeKind::kAttach;
-    ctx.p = p;
-    SendProbe({kIdQueryTag, p}, ctx);
+    SendProbe({.kind = ProbeKind::kAttach, .p = p});
   }
 }
 
-void DiscoveryService::OnCpu(TimeNs cost, std::function<void()> fn) {
-  DN_FP_COMMUTES(kDiscovery, footprint::FpKey(agent_->mac(), kSaltDiscCpu), kFpDiscCpu);
-  TimeNs start = std::max(sim_->Now(), cpu_free_);
-  cpu_free_ = start + cost;
-  sim_->ScheduleAt(cpu_free_, std::move(fn));
+TagList DiscoveryService::ProbeTags(const ProbeCtx& ctx) const {
+  if (ctx.kind == ProbeKind::kAttach) {
+    return {kIdQueryTag, ctx.p};
+  }
+  // F + [p] + R (host), F + [p, 0, q] + R (link), F + [p, q, 0] + R (verify).
+  const SwitchRecord& rec = switches_.at(ctx.x_uid);
+  TagList tags = rec.forward;
+  tags.push_back(ctx.p);
+  if (ctx.kind == ProbeKind::kLink) {
+    tags.insert(tags.end(), {kIdQueryTag, ctx.q});
+  } else if (ctx.kind == ProbeKind::kVerify) {
+    tags.insert(tags.end(), {ctx.q, kIdQueryTag});
+  }
+  tags.insert(tags.end(), rec.ret.begin(), rec.ret.end());
+  return tags;
 }
 
-void DiscoveryService::SendProbe(TagList tags, ProbeCtx ctx) {
+void DiscoveryService::SendProbe(const ProbeCtx& ctx) {
   uint64_t id = next_probe_id_++;
   DN_FP_COMMUTES(kDiscovery, footprint::FpKey(agent_->mac(), id, kSaltInflight),
                  kFpProbeFirstWins);
   inflight_.emplace(id, ctx);
   ++stats_.probes_sent;
   DN_COUNTER_INC("ctrl.probes_sent");
-  DN_TRACE_EVENT(kController, kDiscovery, sim_->Now(), id, tags.size());
-  OnCpu(config_.pm_send_cost, [this, id, tags = std::move(tags)] {
+  cpu_.Run(config_.pm_send_cost, [this, id, ctx] {
     DN_FP_SCOPE("disc.probe_send", id);
+    TagList tags = ProbeTags(ctx);
+    DN_TRACE_EVENT(kController, kDiscovery, sim_->Now(), id, tags.size());
     TagList with_end = tags;
     with_end.push_back(kPathEndTag);
-    agent_->SendTags(tags, kBroadcastMac, ProbePayload{id, agent_->mac(), with_end});
+    agent_->SendTags(tags, kBroadcastMac, ProbePayload{id, agent_->mac(), std::move(with_end)});
     sim_->ScheduleAfter(config_.probe_timeout, [this, id] {
       DN_FP_SCOPE("disc.probe_timeout", id);
       // Declare the loss through the CPU queue so a reply that already arrived
       // (and is waiting behind queued sends) is processed first. Erasing here
       // directly would drop replies whenever the CPU backlog exceeds the
       // timeout — on large port counts that silently truncated discovery.
-      OnCpu(0, [this, id] {
+      cpu_.Run(0, [this, id] {
         DN_FP_SCOPE("disc.probe_expire", id);
         DN_FP_COMMUTES(kDiscovery,
                        footprint::FpKey(agent_->mac(), id, kSaltInflight),
@@ -79,56 +88,67 @@ void DiscoveryService::SendProbe(TagList tags, ProbeCtx ctx) {
 }
 
 void DiscoveryService::HandleProbeEvent(const Packet& pkt) {
-  // All reply processing is controller CPU work.
-  OnCpu(config_.pm_recv_cost, [this, pkt] {
-    DN_FP_SCOPE("disc.probe_reply", agent_->mac());
-    if (const auto* id_reply = pkt.As<IdReplyPayload>()) {
-      auto it = inflight_.find(id_reply->probe_id);
-      if (it == inflight_.end()) {
-        return;
-      }
-      ProbeCtx ctx = it->second;
-      inflight_.erase(it);
-      ++stats_.replies_received;
-      switch (ctx.kind) {
-        case ProbeKind::kAttach:
-          HandleAttachReply(ctx, id_reply->switch_uid);
-          break;
-        case ProbeKind::kLink:
-          HandleLinkReply(ctx, id_reply->switch_uid);
-          break;
-        case ProbeKind::kVerify:
-          HandleVerifyReply(ctx, id_reply->switch_uid);
-          break;
-        case ProbeKind::kHost:
-          break;  // an ID reply can never answer a host probe
-      }
-      MaybeFinish();
-      return;
+  // All reply processing is controller CPU work. A host's echo is compared on
+  // arrival, so the job carries a bool instead of the path: R + ø depends only
+  // on the probe's switch record, which never changes.
+  Reply reply;
+  if (const auto* id_reply = pkt.As<IdReplyPayload>()) {
+    reply = {id_reply->probe_id, id_reply->switch_uid, ReplyKind::kSwitchId};
+  } else if (const auto* host = pkt.As<ProbeReplyPayload>()) {
+    reply = {host->probe_id, host->responder_mac, ReplyKind::kHost};
+    auto it = inflight_.find(host->probe_id);
+    if (it != inflight_.end() && it->second.kind == ProbeKind::kHost) {
+      TagList expected = switches_.at(it->second.x_uid).ret;
+      expected.push_back(kPathEndTag);
+      reply.echoes_return_path = host->reply_path == expected;
     }
-    if (const auto* reply = pkt.As<ProbeReplyPayload>()) {
-      auto it = inflight_.find(reply->probe_id);
-      if (it == inflight_.end()) {
-        return;
-      }
-      ProbeCtx ctx = it->second;
-      inflight_.erase(it);
-      ++stats_.replies_received;
-      if (ctx.kind == ProbeKind::kHost) {
-        HandleHostReply(ctx, *reply);
-      }
-      MaybeFinish();
-      return;
+  } else if (const auto* probe = pkt.As<ProbePayload>()) {
+    reply = {probe->probe_id, 0, ReplyKind::kBounce};
+  }
+  cpu_.Run(config_.pm_recv_cost, [this, reply] { HandleReply(reply); });
+}
+
+void DiscoveryService::HandleReply(const Reply& reply) {
+  DN_FP_SCOPE("disc.probe_reply", agent_->mac());
+  if (reply.kind == ReplyKind::kBounce) {
+    // One of our own probes bounced back (scenario ii in Section 3.3).
+    ++stats_.bounces;
+  }
+  auto it = inflight_.find(reply.probe_id);
+  if (reply.kind == ReplyKind::kNone || it == inflight_.end()) {
+    return;
+  }
+  const ProbeCtx ctx = it->second;
+  inflight_.erase(it);
+  if (reply.kind != ReplyKind::kBounce) {
+    ++stats_.replies_received;
+  }
+  if (reply.kind == ReplyKind::kSwitchId) {
+    switch (ctx.kind) {
+      case ProbeKind::kAttach:
+        HandleAttachReply(ctx, reply.uid);
+        break;
+      case ProbeKind::kLink:
+        HandleLinkReply(ctx, reply.uid);
+        break;
+      case ProbeKind::kVerify:
+        HandleVerifyReply(ctx, reply.uid);
+        break;
+      case ProbeKind::kHost:
+        break;  // an ID reply can never answer a host probe
     }
-    if (const auto* probe = pkt.As<ProbePayload>()) {
-      // One of our own probes bounced back (scenario ii in Section 3.3).
-      ++stats_.bounces;
-      if (inflight_.erase(probe->probe_id) > 0) {
-        MaybeFinish();
-      }
-      return;
+  } else if (reply.kind == ReplyKind::kHost && ctx.kind == ProbeKind::kHost) {
+    // The reply path must be exactly R + ø: if the probe wandered through
+    // another switch before finding a host, at least one tag of R was consumed
+    // en route and the echo is shorter. Rejecting those keeps host locations
+    // sound.
+    if (reply.echoes_return_path) {
+      db_.UpsertHost(HostLocation{reply.uid, ctx.x_uid, ctx.p});
+    } else {
+      ++stats_.rejected_wandered;
     }
-  });
+  }
+  MaybeFinish();
 }
 
 void DiscoveryService::HandleAttachReply(const ProbeCtx& ctx, uint64_t switch_uid) {
@@ -140,10 +160,7 @@ void DiscoveryService::HandleAttachReply(const ProbeCtx& ctx, uint64_t switch_ui
   attach_port_ = ctx.p;
   db_.EnsureSwitch(switch_uid);
   db_.UpsertHost(HostLocation{agent_->mac(), switch_uid, ctx.p});
-  SwitchRecord rec;
-  rec.forward = {};
-  rec.ret = {ctx.p};
-  switches_.emplace(switch_uid, rec);
+  switches_.emplace(switch_uid, SwitchRecord{{}, {ctx.p}});
   ExpandSwitch(switch_uid);
 }
 
@@ -153,50 +170,18 @@ void DiscoveryService::ExpandSwitch(uint64_t uid) {
     return;
   }
   rec.expanded = true;
-  const TagList& f = rec.forward;
-  const TagList& r = rec.ret;
   for (PortNum p = 1; p <= config_.max_ports; ++p) {
-    // Host probe: F + [p] + R. A host at (uid, p) sees exactly R + ø left over and
-    // replies along it.
-    {
-      TagList tags = f;
-      tags.push_back(p);
-      tags.insert(tags.end(), r.begin(), r.end());
-      ProbeCtx ctx;
-      ctx.kind = ProbeKind::kHost;
-      ctx.x_uid = uid;
-      ctx.p = p;
-      SendProbe(std::move(tags), ctx);
-    }
-    // Link probes: F + [p, 0, q] + R for every candidate return port q.
-    for (PortNum q = 1; q <= config_.max_ports; ++q) {
-      TagList tags = f;
-      tags.push_back(p);
-      tags.push_back(kIdQueryTag);
-      tags.push_back(q);
-      tags.insert(tags.end(), r.begin(), r.end());
-      ProbeCtx ctx;
-      ctx.kind = ProbeKind::kLink;
-      ctx.x_uid = uid;
-      ctx.p = p;
-      ctx.q = q;
-      SendProbe(std::move(tags), ctx);
-    }
+    ProbePort(uid, p);
   }
 }
 
-void DiscoveryService::HandleHostReply(const ProbeCtx& ctx, const ProbeReplyPayload& reply) {
-  // The reply path must be exactly R + ø: if the probe wandered through another
-  // switch before finding a host, at least one tag of R was consumed en route and
-  // the echo is shorter. Rejecting those keeps host locations sound.
-  const SwitchRecord& rec = switches_[ctx.x_uid];
-  TagList expected = rec.ret;
-  expected.push_back(kPathEndTag);
-  if (reply.reply_path != expected) {
-    ++stats_.rejected_wandered;
-    return;
+void DiscoveryService::ProbePort(uint64_t uid, PortNum p) {
+  // Host probe: a host at (uid, p) sees exactly R + ø left over and replies
+  // along it.
+  SendProbe({.kind = ProbeKind::kHost, .x_uid = uid, .p = p});
+  for (PortNum q = 1; q <= config_.max_ports; ++q) {
+    SendProbe({.kind = ProbeKind::kLink, .x_uid = uid, .p = p, .q = q});
   }
-  db_.UpsertHost(HostLocation{reply.responder_mac, ctx.x_uid, ctx.p});
 }
 
 void DiscoveryService::HandleLinkReply(const ProbeCtx& ctx, uint64_t n_uid) {
@@ -206,20 +191,9 @@ void DiscoveryService::HandleLinkReply(const ProbeCtx& ctx, uint64_t n_uid) {
   }
   // Candidate link X.p <-> N.q. The return path may be ambiguous (Section 4.1's
   // S1/S2 example), so verify: ask the ID of the switch behind N.q; it must be X.
-  const SwitchRecord& rec = switches_[ctx.x_uid];
-  TagList tags = rec.forward;
-  tags.push_back(ctx.p);
-  tags.push_back(ctx.q);
-  tags.push_back(kIdQueryTag);
-  tags.insert(tags.end(), rec.ret.begin(), rec.ret.end());
-  ProbeCtx verify;
-  verify.kind = ProbeKind::kVerify;
-  verify.x_uid = ctx.x_uid;
-  verify.p = ctx.p;
-  verify.q = ctx.q;
-  verify.n_uid = n_uid;
   ++stats_.verifies_sent;
-  SendProbe(std::move(tags), verify);
+  SendProbe({.kind = ProbeKind::kVerify, .x_uid = ctx.x_uid, .p = ctx.p, .q = ctx.q,
+             .n_uid = n_uid});
 }
 
 void DiscoveryService::HandleVerifyReply(const ProbeCtx& ctx, uint64_t replied_uid) {
@@ -237,10 +211,8 @@ void DiscoveryService::HandleVerifyReply(const ProbeCtx& ctx, uint64_t replied_u
 
   if (switches_.count(ctx.n_uid) == 0) {
     const SwitchRecord& x_rec = switches_[ctx.x_uid];
-    SwitchRecord n_rec;
-    n_rec.forward = x_rec.forward;
+    SwitchRecord n_rec{x_rec.forward, {ctx.q}};
     n_rec.forward.push_back(ctx.p);
-    n_rec.ret = {ctx.q};
     n_rec.ret.insert(n_rec.ret.end(), x_rec.ret.begin(), x_rec.ret.end());
     switches_.emplace(ctx.n_uid, n_rec);
     ExpandSwitch(ctx.n_uid);
@@ -248,8 +220,7 @@ void DiscoveryService::HandleVerifyReply(const ProbeCtx& ctx, uint64_t replied_u
 }
 
 void DiscoveryService::ReprobePort(uint64_t uid, PortNum port, std::function<void()> done) {
-  auto it = switches_.find(uid);
-  if (it == switches_.end()) {
+  if (switches_.count(uid) == 0) {
     if (done) {
       done();
     }
@@ -278,31 +249,7 @@ void DiscoveryService::ReprobePort(uint64_t uid, PortNum port, std::function<voi
     bound_ports_.erase((old.value().uid_b << 8) | old.value().port_b);
   }
   bound_ports_.erase(PortKey(uid, port));
-
-  const SwitchRecord& rec = it->second;
-  {
-    TagList tags = rec.forward;
-    tags.push_back(port);
-    tags.insert(tags.end(), rec.ret.begin(), rec.ret.end());
-    ProbeCtx ctx;
-    ctx.kind = ProbeKind::kHost;
-    ctx.x_uid = uid;
-    ctx.p = port;
-    SendProbe(std::move(tags), ctx);
-  }
-  for (PortNum q = 1; q <= config_.max_ports; ++q) {
-    TagList tags = rec.forward;
-    tags.push_back(port);
-    tags.push_back(kIdQueryTag);
-    tags.push_back(q);
-    tags.insert(tags.end(), rec.ret.begin(), rec.ret.end());
-    ProbeCtx ctx;
-    ctx.kind = ProbeKind::kLink;
-    ctx.x_uid = uid;
-    ctx.p = port;
-    ctx.q = q;
-    SendProbe(std::move(tags), ctx);
-  }
+  ProbePort(uid, port);
 }
 
 void DiscoveryService::MaybeFinish() {

@@ -23,6 +23,7 @@
 #include <unordered_set>
 #include <vector>
 
+#include "src/ctrl/cpu_queue.h"
 #include "src/host/host_agent.h"
 #include "src/routing/topo_db.h"
 
@@ -76,7 +77,7 @@ class DiscoveryService {
   PortNum attach_port() const { return attach_port_; }
 
  private:
-  enum class ProbeKind { kAttach, kHost, kLink, kVerify };
+  enum class ProbeKind : uint8_t { kAttach, kHost, kLink, kVerify };
 
   struct ProbeCtx {
     ProbeKind kind;
@@ -92,13 +93,24 @@ class DiscoveryService {
     bool expanded = false;
   };
 
-  // Runs `fn` when the controller CPU frees up, charging `cost`.
-  void OnCpu(TimeNs cost, std::function<void()> fn);
+  // What a reply job reads of the packet that reached the controller.
+  enum class ReplyKind : uint8_t { kNone, kSwitchId, kHost, kBounce };
+  struct Reply {
+    uint64_t probe_id = 0;
+    uint64_t uid = 0;  // the replying switch (kSwitchId) or host MAC (kHost)
+    ReplyKind kind = ReplyKind::kNone;
+    bool echoes_return_path = false;  // kHost: the echoed path is exactly R + ø
+  };
 
-  void SendProbe(TagList tags, ProbeCtx ctx);
+  // The probe's tag stack (ø excluded), from the records of the switches it
+  // names: fixed once the probe is queued, so it is built when it is sent.
+  TagList ProbeTags(const ProbeCtx& ctx) const;
+  void SendProbe(const ProbeCtx& ctx);
+  // The host probe and the link probes for every candidate return port q.
+  void ProbePort(uint64_t uid, PortNum p);
   void HandleProbeEvent(const Packet& pkt);
+  void HandleReply(const Reply& reply);
   void HandleAttachReply(const ProbeCtx& ctx, uint64_t switch_uid);
-  void HandleHostReply(const ProbeCtx& ctx, const ProbeReplyPayload& reply);
   void HandleLinkReply(const ProbeCtx& ctx, uint64_t n_uid);
   void HandleVerifyReply(const ProbeCtx& ctx, uint64_t replied_uid);
   void ExpandSwitch(uint64_t uid);
@@ -118,7 +130,7 @@ class DiscoveryService {
   PortNum attach_port_ = 0;
   bool attach_resolved_ = false;
   bool complete_ = false;
-  TimeNs cpu_free_ = 0;
+  CpuQueue cpu_;
   std::function<void()> on_complete_;
   DiscoveryStats stats_;
 };

@@ -1,6 +1,5 @@
 #include "src/routing/graph.h"
 
-#include <algorithm>
 #include <bit>
 
 namespace dumbnet {
@@ -87,17 +86,6 @@ uint64_t SwitchGraph::ContentHash() const {
 void SwitchGraph::ScaleLinkWeight(LinkIndex link, double factor) {
   for (AdjEdge& e : edges_) {
     if (e.link == link) {
-      e.weight *= factor;
-    }
-  }
-}
-
-void SwitchGraph::ScaleLinkWeights(const std::vector<LinkIndex>& links, double factor) {
-  if (links.empty()) {
-    return;
-  }
-  for (AdjEdge& e : edges_) {
-    if (std::find(links.begin(), links.end(), e.link) != links.end()) {
       e.weight *= factor;
     }
   }

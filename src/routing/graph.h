@@ -74,9 +74,6 @@ class SwitchGraph {
   // used to repel the backup path from the primary (Section 4.3).
   void ScaleLinkWeight(LinkIndex link, double factor);
 
-  // One-pass variant for a set of links (the whole primary path at once).
-  void ScaleLinkWeights(const std::vector<LinkIndex>& links, double factor);
-
  private:
   void Build(const Topology& topo, const std::vector<LinkIndex>* allowed_links);
 

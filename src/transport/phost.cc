@@ -73,9 +73,6 @@ void PHostReceiver::OnSegment(uint64_t src_mac, const DataPayload& seg) {
     done.ack = kDoneMark;
     done.bytes = kControlBytes;
     channel_->SendSegment(flow.src_mac, done);
-    if (complete_hook_) {
-      complete_hook_(seg.flow_id, sim_->Now());
-    }
     flows_.erase(it);
   }
 }

@@ -52,11 +52,6 @@ class PHostReceiver {
   uint64_t bytes_received() const { return bytes_received_; }
   uint64_t tokens_issued() const { return tokens_issued_; }
 
-  // Fires when a flow's last byte arrives.
-  void SetFlowCompleteHook(std::function<void(uint64_t flow_id, TimeNs now)> hook) {
-    complete_hook_ = std::move(hook);
-  }
-
  private:
   struct InboundFlow {
     uint64_t src_mac = 0;
@@ -80,7 +75,6 @@ class PHostReceiver {
   uint64_t bytes_received_ = 0;
   uint64_t tokens_issued_ = 0;
   bool pacing_ = false;
-  std::function<void(uint64_t, TimeNs)> complete_hook_;
 };
 
 // Sender half: one flow.

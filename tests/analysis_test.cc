@@ -280,6 +280,31 @@ TEST(AuditMacroTest, SwitchFlagsUnterminatedTagStack) {
   audit::ResetCounters();
 }
 
+// A site failing in bulk logs and dumps once, then only a running count.
+TEST(AuditMacroTest, OneSiteTrippedOftenDumpsOnce) {
+  audit::ResetCounters();
+  testing::internal::CaptureStderr();
+  for (int i = 0; i < 1000; ++i) {
+    DUMBNET_AUDIT(i < 0, "tripped in bulk");
+  }
+  const std::string err = testing::internal::GetCapturedStderr();
+  EXPECT_EQ(audit::Counters().failures, 1000u);
+  EXPECT_NE(audit::LastFailure().find("tripped in bulk"), std::string::npos);
+  auto count = [&err](const std::string& needle) {
+    size_t n = 0;
+    for (size_t at = err.find(needle); at != std::string::npos;
+         at = err.find(needle, at + 1)) {
+      ++n;
+    }
+    return n;
+  };
+  EXPECT_EQ(count("=== flight recorder:"), 1u);
+  EXPECT_EQ(count("tripped in bulk"), 1u);
+  EXPECT_EQ(count("failures at this site so far"), 3u);  // 10, 100, 1000
+  EXPECT_EQ(count(" 1000 failures at this site so far"), 1u);
+  audit::ResetCounters();
+}
+
 TEST(AuditMacroTest, CleanTrafficTripsNothing) {
   audit::ResetCounters();
   auto tb = MakePaperTestbed();

@@ -5,10 +5,15 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <map>
+#include <memory>
 #include <set>
+#include <utility>
+#include <vector>
 
 #include "src/analysis/invariants.h"
+#include "src/ctrl/cpu_queue.h"
 #include "src/topo/generators.h"
 #include "tests/test_fabric.h"
 
@@ -802,6 +807,123 @@ TEST(BootstrapAckTest, DuplicateBootstrapChangesNothing) {
   EXPECT_EQ(twice.routes, once.routes);
   EXPECT_EQ(twice.fabric_requests, once.fabric_requests);
   EXPECT_EQ(twice.fabric_responses, once.fabric_responses);
+}
+
+// --- CpuQueue -------------------------------------------------------------------
+
+// The model CpuQueue replaces: each job is one wheel event, filed at enqueue
+// at the end of its CPU slot.
+class ScheduleAtCpu {
+ public:
+  ScheduleAtCpu(Simulator* sim, uint64_t /*cell*/) : sim_(sim) {}
+
+  template <typename Fn>
+  void Run(TimeNs cost, Fn fn) {
+    free_ = std::max(sim_->Now(), free_) + cost;
+    sim_->ScheduleAt(free_, std::move(fn));
+  }
+
+ private:
+  Simulator* sim_;
+  TimeNs free_ = 0;
+};
+
+using Trace = std::vector<std::pair<TimeNs, uint64_t>>;
+
+// One job script, run through `Cpu`; returns every executed event's (at, seq).
+template <typename Cpu>
+Trace RunCpuScript() {
+  Simulator sim;
+  Cpu cpu(&sim, 1);
+  Trace trace;
+  sim.SetTraceHook([&](TimeNs at, uint64_t seq) { trace.emplace_back(at, seq); });
+  auto noop = [] {};
+
+  sim.ScheduleAt(15, noop);  // foreign, filed before the job finishing at 15
+  cpu.Run(10, [&] {          // 10
+    cpu.Run(0, noop);        // enqueued by a running job, ties with the tail (30)
+    cpu.Run(3, noop);        // 33
+    sim.ScheduleAt(sim.Now(), noop);
+  });
+  cpu.Run(0, noop);          // zero cost behind a busy CPU: 10, with the tail
+  sim.ScheduleAt(10, noop);  // foreign, at a job's exact finish, after it
+  cpu.Run(5, [&] {           // 15
+    sim.ScheduleAt(30, noop);  // foreign, at the next job's finish
+  });
+  cpu.Run(15, noop);  // 30
+  cpu.Run(0, noop);   // 30
+  cpu.Run(0, noop);   // 30
+  sim.ScheduleAt(30, noop);
+
+  EXPECT_EQ(sim.RunSteps(5), 5u);  // stops inside the batch at 15
+  cpu.Run(0, noop);                // enqueued between RunSteps calls
+  cpu.Run(7, noop);
+  EXPECT_EQ(sim.RunSteps(4), 4u);  // stops inside the batch at 30
+  cpu.Run(0, noop);
+  cpu.Run(2, noop);
+  sim.Run();
+
+  // An idle CPU: a zero-cost job runs now, and enqueues onto an empty queue.
+  cpu.Run(0, [&] {
+    cpu.Run(0, noop);
+    cpu.Run(2, noop);
+    sim.ScheduleAt(sim.Now() + 2, noop);
+  });
+  sim.Run();
+  return trace;
+}
+
+TEST(CpuQueueTest, RunsEveryJobAtTheTimeAndSeqOfOneScheduleAtPerJob) {
+  const Trace queue = RunCpuScript<CpuQueue>();
+  const Trace reference = RunCpuScript<ScheduleAtCpu>();
+  EXPECT_EQ(queue.size(), 21u);
+  ASSERT_EQ(queue.size(), reference.size());
+  for (size_t i = 0; i < queue.size(); ++i) {
+    EXPECT_EQ(queue[i], reference[i]) << "event " << i;
+  }
+}
+
+TEST(CpuQueueTest, KeepsABacklogOutOfTheWheel) {
+  Simulator sim;
+  CpuQueue cpu(&sim, 1);
+  uint64_t ran = 0;
+  for (int i = 0; i < 1000; ++i) {
+    cpu.Run(Us(30), [&ran] { ++ran; });
+    cpu.Run(0, [&ran] { ++ran; });  // ties with the job before it
+  }
+  // The head, and the one tie enqueued while its job was already the head.
+  EXPECT_EQ(sim.mem_stats().queued_events, 2u);
+  EXPECT_EQ(sim.RunSteps(2), 2u);
+  // The next head and its tie.
+  EXPECT_EQ(sim.mem_stats().queued_events, 2u);
+  sim.Run();
+  EXPECT_EQ(ran, 2000u);
+  EXPECT_EQ(sim.Now(), Us(30) * 1000);
+}
+
+// Jobs still queued when the simulator goes away (the filed head, a tie filed
+// in the wheel, and jobs and a tie in the FIFO) release their captures; LSan
+// sees any leak.
+TEST(CpuQueueTest, DestroyingWithJobsQueuedFreesTheirCaptures) {
+  auto token = std::make_shared<int>(0);
+  std::weak_ptr<int> watch = token;
+  auto sim = std::make_unique<Simulator>();
+  {
+    CpuQueue cpu(sim.get(), 1);
+    const auto job = [token] { ++*token; };
+    token.reset();
+    cpu.Run(Us(1), job);  // the head
+    cpu.Run(0, job);      // ties with the filed head: filed in the wheel
+    cpu.Run(Us(1), job);  // FIFO; the head once the first job has run
+    cpu.Run(Us(1), job);  // FIFO
+    cpu.Run(0, job);      // ties with the FIFO's tail: stays in the FIFO
+    EXPECT_EQ(sim->RunSteps(1), 1u);
+    EXPECT_EQ(*watch.lock(), 1);
+    EXPECT_EQ(watch.use_count(), 5);  // `job`, the tie in the wheel, three queued
+    sim.reset();
+    EXPECT_EQ(watch.use_count(), 4);
+  }
+  EXPECT_TRUE(watch.expired());
 }
 
 }  // namespace

@@ -94,6 +94,31 @@ TEST(DeterminismTest, FailureRecoveryTraceIsReproducible) {
   ExpectIdentical(first, second);
 }
 
+uint64_t TraceDigest(const Trace& trace) {
+  uint64_t h = 0;
+  for (const auto& [at, seq] : trace) {
+    h = footprint::FpKey(h, static_cast<uint64_t>(at), seq);
+  }
+  return h;
+}
+
+// The two tests above compare two runs of one build, so a change that moves
+// the same events the same way in both runs passes them. These pin the traces
+// themselves: every event's (at, seq), the event count and the end time of the
+// probing bring-up and of the failure-recovery life-cycle. The values were
+// recorded with one wheel event per queued controller CPU job, before CpuQueue;
+// re-record them only with a change that means to move events.
+TEST(DeterminismTest, LifecycleTracesArePinned) {
+  const RunResult bringup = RunLifecycle(7, /*with_failure=*/false);
+  EXPECT_EQ(TraceDigest(bringup.trace), 6959786275224766131ull);
+  EXPECT_EQ(bringup.trace.size(), 19003u);
+  EXPECT_EQ(bringup.final_time, 321401244);
+  const RunResult recovery = RunLifecycle(7, /*with_failure=*/true);
+  EXPECT_EQ(TraceDigest(recovery.trace), 12937167462538990044ull);
+  EXPECT_EQ(recovery.trace.size(), 30571u);
+  EXPECT_EQ(recovery.final_time, 1525469985);
+}
+
 // Failure-recovery stress targeting the paths where hash-map iteration order
 // could leak into the event stream: the ApplyBootstrap fan-out over pre-bootstrap
 // queued destinations (HostAgent::pending_), and the PathTable::InvalidateEdge
