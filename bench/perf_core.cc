@@ -34,7 +34,6 @@
 #include "src/routing/path_graph.h"
 #include "src/routing/shortest_path.h"
 #include "src/topo/generators.h"
-#include "src/util/thread_pool.h"
 
 using namespace dumbnet;
 
@@ -366,8 +365,7 @@ CancelDrainResult RunCancelDrain(uint64_t total_events) {
 // ---------------------------------------------------------------------------
 struct BatchResult {
   double per_sec_legacy = 0;
-  double per_sec_new = 0;     // single-threaded: tree + scratch, no pool
-  double per_sec_pooled = 0;  // with the thread pool
+  double per_sec_new = 0;  // tree + scratch
   size_t graphs = 0;
 };
 
@@ -398,7 +396,7 @@ BatchResult RunPathGraphBatch(const Topology& topo, uint32_t src,
     SsspScratch tree_scratch;
     for (int it = 0; it < repeats; ++it) {
       SsspTree tree = BuildSsspTree(graph, src, &rng, &tree_scratch);
-      auto graphs = BuildPathGraphBatch(topo, graph, tree, dsts, params, &rng, nullptr);
+      auto graphs = BuildPathGraphBatch(topo, graph, tree, dsts, params, &rng);
       for (const auto& pg : graphs) {
         if (pg.ok()) {
           ++built_new;
@@ -407,18 +405,6 @@ BatchResult RunPathGraphBatch(const Topology& topo, uint32_t src,
     }
   });
   r.per_sec_new = static_cast<double>(r.graphs) / new_secs;
-
-  ThreadPool pool;
-  double pooled_secs = WallSeconds([&] {
-    Rng rng(42);
-    SsspScratch tree_scratch;
-    for (int it = 0; it < repeats; ++it) {
-      SsspTree tree = BuildSsspTree(graph, src, &rng, &tree_scratch);
-      auto graphs = BuildPathGraphBatch(topo, graph, tree, dsts, params, &rng, &pool);
-      (void)graphs;
-    }
-  });
-  r.per_sec_pooled = static_cast<double>(r.graphs) / pooled_secs;
 
   if (built_legacy != built_new) {
     std::printf("WARNING: legacy built %zu graphs, new built %zu\n", built_legacy,
@@ -719,25 +705,18 @@ int main(int argc, char** argv) {
   const uint64_t batch_allocs = HotAllocsDuring(
       [&] { batch = RunPathGraphBatch(topo, cube.value().At(0, 0, 0), dsts, repeats); });
   double batch_speedup = batch.per_sec_new / batch.per_sec_legacy;
-  double pooled_speedup = batch.per_sec_pooled / batch.per_sec_legacy;
   std::printf("\npath-graph batch (8-cube, %zu dsts x %d repeats):\n", dsts.size(),
               repeats);
   std::printf("  legacy loop  %12.0f graphs/s\n", batch.per_sec_legacy);
   std::printf("  new batch    %12.0f graphs/s (%.2fx)\n", batch.per_sec_new,
               batch_speedup);
-  std::printf("  pooled batch %12.0f graphs/s (%.2fx)\n", batch.per_sec_pooled,
-              pooled_speedup);
   bench::JsonReporter::Params batch_params = {
       {"topology", "cube8"}, {"dsts", std::to_string(dsts.size())}};
   report.Add("perf_core", "path_graphs_per_sec", batch.per_sec_new, "graphs/s",
              batch_params);
   report.Add("perf_core", "path_graphs_per_sec_legacy", batch.per_sec_legacy,
              "graphs/s", batch_params);
-  report.Add("perf_core", "path_graphs_per_sec_pooled", batch.per_sec_pooled,
-             "graphs/s", batch_params);
   report.Add("perf_core", "path_graph_batch_speedup", batch_speedup, "ratio",
-             batch_params);
-  report.Add("perf_core", "path_graph_pooled_speedup", pooled_speedup, "ratio",
              batch_params);
   report.Add("perf_core", "hot_scope_allocs", static_cast<double>(batch_allocs),
              "allocs", {{"section", "path_graph_batch"}});

@@ -10,6 +10,7 @@
 #include "src/routing/graph.h"
 #include "src/routing/shortest_path.h"
 #include "src/topo/serialize.h"
+#include "src/util/json.h"
 
 namespace dumbnet {
 namespace {
@@ -425,38 +426,6 @@ std::vector<CheckFinding> VerifyPathGraphSemantics(
   }
   return findings;
 }
-
-namespace {
-
-std::string JsonEscape(const std::string& s) {
-  std::string out;
-  out.reserve(s.size() + 8);
-  for (char c : s) {
-    switch (c) {
-      case '"':
-        out += "\\\"";
-        break;
-      case '\\':
-        out += "\\\\";
-        break;
-      case '\n':
-        out += "\\n";
-        break;
-      case '\t':
-        out += "\\t";
-        break;
-      default:
-        if (static_cast<unsigned char>(c) < 0x20) {
-          out += ' ';
-        } else {
-          out.push_back(c);
-        }
-    }
-  }
-  return out;
-}
-
-}  // namespace
 
 std::string CheckFindingsJson(const std::vector<CheckFinding>& findings) {
   std::ostringstream os;

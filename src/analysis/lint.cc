@@ -2,13 +2,14 @@
 
 #include <algorithm>
 #include <cctype>
-#include <cstdio>
 #include <cstring>
 #include <fstream>
 #include <map>
 #include <set>
 #include <sstream>
 #include <tuple>
+
+#include "src/util/json.h"
 
 namespace dumbnet {
 namespace {
@@ -717,40 +718,6 @@ void CheckMacroContracts(const std::vector<Tok>& toks, const SourceText& src,
 }
 
 // ---------------------------------------------------------------------------------
-// Rule: fp-in-pool. Footprint collection (DN_FP_*) is thread-local and is only
-// harvested on the thread executing the current simulator event. A DN_FP_* that
-// executes on a ThreadPool worker records into that worker's collector and
-// silently vanishes — the race detector never sees it, which reads as
-// "verified race-free" when nothing was checked. This is a
-// lexical check: it flags DN_FP_* tokens inside the argument list of a
-// ThreadPool::ParallelFor call (the pool's only entry point). Footprints
-// reached through functions *called* from the body are out of a token linter's
-// sight — keep pool bodies free of footprint-collecting helpers.
-
-void CheckFootprintInPool(const std::vector<Tok>& toks, const std::string& path,
-                          std::vector<LintFinding>* findings) {
-  for (size_t i = 0; i + 1 < toks.size(); ++i) {
-    if (!toks[i].ident || toks[i].text != "ParallelFor" || toks[i + 1].text != "(") {
-      continue;
-    }
-    const size_t open = i + 1;
-    const size_t close = MatchParen(toks, open);
-    for (size_t j = open + 1; j < close; ++j) {
-      if (toks[j].ident && toks[j].text.rfind("DN_FP_", 0) == 0) {
-        findings->push_back(
-            {"fp-in-pool", path, toks[j].line + 1,
-             "'" + toks[j].text +
-                 "' inside a ThreadPool::ParallelFor body: footprint collection "
-                 "is thread-local to the event's executing thread, so "
-                 "declarations made on pool workers are silently dropped; move "
-                 "the DN_FP_* to the simulation-thread caller or annotate "
-                 "dn-lint: allow(fp-in-pool, <reason>)"});
-      }
-    }
-  }
-}
-
-// ---------------------------------------------------------------------------------
 // Rules: hot-alloc, reactor-block. Flow-aware in the lexical sense: a
 // DN_HOT_SCOPE(...) or DN_REACTOR_CONTEXT token opens a region reaching to the
 // end of its enclosing brace block, and the rule fires on forbidden tokens
@@ -992,45 +959,14 @@ void CheckHeaderHygiene(const std::vector<Tok>& toks, const SourceText& src,
   }
 }
 
-std::string JsonEscape(const std::string& s) {
-  std::string out;
-  out.reserve(s.size() + 8);
-  for (char c : s) {
-    switch (c) {
-      case '"':
-        out += "\\\"";
-        break;
-      case '\\':
-        out += "\\\\";
-        break;
-      case '\n':
-        out += "\\n";
-        break;
-      case '\t':
-        out += "\\t";
-        break;
-      default:
-        if (static_cast<unsigned char>(c) < 0x20) {
-          char buf[8];
-          std::snprintf(buf, sizeof(buf), "\\u%04x", c);
-          out += buf;
-        } else {
-          out.push_back(c);
-        }
-    }
-  }
-  return out;
-}
-
 }  // namespace
 
 const std::vector<std::string>& KnownLintRules() {
   static const std::vector<std::string> kRules = {
       "raw-random",    "wall-clock",             "unordered-iter",
       "pointer-key",   "audit-message",          "log-kv-key",
-      "fp-in-pool",    "hot-alloc",              "reactor-block",
-      "mutex-rank",    "include-guard",          "using-namespace-header",
-      "bad-suppression"};
+      "hot-alloc",     "reactor-block",          "mutex-rank",
+      "include-guard", "using-namespace-header", "bad-suppression"};
   return kRules;
 }
 
@@ -1069,7 +1005,6 @@ std::vector<LintFinding> LintSource(const std::string& path, const std::string& 
   }
 
   CheckMacroContracts(toks, src, path, &raw_findings);
-  CheckFootprintInPool(toks, path, &raw_findings);
   CheckContractRegions(toks, src, path, &raw_findings);
 
   bool mutex_ranked = false;

@@ -496,11 +496,8 @@ Result<std::vector<WirePathGraph>> ControllerService::PrecomputePathGraphs(
 
   const SwitchGraph& graph = RoutingGraph();
   const SsspTree& tree = sssp_cache_.Get(graph, graph_version_, src_idx.value(), &rng_);
-  if (pool_ == nullptr) {
-    pool_ = std::make_unique<ThreadPool>();
-  }
   auto built = BuildPathGraphBatch(db_.mirror(), graph, tree, dst_switches,
-                                   config_.path_graph, &rng_, pool_.get());
+                                   config_.path_graph, &rng_);
 
   std::vector<WirePathGraph> out;
   out.reserve(built.size());

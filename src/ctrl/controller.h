@@ -22,7 +22,6 @@
 #include "src/routing/path_graph.h"
 #include "src/routing/sssp_cache.h"
 #include "src/routing/topo_db.h"
-#include "src/util/thread_pool.h"
 
 namespace dumbnet {
 
@@ -98,8 +97,7 @@ class ControllerService {
 
   // Batch path-graph precompute: builds the wire path graph from `src_mac`'s edge
   // switch to every destination's edge switch in one pass — the primaries share a
-  // single cached SSSP tree and the per-destination detour/backup work fans out
-  // over an internal thread pool. Destinations that cannot be served (unknown MAC,
+  // single cached SSSP tree. Destinations that cannot be served (unknown MAC,
   // disconnected switch) are silently skipped; the returned vector holds one entry
   // per successful destination, in input order. Errors only when `src_mac` itself
   // is unknown.
@@ -179,7 +177,6 @@ class ControllerService {
   std::unordered_map<uint64_t, std::shared_ptr<WirePathGraph>> wire_cache_;
   uint64_t wire_cache_version_ = kNoGraphVersion;
   static constexpr size_t kWireCacheMaxEntries = 65536;
-  std::unique_ptr<ThreadPool> pool_;  // lazily created by PrecomputePathGraphs
 
   static constexpr uint64_t kNoGraphVersion = UINT64_MAX;
 

@@ -105,12 +105,10 @@ Status HostAgent::SendOnPath(uint64_t dst_mac, const std::vector<uint64_t>& uid_
   if (!dst.ok()) {
     return dst.error();
   }
-  if (config_.verify_routes) {
-    PathVerifier verifier(&topo_cache_.db(), VerifyPolicy{});
-    if (Status s = verifier.VerifyUidPath(uid_path); !s.ok()) {
-      ++stats_.verify_failures;
-      return s;
-    }
+  PathVerifier verifier(&topo_cache_.db(), VerifyPolicy{});
+  if (Status s = verifier.VerifyUidPath(uid_path); !s.ok()) {
+    ++stats_.verify_failures;
+    return s;
   }
   auto tags = topo_cache_.db().CompileTagsForUidPath(uid_path, dst.value().port);
   if (!tags.ok()) {
@@ -744,24 +742,22 @@ Status HostAgent::InstallRoutesFor(uint64_t dst_mac) {
     entry.value().has_backup = false;
     entry.value().backup = CachedRoute{};
   }
-  if (config_.verify_routes) {
-    PathVerifier verifier(&topo_cache_.db(), VerifyPolicy{});
-    auto& paths = entry.value().paths;
-    size_t kept = 0;
-    for (size_t i = 0; i < paths.size(); ++i) {
-      if (verifier.VerifyUidPath(paths[i].uid_path).ok()) {
-        if (kept != i) {
-          paths[kept] = std::move(paths[i]);
-        }
-        ++kept;
-      } else {
-        ++stats_.verify_failures;
+  PathVerifier verifier(&topo_cache_.db(), VerifyPolicy{});
+  auto& paths = entry.value().paths;
+  size_t kept = 0;
+  for (size_t i = 0; i < paths.size(); ++i) {
+    if (verifier.VerifyUidPath(paths[i].uid_path).ok()) {
+      if (kept != i) {
+        paths[kept] = std::move(paths[i]);
       }
+      ++kept;
+    } else {
+      ++stats_.verify_failures;
     }
-    paths.resize(kept);
-    if (paths.empty() && !entry.value().has_backup) {
-      return Error(ErrorCode::kUnavailable, "all routes failed verification");
-    }
+  }
+  paths.resize(kept);
+  if (paths.empty() && !entry.value().has_backup) {
+    return Error(ErrorCode::kUnavailable, "all routes failed verification");
   }
   path_table_.Install(dst_mac, std::move(entry.value()));
   return Status::Ok();

@@ -36,8 +36,6 @@ struct HostAgentConfig {
   // Re-issue a path request if unanswered for this long; each further retry
   // doubles the wait, up to 16x, plus seeded jitter.
   TimeNs request_timeout = Ms(50);
-  // Verify routes before installing them (can be disabled to measure its cost).
-  bool verify_routes = true;
   // Cache the controller-provided backup path (Section 4.3). Disabling it is the
   // ablation knob for "k shortest paths only" caching.
   bool cache_backup = true;

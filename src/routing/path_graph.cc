@@ -170,14 +170,13 @@ Result<PathGraph> BuildPathGraphAround(const Topology& topo, const SwitchGraph& 
 
 std::vector<Result<PathGraph>> BuildPathGraphBatch(
     const Topology& topo, const SwitchGraph& graph, const SsspTree& tree,
-    const std::vector<uint32_t>& dst_switches, const PathGraphParams& params, Rng* rng,
-    ThreadPool* pool) {
+    const std::vector<uint32_t>& dst_switches, const PathGraphParams& params, Rng* rng) {
   const size_t n = dst_switches.size();
   std::vector<Result<PathGraph>> out(
       n, Result<PathGraph>(Error(ErrorCode::kInternal, "not computed")));
 
-  // Fork one rng per destination up front (sequentially, so the batch result is a
-  // pure function of `rng`'s state, not of thread interleaving).
+  // Fork one rng per destination up front, in index order, so an unreachable
+  // destination consumes its fork too and the others' streams do not shift.
   std::vector<Rng> rngs;
   if (rng != nullptr) {
     rngs.reserve(n);
@@ -186,24 +185,15 @@ std::vector<Result<PathGraph>> BuildPathGraphBatch(
     }
   }
 
-  const size_t workers = pool != nullptr ? pool->concurrency() : 1;
-  std::vector<PathGraphScratch> scratches(workers);
-
-  auto build_one = [&](size_t i, size_t worker) {
+  PathGraphScratch scratch;
+  for (size_t i = 0; i < n; ++i) {
     auto primary = PathFromTree(tree, dst_switches[i]);
     if (!primary.ok()) {
       out[i] = primary.error();
-      return;
+      continue;
     }
     out[i] = BuildPathGraphAround(topo, graph, std::move(primary.value()), params,
-                                  rng != nullptr ? &rngs[i] : nullptr, scratches[worker]);
-  };
-  if (pool != nullptr) {
-    pool->ParallelFor(n, build_one);
-  } else {
-    for (size_t i = 0; i < n; ++i) {
-      build_one(i, 0);
-    }
+                                  rng != nullptr ? &rngs[i] : nullptr, scratch);
   }
   return out;
 }

@@ -8,7 +8,7 @@
 //     PathGraphScratch so repeated builds do no O(V)/O(E) allocation.
 //   - BuildPathGraphBatch: many destinations from one source. Primaries come from
 //     a shared SSSP tree (one Dijkstra total instead of one per destination) and
-//     the per-destination detour/backup work fans out over a ThreadPool.
+//     one scratch serves every destination's detour/backup work.
 #ifndef DUMBNET_SRC_ROUTING_PATH_GRAPH_H_
 #define DUMBNET_SRC_ROUTING_PATH_GRAPH_H_
 
@@ -19,7 +19,6 @@
 #include "src/routing/shortest_path.h"
 #include "src/topo/topology.h"
 #include "src/util/rng.h"
-#include "src/util/thread_pool.h"
 
 namespace dumbnet {
 
@@ -86,15 +85,14 @@ Result<PathGraph> BuildPathGraphAround(const Topology& topo, const SwitchGraph& 
                                        Rng* rng, PathGraphScratch& scratch);
 
 // Builds path graphs from one source to many destinations. Primaries are extracted
-// from `tree` (which must be rooted at src_switch over `graph`); backup/detour work
-// for each destination runs concurrently on `pool` (or inline when pool is null).
-// Deterministic: each destination draws from its own fork of `rng`, so results do
-// not depend on thread scheduling. Per-destination failures (e.g. an unreachable
-// destination) yield error entries; the batch itself always succeeds.
+// from `tree` (which must be rooted at src_switch over `graph`). Destination i
+// draws from its own `rng->Fork(i)`, forked up front, so the batch equals one
+// BuildPathGraphAround per destination with those forks. Per-destination failures
+// (e.g. an unreachable destination) yield error entries; the batch itself always
+// succeeds.
 std::vector<Result<PathGraph>> BuildPathGraphBatch(
     const Topology& topo, const SwitchGraph& graph, const SsspTree& tree,
-    const std::vector<uint32_t>& dst_switches, const PathGraphParams& params, Rng* rng,
-    ThreadPool* pool);
+    const std::vector<uint32_t>& dst_switches, const PathGraphParams& params, Rng* rng);
 
 // Counts distinct simple src→dst paths inside the path-graph subgraph, up to `cap`
 // (the subgraph can encode combinatorially many; Figure 12 reports this count).

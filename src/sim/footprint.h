@@ -27,11 +27,7 @@
 // node per OS thread, each with its own simulator (src/wire/node.h), so each
 // node thread records the footprints of its own events and hazard detection
 // stays correct per node; frames between nodes are not same-batch hazards.
-// The runtime enable bit is an atomic read by every thread. DN_FP_*
-// macros must still not appear in code reachable from ThreadPool workers (e.g.
-// the batched path-graph builders): a pool worker has no simulator batch open,
-// so its records would silently vanish instead of being conflict-checked
-// (dumbnet-lint's fp-in-pool rule flags this).
+// The runtime enable bit is an atomic read by every thread.
 #ifndef DUMBNET_SRC_SIM_FOOTPRINT_H_
 #define DUMBNET_SRC_SIM_FOOTPRINT_H_
 

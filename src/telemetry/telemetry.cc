@@ -3,6 +3,8 @@
 #include <algorithm>
 #include <fstream>
 
+#include "src/util/json.h"
+
 namespace dumbnet {
 namespace telemetry {
 
@@ -13,30 +15,6 @@ std::atomic<bool> g_enabled{true};
 void SetEnabled(bool on) {
   internal::g_enabled.store(on, std::memory_order_relaxed);
 }
-
-namespace {
-
-void WriteJsonString(std::ostream& os, const std::string& s) {
-  os << '"';
-  for (char c : s) {
-    switch (c) {
-      case '"':
-        os << "\\\"";
-        break;
-      case '\\':
-        os << "\\\\";
-        break;
-      case '\n':
-        os << "\\n";
-        break;
-      default:
-        os << c;
-    }
-  }
-  os << '"';
-}
-
-}  // namespace
 
 double RegistrySnapshot::Value(const std::string& name) const {
   const MetricValue* m = Find(name);
@@ -58,9 +36,7 @@ void RegistrySnapshot::WriteJson(std::ostream& os) const {
     if (!first_section) {
       os << ",\n";
     }
-    os << "  ";
-    WriteJsonString(os, title);
-    os << ": {";
+    os << "  \"" << title << "\": {";
     bool first = true;
     for (const MetricValue& m : metrics_) {
       if (m.kind != kind) {
@@ -70,9 +46,7 @@ void RegistrySnapshot::WriteJson(std::ostream& os) const {
         os << ",";
       }
       first = false;
-      os << "\n    ";
-      WriteJsonString(os, m.name);
-      os << ": ";
+      os << "\n    \"" << JsonEscape(m.name) << "\": ";
       if (kind == MetricValue::Kind::kHistogram) {
         const LogHistogram& h = m.histogram;
         os << "{\"count\": " << h.count() << ", \"mean\": " << h.mean()

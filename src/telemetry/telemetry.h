@@ -8,8 +8,9 @@
 // Metric objects are owned by the registry and never deallocated while the
 // process lives, so call sites may cache raw pointers (the DN_*_INC macros
 // cache one in a function-local static). Counters and gauges are relaxed
-// atomics — safe to bump from ThreadPool workers; histograms take a light
-// mutex and are meant for packet-level (not per-event) paths.
+// atomics — safe to bump from any thread (each wire-runtime node runs on its
+// own); histograms take a light mutex and are meant for packet-level (not
+// per-event) paths.
 #ifndef DUMBNET_SRC_TELEMETRY_TELEMETRY_H_
 #define DUMBNET_SRC_TELEMETRY_TELEMETRY_H_
 

@@ -14,6 +14,7 @@
 
 #include "src/analysis/invariants.h"
 #include "src/ctrl/cpu_queue.h"
+#include "src/sim/footprint.h"
 #include "src/topo/generators.h"
 #include "tests/test_fabric.h"
 
@@ -274,6 +275,46 @@ TEST_F(ControllerTest, SsspCacheHitsOnRepeatAndInvalidatesOnLinkEvent) {
           << "path graph still uses the dead link";
     }
   }
+}
+
+// The batch tests (here and in routing_test) compare the batch with other code
+// in the same tree, so a change that moves the rng fork discipline in both
+// places passes them. This pins PrecomputePathGraphs' output: a digest of every
+// wire graph (primary, backup and links) from one host to every other host of a
+// fat-tree k=4 adopted as ground truth. Re-record the value only with a change
+// that means to move routes.
+TEST_F(ControllerTest, PrecomputePathGraphsOutputIsPinned) {
+  FatTreeConfig config;
+  config.k = 4;
+  auto fat_tree = MakeFatTree(config);
+  ASSERT_TRUE(fat_tree.ok());
+  TestFabric fabric(std::move(fat_tree.value().topo));
+  fabric.BringUpAdopted(0);
+  std::vector<uint64_t> dst_macs;
+  for (uint32_t h = 1; h < fabric.host_count(); ++h) {
+    dst_macs.push_back(fabric.agent(h).mac());
+  }
+  auto graphs = fabric.controller().PrecomputePathGraphs(fabric.agent(0).mac(), dst_macs);
+  ASSERT_TRUE(graphs.ok());
+  ASSERT_EQ(graphs.value().size(), dst_macs.size());
+  uint64_t digest = 0;
+  auto mix_uids = [&digest](const std::vector<uint64_t>& uids) {
+    digest = footprint::FpKey(digest, uids.size());
+    for (uint64_t uid : uids) {
+      digest = footprint::FpKey(digest, uid);
+    }
+  };
+  for (const WirePathGraph& wg : graphs.value()) {
+    digest = footprint::FpKey(digest, wg.src_uid, wg.dst_uid);
+    mix_uids(wg.primary);
+    mix_uids(wg.backup);
+    digest = footprint::FpKey(digest, wg.links.size());
+    for (const WireLink& wl : wg.links) {
+      digest = footprint::FpKey(footprint::FpKey(digest, wl.uid_a, wl.port_a), wl.uid_b,
+                                wl.port_b);
+    }
+  }
+  EXPECT_EQ(digest, 9013885041791141694ull);
 }
 
 // Query coalescing: a controller slow enough (1 ms per query) that a host's

@@ -283,45 +283,6 @@ uint64_t Tag(Agent* a) { return reinterpret_cast<uint64_t>(a); }
   EXPECT_FALSE(Fires(LintSource("src/switch/fixture.cc", allowed), "pointer-key"));
 }
 
-TEST(LintRuleTest, FpInPoolFires) {
-  const std::string bad = R"cc(
-#include "src/util/thread_pool.h"
-void Batch(ThreadPool& pool, size_t n) {
-  pool.ParallelFor(n, [&](size_t begin, size_t end) {
-    for (size_t i = begin; i < end; ++i) {
-      DN_FP_WRITE(kPathTable, i);
-    }
-  });
-}
-)cc";
-  EXPECT_TRUE(Fires(LintSource("src/host/fixture.cc", bad), "fp-in-pool"));
-  // Footprint declared by the simulation-thread caller, outside the pool body,
-  // is the correct pattern and stays quiet.
-  const std::string good = R"cc(
-#include "src/util/thread_pool.h"
-void Batch(ThreadPool& pool, size_t n) {
-  DN_FP_WRITE(kPathTable, n);
-  pool.ParallelFor(n, [&](size_t begin, size_t end) {
-    for (size_t i = begin; i < end; ++i) {
-      Compute(i);
-    }
-  });
-}
-)cc";
-  EXPECT_FALSE(Fires(LintSource("src/host/fixture.cc", good), "fp-in-pool"));
-  // allow() with a reason silences it like any other rule.
-  const std::string allowed = R"cc(
-#include "src/util/thread_pool.h"
-void Batch(ThreadPool& pool, size_t n) {
-  pool.ParallelFor(n, [&](size_t begin, size_t end) {
-    // dn-lint: allow(fp-in-pool, worker re-posts the declaration to the event thread)
-    DN_FP_READ(kPathTable, begin);
-  });
-}
-)cc";
-  EXPECT_FALSE(Fires(LintSource("src/host/fixture.cc", allowed), "fp-in-pool"));
-}
-
 TEST(LintRuleTest, HotAllocFires) {
   // Runtime twin: ContractsTest.AllocationInsideHotScopeIsCounted — the same
   // push_back-in-hot-scope shape tripping the interposer.
@@ -507,8 +468,7 @@ TEST(LintScannerTest, EveryRuleIdIsKnown) {
   for (const char* id : {"raw-random", "wall-clock", "unordered-iter",
                          "audit-message", "log-kv-key", "include-guard",
                          "using-namespace-header", "bad-suppression",
-                         "fp-in-pool", "hot-alloc", "reactor-block",
-                         "mutex-rank"}) {
+                         "hot-alloc", "reactor-block", "mutex-rank"}) {
     bool found = false;
     for (const std::string& r : rules) {
       found = found || r == id;

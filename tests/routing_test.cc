@@ -545,7 +545,7 @@ TEST(PathGraphBatchTest, MatchesSequentialBuildsWithForkedRngs) {
                                             &forks[i], scratch));
   }
   Rng rng_b(55);
-  auto batch = BuildPathGraphBatch(t, g, tree, dsts, params, &rng_b, nullptr);
+  auto batch = BuildPathGraphBatch(t, g, tree, dsts, params, &rng_b);
   ASSERT_EQ(batch.size(), expected.size());
   for (size_t i = 0; i < batch.size(); ++i) {
     ASSERT_TRUE(batch[i].ok());
@@ -557,38 +557,12 @@ TEST(PathGraphBatchTest, MatchesSequentialBuildsWithForkedRngs) {
   }
 }
 
-TEST(PathGraphBatchTest, PooledMatchesInline) {
-  Topology t = MediumCube();
-  SwitchGraph g(t);
-  PathGraphParams params;
-  std::vector<uint32_t> dsts;
-  for (uint32_t v = 1; v < g.size(); v += 2) {
-    dsts.push_back(v);
-  }
-  SsspTree tree = BuildSsspTree(g, 0);
-  Rng rng_a(9);
-  auto inline_batch = BuildPathGraphBatch(t, g, tree, dsts, params, &rng_a, nullptr);
-  ThreadPool pool(3);
-  Rng rng_b(9);
-  auto pooled_batch = BuildPathGraphBatch(t, g, tree, dsts, params, &rng_b, &pool);
-  ASSERT_EQ(inline_batch.size(), pooled_batch.size());
-  for (size_t i = 0; i < inline_batch.size(); ++i) {
-    ASSERT_TRUE(inline_batch[i].ok());
-    ASSERT_TRUE(pooled_batch[i].ok());
-    EXPECT_EQ(inline_batch[i].value().primary, pooled_batch[i].value().primary);
-    EXPECT_EQ(inline_batch[i].value().backup, pooled_batch[i].value().backup);
-    EXPECT_EQ(inline_batch[i].value().vertices, pooled_batch[i].value().vertices);
-    EXPECT_EQ(inline_batch[i].value().links, pooled_batch[i].value().links);
-  }
-}
-
 TEST(PathGraphBatchTest, UnreachableDestinationYieldsErrorEntry) {
   Topology t = Diamond();
   t.AddSwitch(8);  // isolated switch 6
   SwitchGraph g(t);
   SsspTree tree = BuildSsspTree(g, 0);
-  auto batch = BuildPathGraphBatch(t, g, tree, {3, 6, 1}, PathGraphParams{}, nullptr,
-                                   nullptr);
+  auto batch = BuildPathGraphBatch(t, g, tree, {3, 6, 1}, PathGraphParams{}, nullptr);
   ASSERT_EQ(batch.size(), 3u);
   EXPECT_TRUE(batch[0].ok());
   EXPECT_FALSE(batch[1].ok());

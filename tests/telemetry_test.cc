@@ -1,9 +1,12 @@
 // Telemetry subsystem tests: metrics registry snapshot/diff, log-bucketed
 // histogram accuracy against exact ground truth, flight-recorder ring
 // semantics and dump round-trips, DN_LOG_KV capture, in-band path provenance
-// (including an injected misroute), and thread-safety of the counters under a
-// ThreadPool (run the tsan preset to get the full data-race check).
+// (including an injected misroute), and thread-safety of the counters and the
+// recorder under concurrent writer threads, as in the wire runtime's one thread
+// per node (run the tsan preset to get the full data-race check).
+#include <functional>
 #include <sstream>
+#include <thread>
 #include <vector>
 
 #include <gtest/gtest.h>
@@ -15,7 +18,6 @@
 #include "src/topo/generators.h"
 #include "src/util/logging.h"
 #include "src/util/stats.h"
-#include "src/util/thread_pool.h"
 
 namespace dumbnet {
 namespace {
@@ -263,16 +265,31 @@ TEST(FlightRecorder, LogCaptureRecordsKvEvents) {
 
 // --- Concurrency (meaningful under -DDUMBNET_SANITIZE=thread) -----------------------
 
-TEST(TelemetryConcurrency, CountersAreRaceFreeFromPoolWorkers) {
+// Runs fn(i) for every i in [0, n) spread over four threads, and joins them.
+void RunOnFourThreads(size_t n, const std::function<void(size_t)>& fn) {
+  constexpr size_t kThreads = 4;
+  std::vector<std::thread> threads;
+  for (size_t t = 0; t < kThreads; ++t) {
+    threads.emplace_back([&, t] {
+      for (size_t i = t; i < n; i += kThreads) {
+        fn(i);
+      }
+    });
+  }
+  for (std::thread& th : threads) {
+    th.join();
+  }
+}
+
+TEST(TelemetryConcurrency, CountersAreRaceFreeAcrossThreads) {
   auto& reg = MetricsRegistry::Global();
   telemetry::Counter* c = reg.GetCounter("test.concurrent.counter");
   telemetry::Gauge* g = reg.GetGauge("test.concurrent.gauge");
   c->Reset();
   g->Reset();
 
-  ThreadPool pool(3);
   constexpr size_t kIters = 20000;
-  pool.ParallelFor(kIters, [&](size_t, size_t) {
+  RunOnFourThreads(kIters, [&](size_t) {
     // Registry lookups and metric updates race against each other on purpose.
     MetricsRegistry::Global().GetCounter("test.concurrent.counter")->Inc();
     g->Add(1);
@@ -288,8 +305,7 @@ TEST(TelemetryConcurrency, RecorderAcceptsConcurrentWriters) {
   auto& fr = FlightRecorder::Global();
   fr.SetCapacity(1024);
   fr.Clear();  // SetCapacity clears the ring but not the lifetime total
-  ThreadPool pool(3);
-  pool.ParallelFor(5000, [&](size_t i, size_t) { fr.Record(MakeEvent(i)); });
+  RunOnFourThreads(5000, [&](size_t i) { fr.Record(MakeEvent(i)); });
   EXPECT_EQ(fr.size(), 1024u);
   EXPECT_EQ(fr.total_recorded(), 5000u);
   fr.SetCapacity(64 * 1024);

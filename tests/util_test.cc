@@ -1,14 +1,13 @@
 #include <gtest/gtest.h>
 
-#include <atomic>
-#include <thread>
+#include <string>
 #include <vector>
 
+#include "src/util/json.h"
 #include "src/util/logging.h"
 #include "src/util/result.h"
 #include "src/util/rng.h"
 #include "src/util/stats.h"
-#include "src/util/thread_pool.h"
 
 namespace dumbnet {
 namespace {
@@ -211,57 +210,15 @@ TEST(LoggingTest, LevelFilters) {
   SetLogLevel(old);
 }
 
-TEST(ThreadPoolTest, CoversEveryIndexExactlyOnce) {
-  ThreadPool pool(3);
-  EXPECT_EQ(pool.concurrency(), 4u);
-  std::vector<std::atomic<int>> hits(1000);
-  pool.ParallelFor(hits.size(), [&](size_t i, size_t) { hits[i].fetch_add(1); });
-  for (const auto& h : hits) {
-    EXPECT_EQ(h.load(), 1);
-  }
-}
-
-TEST(ThreadPoolTest, WorkerIdsStayBelowConcurrency) {
-  ThreadPool pool(2);
-  std::vector<std::atomic<int>> by_worker(pool.concurrency());
-  pool.ParallelFor(500, [&](size_t, size_t worker) {
-    ASSERT_LT(worker, pool.concurrency());
-    by_worker[worker].fetch_add(1);
-  });
-  int total = 0;
-  for (const auto& w : by_worker) {
-    total += w.load();
-  }
-  EXPECT_EQ(total, 500);
-}
-
-TEST(ThreadPoolTest, ReusableAcrossJobs) {
-  ThreadPool pool(2);
-  for (int round = 0; round < 50; ++round) {
-    std::atomic<int> sum{0};
-    pool.ParallelFor(64, [&](size_t i, size_t) { sum.fetch_add(static_cast<int>(i)); });
-    EXPECT_EQ(sum.load(), 64 * 63 / 2);
-  }
-}
-
-TEST(ThreadPoolTest, SingleIndexRunsInlineOnCaller) {
-  ThreadPool pool(2);
-  const auto caller = std::this_thread::get_id();
-  bool ran = false;
-  pool.ParallelFor(1, [&](size_t i, size_t worker) {
-    EXPECT_EQ(i, 0u);
-    EXPECT_EQ(worker, 0u);
-    EXPECT_EQ(std::this_thread::get_id(), caller);
-    ran = true;
-  });
-  EXPECT_TRUE(ran);
-}
-
-TEST(ThreadPoolTest, EmptyJobIsANoop) {
-  ThreadPool pool(2);
-  bool ran = false;
-  pool.ParallelFor(0, [&](size_t, size_t) { ran = true; });
-  EXPECT_FALSE(ran);
+TEST(JsonEscapeTest, EscapesQuotesBackslashesAndEveryControlCharacter) {
+  EXPECT_EQ(JsonEscape("plain text"), "plain text");
+  EXPECT_EQ(JsonEscape("a\"b"), "a\\\"b");
+  EXPECT_EQ(JsonEscape("a\\b"), "a\\\\b");
+  EXPECT_EQ(JsonEscape("a\nb"), "a\\nb");
+  EXPECT_EQ(JsonEscape("a\tb"), "a\\tb");
+  EXPECT_EQ(JsonEscape("a\rb"), "a\\u000db");
+  EXPECT_EQ(JsonEscape(std::string("a\x01" "b")), "a\\u0001b");
+  EXPECT_EQ(JsonEscape(std::string("\0", 1)), "\\u0000");
 }
 
 }  // namespace

@@ -28,9 +28,11 @@
 #include "src/sim/footprint.h"
 #include "src/topo/generators.h"
 #include "src/topo/serialize.h"
+#include "src/util/json.h"
 
 namespace {
 
+using dumbnet::JsonEscape;
 using dumbnet::explore::ExploreConfig;
 using dumbnet::explore::ExploreReport;
 using dumbnet::explore::HazardCollector;
@@ -193,21 +195,6 @@ void PrintOutcome(const char* tag, const RunOutcome& out) {
   for (const std::string& v : out.violations) {
     std::cout << "  violation: " << v << "\n";
   }
-}
-
-std::string JsonEscape(const std::string& s) {
-  std::string out;
-  for (char c : s) {
-    if (c == '"' || c == '\\') {
-      out += '\\';
-      out += c;
-    } else if (c == '\n') {
-      out += "\\n";
-    } else {
-      out += c;
-    }
-  }
-  return out;
 }
 
 bool WriteJson(const std::string& path, const Options& opts, const ExploreReport& report) {

@@ -48,11 +48,13 @@
 #include "src/telemetry/telemetry.h"
 #include "src/topo/generators.h"
 #include "src/topo/serialize.h"
+#include "src/util/json.h"
 #include "src/util/logging.h"
 #include "src/util/rng.h"
 
 namespace {
 
+using dumbnet::JsonEscape;
 using dumbnet::LinkEventPayload;
 using dumbnet::LinkIndex;
 using dumbnet::Rng;
@@ -419,21 +421,6 @@ void ReportFailingSeed(uint64_t seed, const SeedResult& result, const Options& o
   }
   dumbnet::telemetry::FlightRecorder::Global().DumpOnFailure("dumbnet-fuzz failing seed",
                                                              64);
-}
-
-std::string JsonEscape(const std::string& s) {
-  std::string out;
-  for (char c : s) {
-    if (c == '"' || c == '\\') {
-      out += '\\';
-      out += c;
-    } else if (c == '\n') {
-      out += "\\n";
-    } else {
-      out += c;
-    }
-  }
-  return out;
 }
 
 bool WriteJsonSummary(const std::string& path, uint64_t seeds_run,
