@@ -8,7 +8,13 @@
 //
 // Configurations sweep the cache from the paper's full path graph down to a plain
 // single-route cache (no detour subgraph, no backup): the poorer the cache, the
-// more the host must lean on the controller after a failure.
+// more the host must lean on the controller after a failure. A host keeps no
+// separate backup route: the backup's links land in its TopoCache, which
+// recomputes a destination once every cached route to it has died.
+//
+// Exits 1 when the printed expectation fails: a row that caches >= 2 routes or
+// holds the backup's links must recover without asking the controller, and the
+// primary-only row must ask.
 #include <cstdio>
 #include <memory>
 
@@ -27,8 +33,7 @@ struct Outcome {
   bool finished = false;
 };
 
-Outcome RunConfig(uint32_t k_paths, bool cache_backup, uint32_t epsilon,
-                  bool send_detours, bool send_backup) {
+Outcome RunConfig(uint32_t k_paths, uint32_t epsilon, bool send_detours, bool send_backup) {
   LeafSpineConfig ls_config;
   ls_config.num_spine = 2;
   ls_config.num_leaf = 5;
@@ -41,7 +46,6 @@ Outcome RunConfig(uint32_t k_paths, bool cache_backup, uint32_t epsilon,
 
   HostAgentConfig agent_config;
   agent_config.k_paths = k_paths;
-  agent_config.cache_backup = cache_backup;
   ControllerConfig controller_config;
   controller_config.path_graph.epsilon = epsilon;
   controller_config.send_detours = send_detours;
@@ -107,28 +111,40 @@ int main() {
   struct Row {
     const char* name;
     uint32_t k;
-    bool backup;
     uint32_t epsilon;
     bool detours;
     bool send_backup;
+    // Caches >= 2 routes or holds the backup's links, so the host should
+    // recover without the controller; false only for the plain route cache.
+    bool local;
   };
   const Row rows[] = {
-      {"full path graph (k=4+backup)", 4, true, 2, true, true},
-      {"no backup (k=4 + detours)", 4, false, 2, true, false},
-      {"thin graph (epsilon=0)", 4, true, 0, true, true},
-      {"backup only (no detours)", 4, true, 2, false, true},
-      {"primary only (plain route cache)", 1, false, 2, false, false},
+      {"full path graph (k=4+backup)", 4, 2, true, true, true},
+      {"no backup (k=4 + detours)", 4, 2, true, false, true},
+      {"thin graph (epsilon=0)", 4, 0, true, true, true},
+      {"backup only (no detours)", 4, 2, false, true, true},
+      {"k=1 + backup links (no detours)", 1, 2, false, true, true},
+      {"primary only (plain route cache)", 1, 2, false, false, false},
   };
   std::printf("%-34s %14s %20s\n", "cache configuration", "recovery (ms)",
               "controller queries");
+  int failures = 0;
   for (const Row& row : rows) {
-    Outcome outcome = RunConfig(row.k, row.backup, row.epsilon, row.detours,
-                                row.send_backup);
+    Outcome outcome = RunConfig(row.k, row.epsilon, row.detours, row.send_backup);
     std::printf("%-34s %14.0f %20lu\n", row.name, outcome.recovery_ms,
                 static_cast<unsigned long>(outcome.path_requests));
+    if (row.local && (!outcome.finished || outcome.path_requests != 0)) {
+      std::fprintf(stderr, "FAIL: %s: expected local recovery with no controller query\n",
+                   row.name);
+      ++failures;
+    } else if (!row.local && outcome.path_requests == 0) {
+      std::fprintf(stderr, "FAIL: %s: expected a controller query\n", row.name);
+      ++failures;
+    }
   }
-  std::printf("\nexpectation: every config with >= 2 cached routes recovers in tens of\n"
-              "ms without controller involvement; the single-path cache must go back\n"
-              "to the controller, adding a query (and RTTs) to the recovery path.\n");
-  return 0;
+  std::printf("\nexpectation: every config with >= 2 cached routes or the backup's links\n"
+              "recovers in tens of ms without controller involvement; the single-path\n"
+              "cache must go back to the controller, adding a query (and RTTs) to the\n"
+              "recovery path.\n");
+  return failures == 0 ? 0 : 1;
 }

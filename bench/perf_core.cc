@@ -12,7 +12,7 @@
 //   events_per_sec        cancel-heavy drain, new core vs legacy priority queue
 //   path_graphs_per_sec   one-source/many-destination batch vs legacy loop
 //   bring_up_wall         full discovery + bootstrap wall-clock, 1k/4k/16k hosts
-//   host_routes_per_sec   TopoCache::BuildEntry over every edge-switch pair
+//   host_routes_per_sec   TopoCache::ComputeRoutes over every edge-switch pair
 //   packet_path_*         warm fat-tree ping mesh: wall ns per switch hop, events/s
 //   notification_storm_*  fat-tree link-down storms: wall ns per delivered copy,
 //                         peak descriptors and packet bodies
@@ -502,7 +502,7 @@ HostRoutesResult RunHostRoutes(int repeats) {
   auto pass = [&r, &edges](const TopoCache& cache) {
     for (const auto& src : edges) {
       for (const auto& [dst_uid, dst_mac] : edges) {
-        if (dst_uid != src.first && !cache.BuildEntry(src.first, dst_mac, 4).ok()) {
+        if (dst_uid != src.first && !cache.ComputeRoutes(src.first, dst_mac, 4).ok()) {
           ++r.failures;
         }
       }
@@ -767,7 +767,7 @@ int main(int argc, char** argv) {
   std::printf("  cold (one Yen run per pair)  %12.0f routes/s\n", routes.cold_per_sec);
   std::printf("  warm (memo hits)             %12.0f routes/s\n", routes.warm_per_sec);
   if (routes.failures != 0) {
-    std::fprintf(stderr, "host routes: %zu BuildEntry calls failed\n", routes.failures);
+    std::fprintf(stderr, "host routes: %zu ComputeRoutes calls failed\n", routes.failures);
     return 1;
   }
   report.Add("perf_core", "host_routes_per_sec", routes.cold_per_sec, "routes/s",

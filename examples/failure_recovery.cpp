@@ -123,10 +123,9 @@ int main(int argc, char** argv) {
   });
 
   fabric.Run();
-  std::printf("path table stats on host 0: %lu rebinds, %lu backup promotions\n",
+  std::printf("path table stats on host 0: %lu rebinds, %lu reroutes from the topo cache\n",
               static_cast<unsigned long>(fabric.agent(0).path_table().stats().rebinds),
-              static_cast<unsigned long>(
-                  fabric.agent(0).path_table().stats().backup_promotions));
+              static_cast<unsigned long>(fabric.agent(0).stats().reroutes));
 
   if (!trace_path.empty()) {
     if (telemetry::FlightRecorder::Global().SaveTo(trace_path)) {

@@ -4,6 +4,7 @@
 #include <sys/socket.h>
 #include <unistd.h>
 
+#include <algorithm>
 #include <cerrno>
 #include <cstdio>
 #include <cstdlib>
@@ -59,8 +60,9 @@ void ReportViolation(const Violation& v) {
                 static_cast<unsigned long long>(v.b));
   while (g_last_lock.test_and_set(std::memory_order_acquire)) {
   }
-  std::strncpy(g_last_message, buf, sizeof(g_last_message) - 1);
-  g_last_message[sizeof(g_last_message) - 1] = '\0';
+  const size_t copied = std::min(std::strlen(buf), sizeof(g_last_message) - 1);
+  std::memcpy(g_last_message, buf, copied);
+  g_last_message[copied] = '\0';
   g_last_lock.clear(std::memory_order_release);
 
   const ViolationHook hook = g_hook.load(std::memory_order_relaxed);
@@ -327,6 +329,11 @@ void* ContractsAllocAligned(std::size_t size, std::size_t align) {
   return p;
 }
 
+// The one deallocation path for both allocators above. Out of line: a delete
+// inlined down to a bare free() inside a container's deallocate is paired by
+// GCC with the library's operator new declaration (-Wmismatched-new-delete).
+[[gnu::noinline]] void ContractsFree(void* p) noexcept { std::free(p); }
+
 }  // namespace
 
 void* operator new(std::size_t size) {
@@ -379,21 +386,21 @@ void* operator new[](std::size_t size, std::align_val_t align,
   return ContractsAllocAligned(size, static_cast<std::size_t>(align));
 }
 
-void operator delete(void* p) noexcept { std::free(p); }
-void operator delete[](void* p) noexcept { std::free(p); }
-void operator delete(void* p, std::size_t) noexcept { std::free(p); }
-void operator delete[](void* p, std::size_t) noexcept { std::free(p); }
-void operator delete(void* p, const std::nothrow_t&) noexcept { std::free(p); }
-void operator delete[](void* p, const std::nothrow_t&) noexcept { std::free(p); }
-void operator delete(void* p, std::align_val_t) noexcept { std::free(p); }
-void operator delete[](void* p, std::align_val_t) noexcept { std::free(p); }
-void operator delete(void* p, std::size_t, std::align_val_t) noexcept { std::free(p); }
+void operator delete(void* p) noexcept { ContractsFree(p); }
+void operator delete[](void* p) noexcept { ContractsFree(p); }
+void operator delete(void* p, std::size_t) noexcept { ContractsFree(p); }
+void operator delete[](void* p, std::size_t) noexcept { ContractsFree(p); }
+void operator delete(void* p, const std::nothrow_t&) noexcept { ContractsFree(p); }
+void operator delete[](void* p, const std::nothrow_t&) noexcept { ContractsFree(p); }
+void operator delete(void* p, std::align_val_t) noexcept { ContractsFree(p); }
+void operator delete[](void* p, std::align_val_t) noexcept { ContractsFree(p); }
+void operator delete(void* p, std::size_t, std::align_val_t) noexcept { ContractsFree(p); }
 void operator delete[](void* p, std::size_t, std::align_val_t) noexcept {
-  std::free(p);
+  ContractsFree(p);
 }
 void operator delete(void* p, std::align_val_t, const std::nothrow_t&) noexcept {
-  std::free(p);
+  ContractsFree(p);
 }
 void operator delete[](void* p, std::align_val_t, const std::nothrow_t&) noexcept {
-  std::free(p);
+  ContractsFree(p);
 }

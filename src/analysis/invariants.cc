@@ -221,12 +221,11 @@ Status AuditCacheCoherence(const TopoCache& cache, const PathTable& table) {
                          " disagrees with TopoCache location (stale entry)");
       return;
     }
-    auto check_route = [&](const CachedRoute& route, const char* which) {
+    for (const CachedRoute& route : entry.paths) {
       for (uint64_t uid : route.uid_path) {
         if (!cache.db().KnowsSwitch(uid)) {
           result = Error(ErrorCode::kNotFound,
-                         std::string(which) + " route crosses unknown switch " +
-                             UidName(uid));
+                         "cached route crosses unknown switch " + UidName(uid));
           return;
         }
       }
@@ -234,23 +233,15 @@ Status AuditCacheCoherence(const TopoCache& cache, const PathTable& table) {
       // then the destination host's attach port.
       if (route.tags.size() != route.uid_path.size()) {
         result = Error(ErrorCode::kMalformed,
-                       std::string(which) + " route has " +
-                           std::to_string(route.tags.size()) + " tags for " +
-                           std::to_string(route.uid_path.size()) + " switches");
+                       "cached route has " + std::to_string(route.tags.size()) +
+                           " tags for " + std::to_string(route.uid_path.size()) +
+                           " switches");
         return;
       }
       if (Status s = AuditTagStack(route.tags, /*expect_terminator=*/false); !s.ok()) {
         result = s;
-      }
-    };
-    for (const CachedRoute& r : entry.paths) {
-      if (!result.ok()) {
         return;
       }
-      check_route(r, "primary");
-    }
-    if (result.ok() && entry.has_backup) {
-      check_route(entry.backup, "backup");
     }
   });
   return result;

@@ -286,8 +286,8 @@ void HostAgent::DeliverLocal(const Packet& pkt) {
   if (const auto* resp = pkt.As<PathResponsePayload>()) {
     ++stats_.path_responses;
     DN_COUNTER_INC("host.path_responses");
-    // Installing a response is order-sensitive state (the controller-provided
-    // backup path is a plain overwrite), hence a Write — concurrent responses
+    // Installing a response is order-sensitive state (the destination's
+    // location is a plain overwrite), hence a Write — concurrent responses
     // for the same destination are a hazard worth hearing about.
     DN_FP_WRITE(kPathTable, footprint::FpKey(mac_, resp->dst_mac));
     if (resp->graph != nullptr) {
@@ -351,7 +351,6 @@ void HostAgent::ApplyPatchLocally(const TopologyPatchPayload& patch, uint64_t fr
   // Note: NOT a monotonic cutoff. A patch overtaken on the wire by a later one
   // still applies, entry by entry, gated per link below — the old
   // `patch_seq <= last` check silently dropped its unrelated entries.
-  last_patch_seq_ = std::max(last_patch_seq_, patch.patch_seq);
   ++stats_.patches_applied;
   static const std::vector<WireLink> kEmpty;
   const auto& removed = patch.removed != nullptr ? *patch.removed : kEmpty;
@@ -728,38 +727,32 @@ Status HostAgent::InstallRoutesFor(uint64_t dst_mac) {
   // cache, so concurrent recomputes for one destination land on the same routes.
   DN_FP_COMMUTES(kPathTable, footprint::FpKey(mac_, dst_mac), kFpRouteRecompute);
   const TopoCache::RouteStats before = topo_cache_.route_stats();
-  auto entry = topo_cache_.BuildEntry(self_.switch_uid, dst_mac, config_.k_paths);
+  auto routes = topo_cache_.ComputeRoutes(self_.switch_uid, dst_mac, config_.k_paths);
   const uint64_t runs = topo_cache_.route_stats().ksp_runs - before.ksp_runs;
   const uint64_t hits = topo_cache_.route_stats().ksp_memo_hits - before.ksp_memo_hits;
   stats_.ksp_runs += runs;
   stats_.ksp_memo_hits += hits;
   DN_COUNTER_INC_N("host.ksp_runs", runs);
   DN_COUNTER_INC_N("host.ksp_memo_hits", hits);
-  if (!entry.ok()) {
-    return entry.error();
+  if (!routes.ok()) {
+    return routes.error();
   }
-  if (!config_.cache_backup) {
-    entry.value().has_backup = false;
-    entry.value().backup = CachedRoute{};
-  }
+  PathTableEntry entry;
+  // ComputeRoutes located the destination, so this lookup succeeds.
+  entry.dst = topo_cache_.Locate(dst_mac).value();
+  entry.paths = std::move(routes.value());
   PathVerifier verifier(&topo_cache_.db(), VerifyPolicy{});
-  auto& paths = entry.value().paths;
-  size_t kept = 0;
-  for (size_t i = 0; i < paths.size(); ++i) {
-    if (verifier.VerifyUidPath(paths[i].uid_path).ok()) {
-      if (kept != i) {
-        paths[kept] = std::move(paths[i]);
-      }
-      ++kept;
-    } else {
-      ++stats_.verify_failures;
+  std::erase_if(entry.paths, [&](const CachedRoute& route) {
+    if (verifier.VerifyUidPath(route.uid_path).ok()) {
+      return false;
     }
-  }
-  paths.resize(kept);
-  if (paths.empty() && !entry.value().has_backup) {
+    ++stats_.verify_failures;
+    return true;
+  });
+  if (entry.paths.empty()) {
     return Error(ErrorCode::kUnavailable, "all routes failed verification");
   }
-  path_table_.Install(dst_mac, std::move(entry.value()));
+  path_table_.Install(dst_mac, std::move(entry));
   return Status::Ok();
 }
 

@@ -36,9 +36,6 @@ struct HostAgentConfig {
   // Re-issue a path request if unanswered for this long; each further retry
   // doubles the wait, up to 16x, plus seeded jitter.
   TimeNs request_timeout = Ms(50);
-  // Cache the controller-provided backup path (Section 4.3). Disabling it is the
-  // ablation knob for "k shortest paths only" caching.
-  bool cache_backup = true;
   uint64_t rng_seed = 42;
 };
 
@@ -271,7 +268,6 @@ class HostAgent : public NetNode {
   std::unordered_set<uint64_t> seen_patches_;  // patch re-flood dedup, by seq
   // Per-link freshest observation key, see RecordLinkObservation.
   std::unordered_map<uint64_t, uint64_t> link_obs_key_;
-  uint64_t last_patch_seq_ = 0;  // high-water mark (stats/introspection only)
 
   HostAgentStats stats_;
 };

@@ -25,9 +25,6 @@ void PathTable::Install(uint64_t dst_mac, PathTableEntry entry) {
     DUMBNET_AUDIT(r.tags.size() == r.uid_path.size(),
                   "installed route's tag count does not match its UID path");
   }
-  DUMBNET_AUDIT(!entry.has_backup ||
-                    entry.backup.tags.size() == entry.backup.uid_path.size(),
-                "installed backup's tag count does not match its UID path");
   entries_[dst_mac] = std::move(entry);
 }
 
@@ -49,7 +46,7 @@ Result<const CachedRoute*> PathTable::RouteFor(uint64_t dst_mac, uint64_t flow_i
     return Error(ErrorCode::kNotFound, "no entry for destination");
   }
   PathTableEntry& entry = it->second;
-  if (entry.paths.empty() && !entry.has_backup) {
+  if (entry.paths.empty()) {
     DN_HOT_EXEMPT("cache miss: Error carries an allocated message");
     ++stats_.misses;
     return Error(ErrorCode::kNotFound, "entry has no usable routes");
@@ -57,10 +54,6 @@ Result<const CachedRoute*> PathTable::RouteFor(uint64_t dst_mac, uint64_t flow_i
 
   auto bound = entry.flow_binding.find(flow_id);
   if (bound != entry.flow_binding.end()) {
-    if (bound->second == SIZE_MAX && entry.has_backup) {
-      ++stats_.hits;
-      return &entry.backup;
-    }
     if (bound->second < entry.paths.size()) {
       ++stats_.hits;
       return &entry.paths[bound->second];
@@ -81,32 +74,23 @@ Result<const CachedRoute*> PathTable::RouteFor(uint64_t dst_mac, uint64_t flow_i
     pick = chooser_(entry, flow_id);
   }
   if (pick >= entry.paths.size()) {
-    if (!entry.paths.empty()) {
-      // Default policy: load-balance uniformly over the *minimal-length* cached
-      // paths (the equal-cost set); longer k-shortest entries stay as failover
-      // material only.
-      size_t min_len = SIZE_MAX;
-      for (const CachedRoute& r : entry.paths) {
-        min_len = std::min(min_len, r.uid_path.size());
+    // Default policy: load-balance uniformly over the *minimal-length* cached
+    // paths (the equal-cost set); longer k-shortest entries stay as failover
+    // material only.
+    size_t min_len = SIZE_MAX;
+    for (const CachedRoute& r : entry.paths) {
+      min_len = std::min(min_len, r.uid_path.size());
+    }
+    size_t count = 0;
+    for (const CachedRoute& r : entry.paths) {
+      count += (r.uid_path.size() == min_len) ? 1u : 0u;
+    }
+    size_t target = rng_.PickIndex(count);
+    for (size_t i = 0; i < entry.paths.size(); ++i) {
+      if (entry.paths[i].uid_path.size() == min_len && target-- == 0) {
+        pick = i;
+        break;
       }
-      size_t count = 0;
-      for (const CachedRoute& r : entry.paths) {
-        count += (r.uid_path.size() == min_len) ? 1u : 0u;
-      }
-      size_t target = rng_.PickIndex(count);
-      for (size_t i = 0; i < entry.paths.size(); ++i) {
-        if (entry.paths[i].uid_path.size() == min_len && target-- == 0) {
-          pick = i;
-          break;
-        }
-      }
-    } else {
-      // Only the backup remains.
-      ++stats_.backup_promotions;
-      DN_COUNTER_INC("host.backup_promotions");
-      entry.flow_binding[flow_id] = SIZE_MAX;
-      ++stats_.hits;
-      return &entry.backup;
     }
   }
   entry.flow_binding[flow_id] = pick;
@@ -134,18 +118,8 @@ std::vector<uint64_t> PathTable::InvalidateEdge(uint64_t a, uint64_t b) {
   std::sort(macs.begin(), macs.end());
   for (uint64_t mac : macs) {
     PathTableEntry& entry = entries_[mac];
-    bool changed = false;
-    auto dead = [&](const CachedRoute& r) { return r.UsesEdge(a, b); };
-    size_t before = entry.paths.size();
-    entry.paths.erase(std::remove_if(entry.paths.begin(), entry.paths.end(), dead),
-                      entry.paths.end());
-    changed = entry.paths.size() != before;
-    if (entry.has_backup && dead(entry.backup)) {
-      entry.has_backup = false;
-      entry.backup = CachedRoute{};
-      changed = true;
-    }
-    if (changed) {
+    const auto dead = [&](const CachedRoute& r) { return r.UsesEdge(a, b); };
+    if (std::erase_if(entry.paths, dead) > 0) {
       // All bindings into `paths` are suspect after the erase; drop them and let
       // flows rebind (counted once per entry, not per flow, to stay cheap).
       entry.flow_binding.clear();
@@ -153,16 +127,7 @@ std::vector<uint64_t> PathTable::InvalidateEdge(uint64_t a, uint64_t b) {
       DN_COUNTER_INC("host.reroutes");
     }
     if (entry.paths.empty()) {
-      if (entry.has_backup) {
-        // Promote the backup so the data path keeps flowing (Section 5.2:
-        // "caching backup paths allows the hosts to failover fast").
-        entry.paths.push_back(entry.backup);
-        entry.has_backup = false;
-        ++stats_.backup_promotions;
-        DN_COUNTER_INC("host.backup_promotions");
-      } else {
-        starved.push_back(mac);
-      }
+      starved.push_back(mac);
     }
   }
   return starved;

@@ -1,7 +1,8 @@
 // PathTable: the per-destination route cache in every host's data path (paper
 // Section 5.2, Figure 4). Indexed by destination MAC; holds the k shortest paths
-// (for load balancing) plus the backup path, and remembers which path each flow is
-// bound to so a flow stays on one path unless rerouted.
+// (for load balancing) and remembers which path each flow is bound to so a flow
+// stays on one path unless rerouted. The fallback when every cached path dies is
+// the host's TopoCache, which holds the controller's backup and detour links.
 #ifndef DUMBNET_SRC_HOST_PATH_TABLE_H_
 #define DUMBNET_SRC_HOST_PATH_TABLE_H_
 
@@ -31,9 +32,7 @@ struct CachedRoute {
 struct PathTableEntry {
   HostLocation dst;
   std::vector<CachedRoute> paths;  // k shortest, preference order
-  CachedRoute backup;
-  bool has_backup = false;
-  // flow id -> index into `paths` (or SIZE_MAX = backup).
+  // flow id -> index into `paths`.
   std::unordered_map<uint64_t, size_t> flow_binding;
 };
 
@@ -41,7 +40,6 @@ struct PathTableStats {
   uint64_t hits = 0;
   uint64_t misses = 0;
   uint64_t rebinds = 0;        // flows moved after invalidation
-  uint64_t backup_promotions = 0;
 };
 
 class PathTable {
@@ -76,8 +74,8 @@ class PathTable {
   void SetRouteChooser(RouteChooser chooser) { chooser_ = std::move(chooser); }
 
   // Drops every cached route that crosses the (a, b) switch edge; affected flows
-  // rebind on next use; backup is promoted into `paths` when the primaries die.
-  // Returns the destinations left with NO routes at all (caller should re-query).
+  // rebind on next use. Returns the destinations left with NO routes at all: the
+  // caller recomputes them from its TopoCache, or asks the controller.
   std::vector<uint64_t> InvalidateEdge(uint64_t a, uint64_t b);
 
   size_t size() const { return entries_.size(); }

@@ -61,9 +61,6 @@ Status TopoCache::Integrate(const WirePathGraph& graph, const HostLocation& dst)
     return s;
   }
   db_.UpsertHost(dst);
-  if (!graph.backup.empty()) {
-    backups_[dst.switch_uid] = graph.backup;
-  }
   return Status::Ok();
 }
 
@@ -79,27 +76,6 @@ Result<std::pair<uint64_t, uint64_t>> TopoCache::ResolveEdge(uint64_t switch_uid
   }
   const Link& l = db_.mirror().link_at(li);
   return std::pair<uint64_t, uint64_t>{db_.UidOf(l.a.node.index), db_.UidOf(l.b.node.index)};
-}
-
-Result<std::pair<uint64_t, uint64_t>> TopoCache::MarkLinkAt(uint64_t switch_uid,
-                                                            PortNum port, bool up) {
-  auto edge = ResolveEdge(switch_uid, port);
-  if (!edge.ok()) {
-    return edge;
-  }
-  db_.SetLinkState(switch_uid, port, up);
-  return edge;
-}
-
-void TopoCache::ApplyPatch(const std::vector<WireLink>& removed,
-                           const std::vector<WireLink>& added) {
-  for (const WireLink& l : removed) {
-    db_.SetLinkState(l.uid_a, l.port_a, false);
-  }
-  for (const WireLink& l : added) {
-    // AddLink marks pre-existing links up again and inserts new ones.
-    (void)db_.AddLink(l);
-  }
 }
 
 RouteSnapshot& TopoCache::Snapshot() const {
@@ -168,43 +144,6 @@ Result<std::vector<CachedRoute>> TopoCache::ComputeRoutes(uint64_t src_uid,
     return Error(ErrorCode::kUnavailable, "no compilable route in cache");
   }
   return routes;
-}
-
-Result<PathTableEntry> TopoCache::BuildEntry(uint64_t src_uid, uint64_t dst_mac,
-                                             uint32_t k) const {
-  auto dst = db_.LocateHost(dst_mac);
-  if (!dst.ok()) {
-    return dst.error();
-  }
-  auto routes = ComputeRoutes(src_uid, dst_mac, k);
-  if (!routes.ok()) {
-    return routes.error();
-  }
-  PathTableEntry entry;
-  entry.dst = dst.value();
-  entry.paths = std::move(routes.value());
-
-  // Attach the controller-provided backup when it is still compilable (i.e. its
-  // links are cached and up) and not identical to a cached primary. It is a
-  // switch path, so every host behind the destination switch shares it.
-  auto backup_it = backups_.find(dst.value().switch_uid);
-  if (backup_it != backups_.end()) {
-    auto backup = CompileUidPath(backup_it->second, dst.value().port);
-    if (backup.ok()) {
-      bool duplicate = false;
-      for (const CachedRoute& r : entry.paths) {
-        if (r.uid_path == backup.value().uid_path) {
-          duplicate = true;
-          break;
-        }
-      }
-      if (!duplicate) {
-        entry.backup = std::move(backup.value());
-        entry.has_backup = true;
-      }
-    }
-  }
-  return entry;
 }
 
 size_t TopoCache::ApproxBytes() const {

@@ -1,7 +1,9 @@
 // TopoCache: the host-side topology cache (paper Section 5.2). Aggregates every
-// path graph the controller has sent this host into one partial topology, serves
-// k-shortest-path computations over it, and applies link up/down marks from failure
-// notifications so recomputed routes avoid dead links.
+// path graph the controller has sent this host into one partial topology and
+// serves k-shortest-path computations over it. The host agent marks links up and
+// down in it from failure notifications and patches, so recomputed routes avoid
+// dead links; with the backup's links merged, it is the host's only fallback
+// once every PathTable route to a destination has died.
 #ifndef DUMBNET_SRC_HOST_TOPO_CACHE_H_
 #define DUMBNET_SRC_HOST_TOPO_CACHE_H_
 
@@ -23,7 +25,7 @@ struct RouteSnapshot;
 
 class TopoCache {
  public:
-  // Route-computation work done by ComputeRoutes (and so BuildEntry).
+  // Route-computation work done by ComputeRoutes.
   struct RouteStats {
     uint64_t ksp_runs = 0;       // Yen runs over the cached graph
     uint64_t ksp_memo_hits = 0;  // answered from the snapshot's memo instead
@@ -31,24 +33,17 @@ class TopoCache {
 
   TopoCache() = default;
 
-  // Merges a controller response: the path graph's switches/links plus the
-  // destination's location.
+  // Merges a controller response: the path graph's switches/links (primary,
+  // detours and backup alike) plus the destination's location.
   Status Integrate(const WirePathGraph& graph, const HostLocation& dst);
 
-  // Applies a link-state event heard from the fabric or the host flood. Unknown
-  // attach points are ignored. Returns the affected edge (uid pair) when known so
-  // the caller can purge its PathTable.
-  Result<std::pair<uint64_t, uint64_t>> MarkLinkAt(uint64_t switch_uid, PortNum port,
-                                                   bool up);
-
   // Resolves (switch_uid, port) to the cached edge's endpoint uid pair without
-  // touching link state. The host agent keys its last-writer-wins link-observation
-  // merge on this pair so the flood path and the patch path name the same cell.
+  // touching link state (unknown attach points are an error). The host agent
+  // keys its last-writer-wins link-observation merge on this pair so the flood
+  // path and the patch path name the same cell, and marks the link through
+  // db().SetLinkState / db().AddLink only when the merge accepts it.
   Result<std::pair<uint64_t, uint64_t>> ResolveEdge(uint64_t switch_uid,
                                                     PortNum port) const;
-
-  // Applies a controller topology patch.
-  void ApplyPatch(const std::vector<WireLink>& removed, const std::vector<WireLink>& added);
 
   // Computes up to k shortest routes from `src_uid` to the destination over the
   // cached (up) subgraph, compiled to tags. Fails if dst is not cached or
@@ -60,10 +55,6 @@ class TopoCache {
   // function of the adjacency.
   Result<std::vector<CachedRoute>> ComputeRoutes(uint64_t src_uid, uint64_t dst_mac,
                                                  uint32_t k) const;
-
-  // Builds a full PathTable entry (k paths + backup extracted from the last
-  // integrated graph for that destination when still valid).
-  Result<PathTableEntry> BuildEntry(uint64_t src_uid, uint64_t dst_mac, uint32_t k) const;
 
   Result<HostLocation> Locate(uint64_t mac) const { return db_.LocateHost(mac); }
   void UpsertHost(const HostLocation& loc) { db_.UpsertHost(loc); }
@@ -100,8 +91,6 @@ class TopoCache {
   mutable std::shared_ptr<RouteSnapshot> snapshot_;
   mutable uint64_t graph_version_ = UINT64_MAX;
   mutable RouteStats route_stats_;
-  // Last backup path received per destination switch (UID form).
-  std::unordered_map<uint64_t, std::vector<uint64_t>> backups_;
 };
 
 }  // namespace dumbnet

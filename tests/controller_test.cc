@@ -450,8 +450,8 @@ std::vector<uint32_t> HostsBehindUncachedSwitch(TestFabric& fabric, uint32_t src
 
 class RouteCacheTest : public ::testing::Test {
  protected:
-  // One cached path per destination, so the controller's backup is never a
-  // duplicate of a cached primary and every entry should carry it.
+  // One cached path per destination: when it dies the entry is starved, and
+  // the route must come back from the TopoCache or from the controller.
   void SetUp() override {
     HostAgentConfig config;
     config.k_paths = 1;
@@ -488,8 +488,8 @@ TEST_F(RouteCacheTest, MissOnACachedSwitchIsRoutedWithoutAsking) {
 }
 
 TEST_F(RouteCacheTest, OneQueryRoutesEveryHostBehindASwitch) {
-  // Host 3's cache picks a first path other than the controller's backup, so
-  // the backup stays a separate field of every entry (checked below).
+  // Host 3's cache picks a first path other than the controller's backup
+  // (checked below), so the backup's links are a fallback no entry uses yet.
   constexpr uint32_t kSrc = 3;
   HostAgent& src = fabric_->agent(kSrc);
   const std::vector<uint32_t> dsts = HostsBehindUncachedSwitch(*fabric_, kSrc);
@@ -519,18 +519,62 @@ TEST_F(RouteCacheTest, OneQueryRoutesEveryHostBehindASwitch) {
   EXPECT_EQ(src.parked_packets(), 0u);
   ASSERT_FALSE(ctrl_backup.empty());
   for (uint32_t d : dsts) {
-    const PathTableEntry* entry = src.path_table().Find(fabric_->agent(d).mac());
+    const uint64_t mac = fabric_->agent(d).mac();
+    const PathTableEntry* entry = src.path_table().Find(mac);
     ASSERT_NE(entry, nullptr) << "host " << d;
     ASSERT_EQ(entry->paths.size(), 1u);
     ASSERT_NE(entry->paths.front().uid_path, ctrl_backup);
-    // The backup is kept per destination switch, so siblings built from the
-    // cache carry the controller's backup too.
-    EXPECT_TRUE(entry->has_backup) << "host " << d;
-    EXPECT_EQ(entry->backup.uid_path, ctrl_backup) << "host " << d;
+    // Every sibling's route is the merged graph's route to the shared switch,
+    // ending at that sibling's own port.
+    auto merged = src.topo_cache().ComputeRoutes(src.self_location().switch_uid, mac, 1);
+    ASSERT_TRUE(merged.ok()) << "host " << d;
+    EXPECT_EQ(entry->paths.front().uid_path, merged.value().front().uid_path) << "host " << d;
+    EXPECT_EQ(entry->paths.front().tags, merged.value().front().tags) << "host " << d;
+    EXPECT_EQ(entry->paths.front().tags.back(), fabric_->agent(d).self_location().port);
   }
+  // The backup's links were merged with the rest: it compiles over cached, up
+  // links, so it is there for all three when their route dies.
+  EXPECT_TRUE(src.topo_cache().db().CompileTagsForUidPath(ctrl_backup, 1).ok());
   // The answer cancelled the retry timer: the run ended before it was due.
   EXPECT_TRUE(fabric_->sim().Empty());
   EXPECT_LT(fabric_->Now(), start + HostAgentConfig().request_timeout);
+}
+
+// A k=1 host whose one cached route loses a link recomputes the route from its
+// TopoCache, which holds the path graph's backup and detour links: the flow
+// keeps delivering and the controller hears no new query.
+TEST_F(RouteCacheTest, CutRouteOfAKOneHostReroutesWithoutAsking) {
+  HostAgent& src = fabric_->agent(0);
+  // Half-way down the host list: a host in another pod.
+  HostAgent& dst = fabric_->agent(static_cast<uint32_t>(fabric_->host_count() / 2));
+  ASSERT_NE(dst.self_location().switch_uid, src.self_location().switch_uid);
+  int received = 0;
+  dst.SetDataHandler([&](const Packet&, const DataPayload&) { ++received; });
+  ASSERT_TRUE(src.Send(dst.mac(), 1, DataPayload{}).ok());
+  fabric_->Run();
+  ASSERT_EQ(received, 1);
+
+  const PathTableEntry* entry = src.path_table().Find(dst.mac());
+  ASSERT_NE(entry, nullptr);
+  ASSERT_EQ(entry->paths.size(), 1u);
+  const CachedRoute bound = entry->paths.front();
+  ASSERT_GE(bound.uid_path.size(), 2u);
+  Topology& topo = fabric_->topo();
+  const LinkIndex cut =
+      topo.LinkAtPort(topo.SwitchByUid(bound.uid_path[0]).value(), bound.tags.front());
+  ASSERT_NE(cut, kInvalidLink);
+  const uint64_t requests = src.stats().path_requests;
+  topo.SetLinkUp(cut, false);
+  fabric_->Run();
+
+  entry = src.path_table().Find(dst.mac());
+  ASSERT_NE(entry, nullptr);
+  ASSERT_EQ(entry->paths.size(), 1u);
+  EXPECT_FALSE(entry->paths.front().UsesEdge(bound.uid_path[0], bound.uid_path[1]));
+  ASSERT_TRUE(src.Send(dst.mac(), 1, DataPayload{}).ok());
+  fabric_->Run();
+  EXPECT_EQ(received, 2);
+  EXPECT_EQ(src.stats().path_requests, requests);
 }
 
 TEST_F(RouteCacheTest, BareWarmUpJoinsTheOutstandingRequest) {
@@ -682,9 +726,8 @@ TEST(RouteQualityTest, CacheRoutesMatchControllerPrimaries) {
       }
       auto bound = entry->flow_binding.find(1);
       ASSERT_NE(bound, entry->flow_binding.end());
-      count(bound->second < entry->paths.size() ? entry->paths[bound->second].uid_path
-                                                : entry->backup.uid_path,
-            host_load);
+      ASSERT_LT(bound->second, entry->paths.size());
+      count(entry->paths[bound->second].uid_path, host_load);
       count(want, ctrl_load);
     }
   }

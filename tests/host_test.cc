@@ -28,8 +28,6 @@ PathTableEntry TwoPathEntry() {
   entry.dst = HostLocation{99, 30, 5};
   entry.paths.push_back(Route({10, 20, 30}, {1, 2, 5}));
   entry.paths.push_back(Route({10, 21, 30}, {2, 2, 5}));
-  entry.backup = Route({10, 22, 23, 30}, {3, 2, 2, 5});
-  entry.has_backup = true;
   return entry;
 }
 
@@ -62,29 +60,29 @@ TEST(PathTableTest, MissCounts) {
   EXPECT_EQ(table.stats().misses, 1u);
 }
 
-TEST(PathTableTest, InvalidateEdgeDropsRoutesAndPromotesBackup) {
+TEST(PathTableTest, InvalidateEdgeReportsStarvedDestinations) {
   PathTable table(1);
   table.Install(99, TwoPathEntry());
-  // Kill edge 10-20: one primary survives.
+  table.Install(98, TwoPathEntry());
+  ASSERT_TRUE(table.RouteFor(99, 7).ok());
+  // Kill edge 10-20: one path survives, so nothing starves and flows rebind.
   auto starved = table.InvalidateEdge(10, 20);
   EXPECT_TRUE(starved.empty());
   const PathTableEntry* entry = table.Find(99);
   ASSERT_NE(entry, nullptr);
   ASSERT_EQ(entry->paths.size(), 1u);
   EXPECT_EQ(entry->paths[0].uid_path, (std::vector<uint64_t>{10, 21, 30}));
+  EXPECT_TRUE(entry->flow_binding.empty());
+  EXPECT_EQ(table.RouteFor(99, 7).value()->uid_path, entry->paths[0].uid_path);
 
-  // Kill edge 10-21 too: only backup remains; it is promoted.
+  // Kill edge 10-21 too: both destinations are left with no route, reported in
+  // ascending MAC order for the caller to recompute or re-query.
   starved = table.InvalidateEdge(21, 10);
-  EXPECT_TRUE(starved.empty());
-  entry = table.Find(99);
-  ASSERT_EQ(entry->paths.size(), 1u);
-  EXPECT_EQ(entry->paths[0].uid_path.size(), 4u);
-  EXPECT_FALSE(entry->has_backup);
-
-  // Kill the backup's edge as well: now starved.
-  starved = table.InvalidateEdge(22, 23);
-  ASSERT_EQ(starved.size(), 1u);
-  EXPECT_EQ(starved[0], 99u);
+  EXPECT_EQ(starved, (std::vector<uint64_t>{98, 99}));
+  EXPECT_TRUE(table.Find(99)->paths.empty());
+  const uint64_t misses = table.stats().misses;
+  EXPECT_FALSE(table.RouteFor(99, 7).ok());
+  EXPECT_EQ(table.stats().misses, misses + 1);
 }
 
 TEST(PathTableTest, ChooserOverridesDefault) {
@@ -105,6 +103,13 @@ TEST(PathTableTest, UsesEdgeIsUndirected) {
 }
 
 // --- TopoCache -----------------------------------------------------------------
+
+// Marks a cached link the way the host agent does: resolve the attach point to
+// a cached edge, then set the link's state in the cache's database.
+void MarkLink(TopoCache& cache, uint64_t switch_uid, PortNum port, bool up) {
+  ASSERT_TRUE(cache.ResolveEdge(switch_uid, port).ok());
+  cache.db().SetLinkState(switch_uid, port, up);
+}
 
 WirePathGraph DiamondGraph() {
   // Switch uids 100,101,102,103; two 2-hop routes 100-101-103 / 100-102-103.
@@ -134,39 +139,72 @@ TEST(TopoCacheTest, IntegrateAndComputeRoutes) {
 TEST(TopoCacheTest, MarkLinkDownReroutes) {
   TopoCache cache;
   ASSERT_TRUE(cache.Integrate(DiamondGraph(), HostLocation{55, 103, 7}).ok());
-  auto edge = cache.MarkLinkAt(101, 2, false);
+  auto edge = cache.ResolveEdge(101, 2);
   ASSERT_TRUE(edge.ok());
   EXPECT_EQ(std::min(edge.value().first, edge.value().second), 101u);
+  MarkLink(cache, 101, 2, false);
   auto routes = cache.ComputeRoutes(100, 55, 4);
   ASSERT_TRUE(routes.ok());
   ASSERT_EQ(routes.value().size(), 1u);
   EXPECT_EQ(routes.value()[0].uid_path, (std::vector<uint64_t>{100, 102, 103}));
 }
 
-TEST(TopoCacheTest, UnknownLinkEventIgnored) {
+TEST(TopoCacheTest, UnknownAttachPointDoesNotResolve) {
   TopoCache cache;
   ASSERT_TRUE(cache.Integrate(DiamondGraph(), HostLocation{55, 103, 7}).ok());
-  EXPECT_FALSE(cache.MarkLinkAt(999, 1, false).ok());
-  EXPECT_FALSE(cache.MarkLinkAt(100, 9, false).ok());
+  EXPECT_FALSE(cache.ResolveEdge(999, 1).ok());
+  EXPECT_FALSE(cache.ResolveEdge(100, 9).ok());
 }
 
-TEST(TopoCacheTest, BuildEntryIncludesBackup) {
-  TopoCache cache;
-  ASSERT_TRUE(cache.Integrate(DiamondGraph(), HostLocation{55, 103, 7}).ok());
-  auto entry = cache.BuildEntry(100, 55, 1);  // k=1: backup differs from primary
-  ASSERT_TRUE(entry.ok());
-  EXPECT_EQ(entry.value().paths.size(), 1u);
-  EXPECT_TRUE(entry.value().has_backup);
-  EXPECT_NE(entry.value().backup.uid_path, entry.value().paths[0].uid_path);
+// A path graph without detours: the primary plus a longer, link-disjoint backup.
+WirePathGraph PrimaryAndBackupGraph() {
+  WirePathGraph g;
+  g.src_uid = 100;
+  g.dst_uid = 103;
+  g.primary = {100, 101, 103};
+  g.backup = {100, 102, 104, 103};
+  g.links = {WireLink{100, 1, 101, 1}, WireLink{101, 2, 103, 1},
+             WireLink{100, 2, 102, 1}, WireLink{102, 2, 104, 1},
+             WireLink{104, 2, 103, 2}};
+  return g;
 }
 
-TEST(TopoCacheTest, PatchRestoresLink) {
+// A k=1 entry whose primary dies is starved in the PathTable, and the TopoCache
+// recomputes it over the backup's links, which the merge brought in.
+TEST(TopoCacheTest, StarvedKOneEntryReroutesOverTheBackupsLinks) {
+  const WirePathGraph graph = PrimaryAndBackupGraph();
+  TopoCache cache;
+  ASSERT_TRUE(cache.Integrate(graph, HostLocation{55, 103, 7}).ok());
+  auto routes = cache.ComputeRoutes(100, 55, 1);
+  ASSERT_TRUE(routes.ok());
+  ASSERT_EQ(routes.value().size(), 1u);
+  EXPECT_EQ(routes.value()[0].uid_path, graph.primary);
+  PathTable table(1);
+  PathTableEntry entry;
+  entry.dst = HostLocation{55, 103, 7};
+  entry.paths = std::move(routes.value());
+  table.Install(55, std::move(entry));
+
+  auto edge = cache.ResolveEdge(101, 2);
+  ASSERT_TRUE(edge.ok());
+  MarkLink(cache, 101, 2, false);
+  EXPECT_EQ(table.InvalidateEdge(edge.value().first, edge.value().second),
+            (std::vector<uint64_t>{55}));
+  routes = cache.ComputeRoutes(100, 55, 1);
+  ASSERT_TRUE(routes.ok());
+  ASSERT_EQ(routes.value().size(), 1u);
+  EXPECT_EQ(routes.value()[0].uid_path, graph.backup);
+  EXPECT_EQ(routes.value()[0].tags, (TagList{2, 2, 2, 7}));
+}
+
+TEST(TopoCacheTest, LinkAddedBackRestoresRoute) {
   TopoCache cache;
   ASSERT_TRUE(cache.Integrate(DiamondGraph(), HostLocation{55, 103, 7}).ok());
-  cache.ApplyPatch({WireLink{101, 2, 103, 1}}, {});
+  MarkLink(cache, 101, 2, false);
   auto routes = cache.ComputeRoutes(100, 55, 4);
   ASSERT_EQ(routes.value().size(), 1u);
-  cache.ApplyPatch({}, {WireLink{101, 2, 103, 1}});
+  // AddLink marks a pre-existing link up again, as a patch's added entry does.
+  ASSERT_TRUE(cache.db().AddLink(WireLink{101, 2, 103, 1}).ok());
   routes = cache.ComputeRoutes(100, 55, 4);
   EXPECT_EQ(routes.value().size(), 2u);
 }
@@ -192,7 +230,8 @@ void ExpectFreshRoutes(const TopoCache& cache, uint64_t src_uid, uint64_t dst_ma
 }
 
 // The memoized Yen results follow every change that moves the routes: a merged
-// link, a link going down and up, a patch, and a destination host moving.
+// link, a link going down and up, a second link going down, and a destination
+// host moving.
 TEST(TopoCacheTest, MemoizedRoutesFollowEveryCacheChange) {
   TopoCache cache;
   ASSERT_TRUE(cache.Integrate(DiamondGraph(), HostLocation{55, 103, 7}).ok());
@@ -212,14 +251,14 @@ TEST(TopoCacheTest, MemoizedRoutesFollowEveryCacheChange) {
   ASSERT_EQ(cache.ComputeRoutes(100, 55, 4).value().size(), 3u);
   ExpectFreshRoutes(cache, 100, 55);
 
-  ASSERT_TRUE(cache.MarkLinkAt(101, 2, false).ok());
+  MarkLink(cache, 101, 2, false);
   ASSERT_EQ(cache.ComputeRoutes(100, 55, 4).value().size(), 2u);
   ExpectFreshRoutes(cache, 100, 55);
-  ASSERT_TRUE(cache.MarkLinkAt(101, 2, true).ok());
+  MarkLink(cache, 101, 2, true);
   ASSERT_EQ(cache.ComputeRoutes(100, 55, 4).value().size(), 3u);
   ExpectFreshRoutes(cache, 100, 55);
 
-  cache.ApplyPatch({WireLink{102, 2, 103, 2}}, {});
+  MarkLink(cache, 102, 2, false);
   ASSERT_EQ(cache.ComputeRoutes(100, 55, 4).value().size(), 2u);
   ExpectFreshRoutes(cache, 100, 55);
 
@@ -249,14 +288,14 @@ TEST(TopoCacheTest, EqualCachesShareOneSnapshotUntilALinkSplitsThem) {
   EXPECT_EQ(b.route_stats().ksp_runs, 0u);  // b's routes came from a's Yen run
   EXPECT_EQ(b.route_stats().ksp_memo_hits, 1u);
 
-  ASSERT_TRUE(a.MarkLinkAt(101, 2, false).ok());
+  MarkLink(a, 101, 2, false);
   EXPECT_NE(&a.RoutingGraph(), &b.RoutingGraph());
   ASSERT_EQ(a.ComputeRoutes(100, 55, 4).value().size(), 1u);
   ASSERT_EQ(b.ComputeRoutes(100, 55, 4).value().size(), 2u);
   ExpectFreshRoutes(a, 100, 55);
   ExpectFreshRoutes(b, 100, 55);
 
-  ASSERT_TRUE(a.MarkLinkAt(101, 2, true).ok());
+  MarkLink(a, 101, 2, true);
   EXPECT_EQ(&a.RoutingGraph(), &b.RoutingGraph());
   const uint64_t runs = a.route_stats().ksp_runs;
   ExpectFreshRoutes(a, 100, 55);
