@@ -9,10 +9,11 @@
 //   $ dumbnet-trace run.fr --chrome trace.json     # open via chrome://tracing
 //
 // For static verification, the post-failure fabric state can be exported and
-// replayed through dumbnet-check:
+// replayed through dumbnet-check, which checks the controller's path graphs
+// (links plus Algorithm 1's primary and backup) against the snapshot:
 //
 //   $ ./failure_recovery --dump-topo fabric.topo --dump-pathgraphs graphs.pg
-//   $ dumbnet-check fabric.topo graphs.pg --verify-pathgraph
+//   $ dumbnet-check fabric.topo graphs.pg
 #include <cstdio>
 #include <cstring>
 
@@ -146,7 +147,7 @@ int main(int argc, char** argv) {
   // Export the post-failure fabric for offline verification: the topology as the
   // controller sees it, and freshly recomputed path graphs from host 0 to every
   // other host (computed against the same snapshot, so a clean dumbnet-check
-  // --verify-pathgraph run is the expected outcome).
+  // run is the expected outcome).
   if (!topo_path.empty()) {
     if (Status s = SaveTopology(fabric.topo(), topo_path); !s.ok()) {
       std::fprintf(stderr, "cannot write %s: %s\n", topo_path.c_str(),

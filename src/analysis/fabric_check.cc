@@ -4,7 +4,6 @@
 #include <ostream>
 #include <set>
 #include <sstream>
-#include <unordered_set>
 
 #include "src/analysis/invariants.h"
 #include "src/routing/graph.h"
@@ -17,7 +16,7 @@ namespace {
 
 std::string UidName(uint64_t uid) { return "uid=" + std::to_string(uid); }
 
-std::string GraphName(const WirePathGraph& g) {
+std::string GraphName(const PathGraphExport& g) {
   return UidName(g.src_uid) + "->" + UidName(g.dst_uid);
 }
 
@@ -41,14 +40,11 @@ LinkIndex TruthLink(const Topology& topo, const WireLink& wl) {
   return li;
 }
 
-// Ground-truth link for a consecutive uid pair on a path (any up or down link).
-LinkIndex TruthEdge(const Topology& topo, uint64_t uid_a, uint64_t uid_b) {
-  auto ia = topo.SwitchByUid(uid_a);
-  auto ib = topo.SwitchByUid(uid_b);
-  if (!ia.ok() || !ib.ok()) {
-    return kInvalidLink;
-  }
-  const SwitchInfo& sw = topo.switch_at(ia.value());
+// Ground-truth link between two switches: an up one if any, else a down one,
+// else kInvalidLink.
+LinkIndex TruthEdge(const Topology& topo, uint32_t a, uint32_t b) {
+  LinkIndex down = kInvalidLink;
+  const SwitchInfo& sw = topo.switch_at(a);
   for (PortNum p = 1; p <= sw.num_ports; ++p) {
     LinkIndex li = sw.port_link[p];
     if (li == kInvalidLink) {
@@ -58,12 +54,54 @@ LinkIndex TruthEdge(const Topology& topo, uint64_t uid_a, uint64_t uid_b) {
     if (l.detached) {
       continue;
     }
-    const Endpoint& peer = l.Peer(NodeId::Switch(ia.value()));
-    if (peer.node.is_switch() && peer.node.index == ib.value()) {
-      return li;
+    const Endpoint& peer = l.Peer(NodeId::Switch(a));
+    if (peer.node.is_switch() && peer.node.index == b) {
+      if (l.up) {
+        return li;
+      }
+      down = li;
     }
   }
-  return kInvalidLink;
+  return down;
+}
+
+// Undirected edge key for membership tests (switch uids or indices).
+template <typename T>
+std::pair<T, T> EdgeKey(T a, T b) {
+  return a < b ? std::pair{a, b} : std::pair{b, a};
+}
+
+// Hop distances from `src` over `graph`, truncated at `budget`, optionally
+// skipping edges whose normalized (index, index) pair is in `excluded`.
+// Unreached entries are UINT32_MAX. Small fabrics: a plain vector BFS is fine.
+std::vector<uint32_t> BfsWithout(const SwitchGraph& graph, uint32_t src,
+                                 uint32_t budget,
+                                 const std::set<std::pair<uint32_t, uint32_t>>* excluded) {
+  std::vector<uint32_t> dist(graph.size(), UINT32_MAX);
+  if (src >= graph.size()) {
+    return dist;
+  }
+  std::vector<uint32_t> frontier = {src};
+  dist[src] = 0;
+  while (!frontier.empty()) {
+    std::vector<uint32_t> next;
+    for (uint32_t u : frontier) {
+      if (dist[u] >= budget) {
+        continue;
+      }
+      for (const AdjEdge& e : graph.Neighbors(u)) {
+        if (excluded != nullptr && excluded->count(EdgeKey(u, e.to)) > 0) {
+          continue;
+        }
+        if (dist[e.to] == UINT32_MAX) {
+          dist[e.to] = dist[u] + 1;
+          next.push_back(e.to);
+        }
+      }
+    }
+    frontier = std::move(next);
+  }
+  return dist;
 }
 
 }  // namespace
@@ -111,219 +149,143 @@ std::vector<CheckFinding> CheckTopology(const Topology& topo,
 }
 
 std::vector<CheckFinding> CheckPathGraphs(const Topology& topo,
-                                          const std::vector<WirePathGraph>& graphs,
+                                          const std::vector<PathGraphExport>& graphs,
                                           const FabricCheckOptions& opts) {
   std::vector<CheckFinding> findings;
-  for (const WirePathGraph& g : graphs) {
+  const SwitchGraph fabric(topo);
+
+  for (const PathGraphExport& g : graphs) {
     const std::string name = GraphName(g);
 
-    // Well-formedness of the graph itself (endpoints, induced links, no port
-    // conflicts inside the graph).
+    // Well-formedness of the links a host would receive (no port conflicts,
+    // connected, dst reachable from src).
     if (Status s = AuditWirePathGraph(g); !s.ok()) {
       findings.push_back({"pathgraph-malformed", name + ": " + s.error().ToString()});
     }
-
-    // Loops: a repeated switch on the primary.
-    std::set<uint64_t> seen;
-    for (uint64_t uid : g.primary) {
-      if (!seen.insert(uid).second) {
-        findings.push_back(
-            {"primary-loop", name + ": primary revisits " + UidName(uid)});
-        break;
-      }
+    std::set<std::pair<uint64_t, uint64_t>> listed;
+    for (const WireLink& wl : g.links) {
+      listed.insert(EdgeKey(wl.uid_a, wl.uid_b));
     }
 
-    // Tag budget: one tag per switch on the path (final host port included) + ø.
-    auto check_budget = [&](const std::vector<uint64_t>& path, const char* which) {
-      if (!path.empty() && path.size() + 1 > opts.max_tag_depth) {
+    // Per path: it runs src to dst over listed links, has no loop, and fits the
+    // tag budget (one tag per switch on the path, final host port included, + ø).
+    auto check_path = [&](const std::vector<uint64_t>& path, const std::string& which) {
+      if (path.empty()) {
+        return;
+      }
+      if (path.front() != g.src_uid || path.back() != g.dst_uid) {
+        findings.push_back({"pathgraph-malformed", name + ": " + which + " runs " +
+                                                       UidName(path.front()) + ".." +
+                                                       UidName(path.back()) +
+                                                       ", not src..dst"});
+      }
+      for (size_t i = 0; i + 1 < path.size(); ++i) {
+        if (listed.count(EdgeKey(path[i], path[i + 1])) == 0) {
+          findings.push_back({"pathgraph-malformed",
+                              name + ": " + which + " hop " + UidName(path[i]) + "->" +
+                                  UidName(path[i + 1]) + " has no link in the graph"});
+          break;
+        }
+      }
+      std::set<uint64_t> seen;
+      for (uint64_t uid : path) {
+        if (!seen.insert(uid).second) {
+          findings.push_back(
+              {which + "-loop", name + ": " + which + " revisits " + UidName(uid)});
+          break;
+        }
+      }
+      if (path.size() + 1 > opts.max_tag_depth) {
         findings.push_back(
             {"tag-budget-exceeded",
              name + ": " + which + " needs " + std::to_string(path.size() + 1) +
                  " header bytes, budget is " + std::to_string(opts.max_tag_depth)});
       }
     };
-    check_budget(g.primary, "primary");
-    check_budget(g.backup, "backup");
+    check_path(g.primary, "primary");
+    check_path(g.backup, "backup");
 
-    // Each advertised link must exist in the fabric exactly as described.
+    // Each advertised link must exist in the fabric exactly as described; the
+    // confirmed ones form the subgraph the host would cache.
+    std::set<uint32_t> members;
+    std::vector<LinkIndex> sub_links;
     for (const WireLink& wl : g.links) {
-      if (TruthLink(topo, wl) == kInvalidLink) {
+      LinkIndex li = TruthLink(topo, wl);
+      if (li == kInvalidLink) {
         findings.push_back(
             {"link-conflict", name + ": advertised link " + UidName(wl.uid_a) + ":" +
                                   std::to_string(static_cast<int>(wl.port_a)) + "<->" +
                                   UidName(wl.uid_b) + ":" +
                                   std::to_string(static_cast<int>(wl.port_b)) +
                                   " is absent or wired differently in the fabric"});
-      }
-    }
-
-    // Path hops over failed links; and the backup sharing a failed link with the
-    // primary (the exact situation the backup exists to avoid).
-    std::set<std::pair<uint64_t, uint64_t>> primary_down_edges;
-    for (size_t i = 0; i + 1 < g.primary.size(); ++i) {
-      LinkIndex li = TruthEdge(topo, g.primary[i], g.primary[i + 1]);
-      if (li != kInvalidLink && !topo.link_at(li).up) {
-        findings.push_back({"primary-on-failed-link",
-                            name + ": primary hop " + UidName(g.primary[i]) + "->" +
-                                UidName(g.primary[i + 1]) + " rides a down link"});
-        uint64_t a = g.primary[i];
-        uint64_t b = g.primary[i + 1];
-        primary_down_edges.insert(a < b ? std::pair{a, b} : std::pair{b, a});
-      }
-    }
-    for (size_t i = 0; i + 1 < g.backup.size(); ++i) {
-      uint64_t a = g.backup[i];
-      uint64_t b = g.backup[i + 1];
-      auto key = a < b ? std::pair{a, b} : std::pair{b, a};
-      if (primary_down_edges.count(key) > 0) {
-        findings.push_back({"backup-shares-failed-link",
-                            name + ": backup hop " + UidName(a) + "->" + UidName(b) +
-                                " shares a failed link with the primary"});
-      }
-    }
-  }
-  return findings;
-}
-
-std::vector<CheckFinding> CheckFabric(const Topology& topo,
-                                      const std::vector<WirePathGraph>& graphs,
-                                      const FabricCheckOptions& opts) {
-  std::vector<CheckFinding> findings = CheckTopology(topo, opts);
-  std::vector<CheckFinding> pg = CheckPathGraphs(topo, graphs, opts);
-  findings.insert(findings.end(), pg.begin(), pg.end());
-  if (opts.verify_semantics) {
-    std::vector<CheckFinding> sem = VerifyPathGraphSemantics(topo, graphs, opts.verify);
-    findings.insert(findings.end(), sem.begin(), sem.end());
-  }
-  return findings;
-}
-
-namespace {
-
-// Hop distances from `src` over `graph`, truncated at `budget`, optionally
-// skipping edges whose normalized (index, index) pair is in `excluded`.
-// Unreached entries are UINT32_MAX. Small fabrics: a plain vector BFS is fine.
-std::vector<uint32_t> BfsWithout(const SwitchGraph& graph, uint32_t src,
-                                 uint32_t budget,
-                                 const std::set<std::pair<uint32_t, uint32_t>>* excluded) {
-  std::vector<uint32_t> dist(graph.size(), UINT32_MAX);
-  if (src >= graph.size()) {
-    return dist;
-  }
-  std::vector<uint32_t> frontier = {src};
-  dist[src] = 0;
-  while (!frontier.empty()) {
-    std::vector<uint32_t> next;
-    for (uint32_t u : frontier) {
-      if (dist[u] >= budget) {
         continue;
       }
-      for (const AdjEdge& e : graph.Neighbors(u)) {
-        if (excluded != nullptr) {
-          auto key = u < e.to ? std::pair{u, e.to} : std::pair{e.to, u};
-          if (excluded->count(key) > 0) {
-            continue;
-          }
-        }
-        if (dist[e.to] == UINT32_MAX) {
-          dist[e.to] = dist[u] + 1;
-          next.push_back(e.to);
-        }
-      }
+      members.insert(topo.SwitchByUid(wl.uid_a).value());
+      members.insert(topo.SwitchByUid(wl.uid_b).value());
+      sub_links.push_back(li);
     }
-    frontier = std::move(next);
-  }
-  return dist;
-}
 
-}  // namespace
-
-std::vector<CheckFinding> VerifyPathGraphSemantics(
-    const Topology& topo, const std::vector<WirePathGraph>& graphs,
-    const PathGraphVerifyOptions& vopts) {
-  std::vector<CheckFinding> findings;
-  const SwitchGraph fabric(topo);
-
-  for (const WirePathGraph& g : graphs) {
-    const std::string name = GraphName(g);
-
-    // Map every uid the graph mentions to a switch index; an unknown uid makes
-    // the deeper semantic checks meaningless, so flag it and move on.
+    // Map every path uid to a switch index; an unknown uid makes the deeper
+    // checks meaningless, so flag it and move on.
     bool uids_ok = true;
-    auto index_of = [&](uint64_t uid, const char* where) -> uint32_t {
-      auto idx = topo.SwitchByUid(uid);
-      if (!idx.ok()) {
-        findings.push_back({"pathgraph-unknown-switch",
-                            name + ": " + where + " mentions " + UidName(uid) +
-                                ", absent from the topology snapshot"});
-        uids_ok = false;
-        return kNoVertex;
+    auto indices = [&](const std::vector<uint64_t>& uids, const char* which) {
+      std::vector<uint32_t> path;
+      path.reserve(uids.size());
+      for (uint64_t uid : uids) {
+        auto idx = topo.SwitchByUid(uid);
+        if (!idx.ok()) {
+          findings.push_back({"pathgraph-unknown-switch",
+                              name + ": " + which + " mentions " + UidName(uid) +
+                                  ", absent from the topology snapshot"});
+          uids_ok = false;
+          continue;
+        }
+        path.push_back(idx.value());
       }
-      return idx.value();
+      return path;
     };
-    std::vector<uint32_t> primary;
-    primary.reserve(g.primary.size());
-    for (uint64_t uid : g.primary) {
-      primary.push_back(index_of(uid, "primary"));
-    }
-    std::vector<uint32_t> backup;
-    backup.reserve(g.backup.size());
-    for (uint64_t uid : g.backup) {
-      backup.push_back(index_of(uid, "backup"));
-    }
+    const std::vector<uint32_t> primary = indices(g.primary, "primary");
+    const std::vector<uint32_t> backup = indices(g.backup, "backup");
     if (!uids_ok) {
       continue;
     }
+    members.insert(primary.begin(), primary.end());
+    members.insert(backup.begin(), backup.end());
 
-    // Loop-freedom of the backup (primary loops are CheckPathGraphs' job).
-    std::set<uint32_t> backup_seen;
-    for (size_t i = 0; i < backup.size(); ++i) {
-      if (!backup_seen.insert(backup[i]).second) {
-        findings.push_back(
-            {"backup-loop", name + ": backup revisits " + UidName(g.backup[i])});
-        break;
-      }
-    }
-
-    // Primary and backup must be real walks over up links.
-    auto check_edges = [&](const std::vector<uint32_t>& path,
-                           const std::vector<uint64_t>& uids, const char* which) {
+    // Every hop must ride an up link. A down one is named for the failure it
+    // is: the primary on a failed link, or the backup sharing the primary's
+    // failed link (the exact situation the backup exists to avoid).
+    std::set<std::pair<uint32_t, uint32_t>> primary_down;
+    auto check_hops = [&](const std::vector<uint32_t>& path,
+                          const std::vector<uint64_t>& uids, bool is_primary) {
       for (size_t i = 0; i + 1 < path.size(); ++i) {
-        bool adjacent = false;
-        for (const AdjEdge& e : fabric.Neighbors(path[i])) {
-          adjacent = adjacent || e.to == path[i + 1];
+        const LinkIndex li = TruthEdge(topo, path[i], path[i + 1]);
+        if (li != kInvalidLink && topo.link_at(li).up) {
+          continue;
         }
-        if (!adjacent) {
-          findings.push_back({"path-broken-edge",
-                              name + ": " + which + " hop " + UidName(uids[i]) + "->" +
-                                  UidName(uids[i + 1]) + " has no up link"});
+        const auto key = EdgeKey(path[i], path[i + 1]);
+        const std::string hop = name + ": " + (is_primary ? "primary" : "backup") +
+                                " hop " + UidName(uids[i]) + "->" + UidName(uids[i + 1]);
+        if (li == kInvalidLink) {
+          findings.push_back({"path-broken-edge", hop + " has no link"});
+        } else if (is_primary) {
+          primary_down.insert(key);
+          findings.push_back({"primary-on-failed-link", hop + " rides a down link"});
+        } else if (primary_down.count(key) > 0) {
+          findings.push_back(
+              {"backup-shares-failed-link", hop + " shares a failed link with the primary"});
+        } else {
+          findings.push_back({"path-broken-edge", hop + " rides a down link"});
         }
       }
     };
-    check_edges(primary, g.primary, "primary");
-    check_edges(backup, g.backup, "backup");
-
-    // The subgraph the host would cache: vertices from both paths plus every
-    // advertised link endpoint; links restricted to ones the fabric confirms.
-    std::set<uint32_t> members(primary.begin(), primary.end());
-    members.insert(backup.begin(), backup.end());
-    std::vector<LinkIndex> sub_links;
-    for (const WireLink& wl : g.links) {
-      LinkIndex li = TruthLink(topo, wl);
-      if (li == kInvalidLink) {
-        continue;  // CheckPathGraphs reports link-conflict for these
-      }
-      auto ia = topo.SwitchByUid(wl.uid_a);
-      auto ib = topo.SwitchByUid(wl.uid_b);
-      members.insert(ia.value());
-      members.insert(ib.value());
-      sub_links.push_back(li);
-    }
-    const SwitchGraph sub(topo, sub_links);
+    check_hops(primary, g.primary, true);
+    check_hops(backup, g.backup, false);
 
     if (primary.empty()) {
       continue;  // nothing further to verify without a primary
     }
+    const SwitchGraph sub(topo, sub_links);
     const uint32_t dst = primary.back();
 
     // Every subgraph vertex must be able to reach dst inside the subgraph:
@@ -344,9 +306,9 @@ std::vector<CheckFinding> VerifyPathGraphSemantics(
     // Algorithm 1 windows, mirroring the builder exactly: [p_i, p_{i+s}] with
     // i advancing by s/2, detour budget s + epsilon.
     const size_t l = primary.size();
-    const uint32_t s = std::max<uint32_t>(1, vopts.s);
+    const uint32_t s = std::max<uint32_t>(1, opts.s);
     const uint32_t step = std::max<uint32_t>(1, s / 2);
-    const uint32_t budget = s + vopts.epsilon;
+    const uint32_t budget = s + opts.epsilon;
     for (size_t i = 0; i < l; i += step) {
       const size_t j = std::min(i + s, l - 1);
       const uint32_t a = primary[i];
@@ -375,9 +337,7 @@ std::vector<CheckFinding> VerifyPathGraphSemantics(
       // paper's design avoids (Section 4.3).
       std::set<std::pair<uint32_t, uint32_t>> window_edges;
       for (size_t k = i; k < j; ++k) {
-        uint32_t u = primary[k];
-        uint32_t v = primary[k + 1];
-        window_edges.insert(u < v ? std::pair{u, v} : std::pair{v, u});
+        window_edges.insert(EdgeKey(primary[k], primary[k + 1]));
       }
       std::vector<uint32_t> fab_detour = BfsWithout(fabric, a, budget, &window_edges);
       if (fab_detour[b] != UINT32_MAX) {
@@ -402,28 +362,33 @@ std::vector<CheckFinding> VerifyPathGraphSemantics(
     if (backup.size() >= 2) {
       std::set<std::pair<uint32_t, uint32_t>> primary_edges;
       for (size_t i = 0; i + 1 < primary.size(); ++i) {
-        uint32_t u = primary[i];
-        uint32_t v = primary[i + 1];
-        primary_edges.insert(u < v ? std::pair{u, v} : std::pair{v, u});
+        primary_edges.insert(EdgeKey(primary[i], primary[i + 1]));
       }
       size_t shared = 0;
       const size_t backup_edges = backup.size() - 1;
       for (size_t i = 0; i + 1 < backup.size(); ++i) {
-        uint32_t u = backup[i];
-        uint32_t v = backup[i + 1];
-        shared += primary_edges.count(u < v ? std::pair{u, v} : std::pair{v, u});
+        shared += primary_edges.count(EdgeKey(backup[i], backup[i + 1]));
       }
       const double overlap = static_cast<double>(shared) / static_cast<double>(backup_edges);
-      if (overlap > vopts.max_backup_overlap) {
+      if (overlap > opts.max_backup_overlap) {
         findings.push_back(
             {"backup-overlap",
              name + ": backup shares " + std::to_string(shared) + "/" +
                  std::to_string(backup_edges) + " edges with the primary (" +
                  std::to_string(overlap) + " > allowed " +
-                 std::to_string(vopts.max_backup_overlap) + ")"});
+                 std::to_string(opts.max_backup_overlap) + ")"});
       }
     }
   }
+  return findings;
+}
+
+std::vector<CheckFinding> CheckFabric(const Topology& topo,
+                                      const std::vector<PathGraphExport>& graphs,
+                                      const FabricCheckOptions& opts) {
+  std::vector<CheckFinding> findings = CheckTopology(topo, opts);
+  std::vector<CheckFinding> pg = CheckPathGraphs(topo, graphs, opts);
+  findings.insert(findings.end(), pg.begin(), pg.end());
   return findings;
 }
 
@@ -438,10 +403,10 @@ std::string CheckFindingsJson(const std::vector<CheckFinding>& findings) {
   return os.str();
 }
 
-std::string SerializeWirePathGraphs(const std::vector<WirePathGraph>& graphs) {
+std::string SerializeWirePathGraphs(const std::vector<PathGraphExport>& graphs) {
   std::ostringstream os;
   os << "# dumbnet path graphs: " << graphs.size() << "\n";
-  for (const WirePathGraph& g : graphs) {
+  for (const PathGraphExport& g : graphs) {
     os << "pathgraph " << g.src_uid << " " << g.dst_uid << "\n";
     auto emit_path = [&](const char* kind, const std::vector<uint64_t>& path) {
       if (path.empty()) {
@@ -464,13 +429,13 @@ std::string SerializeWirePathGraphs(const std::vector<WirePathGraph>& graphs) {
   return os.str();
 }
 
-Result<std::vector<WirePathGraph>> ParseWirePathGraphs(const std::string& text) {
+Result<std::vector<PathGraphExport>> ParseWirePathGraphs(const std::string& text) {
   auto parse_error = [](size_t line_no, const std::string& message) {
     return Error(ErrorCode::kMalformed,
                  "line " + std::to_string(line_no) + ": " + message);
   };
-  std::vector<WirePathGraph> graphs;
-  WirePathGraph current;
+  std::vector<PathGraphExport> graphs;
+  PathGraphExport current;
   bool open = false;
   std::istringstream in(text);
   std::string line;
@@ -486,7 +451,7 @@ Result<std::vector<WirePathGraph>> ParseWirePathGraphs(const std::string& text) 
       if (open) {
         return parse_error(line_no, "pathgraph inside an unterminated pathgraph");
       }
-      current = WirePathGraph{};
+      current = PathGraphExport{};
       if (!(ls >> current.src_uid >> current.dst_uid)) {
         return parse_error(line_no, "pathgraph needs <src_uid> <dst_uid>");
       }
@@ -535,7 +500,7 @@ Result<std::vector<WirePathGraph>> ParseWirePathGraphs(const std::string& text) 
   return graphs;
 }
 
-Status SaveWirePathGraphs(const std::vector<WirePathGraph>& graphs,
+Status SaveWirePathGraphs(const std::vector<PathGraphExport>& graphs,
                           const std::string& path) {
   std::ofstream out(path);
   if (!out) {
@@ -546,7 +511,7 @@ Status SaveWirePathGraphs(const std::vector<WirePathGraph>& graphs,
                     : Status(Error(ErrorCode::kUnavailable, "write failed: " + path));
 }
 
-Result<std::vector<WirePathGraph>> LoadWirePathGraphs(const std::string& path) {
+Result<std::vector<PathGraphExport>> LoadWirePathGraphs(const std::string& path) {
   std::ifstream in(path);
   if (!in) {
     return Error(ErrorCode::kNotFound, "cannot open " + path);
@@ -569,7 +534,7 @@ int RunDumbnetCheck(const std::string& topo_path,
     out << "dumbnet-check: " << topo_path << ": " << topo.error().ToString() << "\n";
     return 2;
   }
-  std::vector<WirePathGraph> graphs;
+  std::vector<PathGraphExport> graphs;
   for (const std::string& p : pathgraph_paths) {
     auto parsed = LoadWirePathGraphs(p);
     if (!parsed.ok()) {

@@ -1,6 +1,7 @@
-// Static fabric-state checker: analyses a serialized topology plus the path
-// graphs hosts would cache, *without* running the simulator — the DumbNet
-// analogue of static forwarding-rule analysis. Backs the `dumbnet-check` CLI.
+// Static fabric-state checker: analyses a serialized topology plus the
+// controller's exported path graphs (the links hosts would cache, with
+// Algorithm 1's primary and backup), *without* running the simulator — the
+// DumbNet analogue of static forwarding-rule analysis. Backs `dumbnet-check`.
 //
 // Path-graph file format (line-oriented, like src/topo/serialize.h):
 //
@@ -20,7 +21,7 @@
 #include <vector>
 
 #include "src/analysis/audit.h"
-#include "src/routing/wire_types.h"
+#include "src/routing/path_graph.h"
 #include "src/topo/topology.h"
 #include "src/util/result.h"
 
@@ -31,23 +32,17 @@ struct CheckFinding {
   std::string detail;  // human-readable explanation
 };
 
-// Algorithm 1 parameters the semantic verifier checks graphs against. Defaults
-// mirror PathGraphParams so controller-generated graphs verify out of the box.
-struct PathGraphVerifyOptions {
+struct FabricCheckOptions {
+  // Tag stack budget: hop tags + destination port + ø must fit.
+  size_t max_tag_depth = audit::kMaxTagStackDepth;
+  // Algorithm 1 parameters the path graphs are checked against. Defaults mirror
+  // PathGraphParams so controller-generated graphs check clean out of the box.
   uint32_t s = 2;        // detour window length (hops)
   uint32_t epsilon = 2;  // detour slack: window detours may use s + epsilon hops
   // Maximum tolerated fraction of backup edges shared with the primary. 1.0
   // (default) never fires: on single-path topologies full overlap is correct
   // ("unless it is unavoidable"); tighten for fabrics known to be multipath.
   double max_backup_overlap = 1.0;
-};
-
-struct FabricCheckOptions {
-  // Tag stack budget: hop tags + destination port + ø must fit.
-  size_t max_tag_depth = audit::kMaxTagStackDepth;
-  // When true, RunDumbnetCheck also runs VerifyPathGraphSemantics.
-  bool verify_semantics = false;
-  PathGraphVerifyOptions verify;
   // When non-empty, RunDumbnetCheck writes findings as JSON to this path.
   std::string json_path;
 };
@@ -57,48 +52,44 @@ struct FabricCheckOptions {
 std::vector<CheckFinding> CheckTopology(const Topology& topo,
                                         const FabricCheckOptions& opts = {});
 
-// Checks cached path graphs against the topology ground truth: malformed graphs,
-// port conflicts and dangling links (links absent from or wired differently in
-// the fabric), loops in primary paths, primary/backup hops over failed links,
-// backups sharing a failed link with their primary, and tag stacks exceeding the
-// one-byte header budget.
+// Checks path graphs against the topology ground truth and Algorithm 1
+// (Section 4.3):
+//   pathgraph-malformed        the links fail AuditWirePathGraph, or a path
+//                              does not run src..dst over them
+//   primary-loop, backup-loop  a path revisits a switch
+//   tag-budget-exceeded        a path needs more header bytes than max_tag_depth
+//   link-conflict              an advertised link is absent from the fabric or
+//                              wired differently
+//   pathgraph-unknown-switch   a path uid absent from the topology snapshot
+//   primary-on-failed-link     a primary hop rides a down link
+//   backup-shares-failed-link  a backup hop rides the primary's down link
+//   path-broken-edge           any other hop without an up link
+//   vertex-cannot-reach-dst    a subgraph vertex cannot reach dst inside the
+//                              subgraph (failover could strand a packet there)
+//   detour-incomplete          a vertex within a window's budget
+//                              (dist(a,x)+dist(x,b) <= s+epsilon) is missing
+//   detour-not-eps-good        the fabric admits an (s+epsilon)-hop detour around
+//                              a window but the subgraph does not contain one
+//   backup-overlap             the backup shares more than max_backup_overlap of
+//                              its edges with the primary
 std::vector<CheckFinding> CheckPathGraphs(const Topology& topo,
-                                          const std::vector<WirePathGraph>& graphs,
+                                          const std::vector<PathGraphExport>& graphs,
                                           const FabricCheckOptions& opts = {});
 
 // Both of the above.
 std::vector<CheckFinding> CheckFabric(const Topology& topo,
-                                      const std::vector<WirePathGraph>& graphs,
+                                      const std::vector<PathGraphExport>& graphs,
                                       const FabricCheckOptions& opts = {});
-
-// Semantic verifier (Section 4.3 / Algorithm 1): checks each graph against the
-// topology ground truth for
-//   pathgraph-unknown-switch  a path uid absent from the topology snapshot
-//   path-broken-edge          consecutive primary/backup uids with no up link
-//   backup-loop               backup path revisits a switch
-//   detour-incomplete         a vertex within the window budget
-//                             (dist(a,x)+dist(x,b) <= s+epsilon) is missing
-//   detour-not-eps-good       the fabric admits an (s+epsilon)-hop detour around
-//                             a window but the subgraph does not contain one
-//   vertex-cannot-reach-dst   a subgraph vertex cannot reach dst inside the
-//                             subgraph (failover could strand a packet there)
-//   backup-overlap            backup shares more than max_backup_overlap of its
-//                             edges with the primary
-// Loop-freedom of primaries and the tag-stack budget are covered by
-// CheckPathGraphs; run both for full coverage (RunDumbnetCheck does).
-std::vector<CheckFinding> VerifyPathGraphSemantics(
-    const Topology& topo, const std::vector<WirePathGraph>& graphs,
-    const PathGraphVerifyOptions& vopts = {});
 
 // Machine-readable form: {"count":N,"findings":[{"check":...,"detail":...}]}.
 std::string CheckFindingsJson(const std::vector<CheckFinding>& findings);
 
 // Path-graph (de)serialization in the text format above.
-std::string SerializeWirePathGraphs(const std::vector<WirePathGraph>& graphs);
-Result<std::vector<WirePathGraph>> ParseWirePathGraphs(const std::string& text);
-Status SaveWirePathGraphs(const std::vector<WirePathGraph>& graphs,
+std::string SerializeWirePathGraphs(const std::vector<PathGraphExport>& graphs);
+Result<std::vector<PathGraphExport>> ParseWirePathGraphs(const std::string& text);
+Status SaveWirePathGraphs(const std::vector<PathGraphExport>& graphs,
                           const std::string& path);
-Result<std::vector<WirePathGraph>> LoadWirePathGraphs(const std::string& path);
+Result<std::vector<PathGraphExport>> LoadWirePathGraphs(const std::string& path);
 
 // CLI driver shared by tools/dumbnet_check.cc and tests: loads `topo_path` (and
 // optional path-graph files), runs every check, reports findings to `out`.

@@ -28,10 +28,9 @@ Status AuditTagStack(const TagList& tags, bool expect_terminator,
                      size_t max_depth = audit::kMaxTagStackDepth);
 
 // --- Path graphs (Section 4.3) ---------------------------------------------------
-// Wire form: primary/backup endpoints match src_uid/dst_uid, every consecutive
-// primary (and backup) hop is covered by a listed link, no self-links or duplicate
-// (uid, port) attach points, and the link set is connected to src_uid — a dangling
-// WireLink that touches neither path nor any detour is a corruption.
+// Wire form: no self-links or duplicate (uid, port) attach points, dst_uid is
+// reachable from src_uid over the links, and so is every link — a dangling
+// WireLink that touches no path from src is a corruption.
 Status AuditWirePathGraph(const WirePathGraph& graph);
 
 // Index form, against the topology it was built from: primary/backup endpoints

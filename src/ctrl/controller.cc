@@ -417,10 +417,6 @@ std::shared_ptr<WirePathGraph> ControllerService::MakeWireGraph(const PathGraph&
   auto wire = std::make_shared<WirePathGraph>();
   wire->src_uid = src_uid;
   wire->dst_uid = dst_uid;
-  wire->primary = db_.PathToUids(pg.primary);
-  if (config_.send_backup) {
-    wire->backup = db_.PathToUids(pg.backup);
-  }
   auto push_link = [&](LinkIndex li) {
     const Link& l = db_.mirror().link_at(li);
     wire->links.push_back(WireLink{db_.UidOf(l.a.node.index), l.a.port,
@@ -458,14 +454,14 @@ std::shared_ptr<WirePathGraph> ControllerService::MakeWireGraph(const PathGraph&
 
   // What leaves the controller must be a well-formed path graph (Section 4.3);
   // a malformed one silently blackholes the requester's traffic later. The
-  // detour-stripped ablation keeps hops of the full subgraph without their
-  // links, so only audit the complete form.
+  // detour-stripped ablation lists a link twice when the backup reuses a
+  // primary link, so only audit the complete form.
   DUMBNET_ASSERT(!config_.send_detours || AuditWirePathGraph(*wire).ok(),
                  "controller built a malformed path graph");
   return wire;
 }
 
-Result<std::vector<WirePathGraph>> ControllerService::PrecomputePathGraphs(
+Result<std::vector<PathGraphExport>> ControllerService::PrecomputePathGraphs(
     uint64_t src_mac, const std::vector<uint64_t>& dst_macs) {
   auto src_host = db_.LocateHost(src_mac);
   if (!src_host.ok()) {
@@ -499,14 +495,17 @@ Result<std::vector<WirePathGraph>> ControllerService::PrecomputePathGraphs(
   auto built = BuildPathGraphBatch(db_.mirror(), graph, tree, dst_switches,
                                    config_.path_graph, &rng_);
 
-  std::vector<WirePathGraph> out;
+  std::vector<PathGraphExport> out;
   out.reserve(built.size());
   for (size_t i = 0; i < built.size(); ++i) {
     if (!built[i].ok()) {
       continue;  // e.g. a destination cut off from the source
     }
-    out.push_back(*MakeWireGraph(built[i].value(), src_host.value().switch_uid,
-                                 dst_uids[i]));
+    const PathGraph& pg = built[i].value();
+    out.push_back(PathGraphExport{
+        *MakeWireGraph(pg, src_host.value().switch_uid, dst_uids[i]),
+        db_.PathToUids(pg.primary),
+        config_.send_backup ? db_.PathToUids(pg.backup) : std::vector<uint64_t>()});
   }
   return out;
 }

@@ -27,8 +27,9 @@ namespace dumbnet {
 
 struct ControllerConfig {
   PathGraphParams path_graph;
-  // Ablation knobs: strip the detour subgraph / the backup path from responses
-  // (leaving a plain single-route cache at the hosts).
+  // Ablation knobs: strip the detour subgraph from responses; without it,
+  // `send_backup` decides whether the backup path's links still ride along
+  // (both off leaves a plain single-route cache at the hosts).
   bool send_detours = true;
   bool send_backup = true;
   // Controller CPU time to serve one path query or to compile one bootstrap
@@ -95,13 +96,14 @@ class ControllerService {
   // paper stores in ZooKeeper for the standby controllers).
   void AttachLog(ReplicatedLog* log) { log_ = log; }
 
-  // Batch path-graph precompute: builds the wire path graph from `src_mac`'s edge
+  // Batch path-graph precompute: builds the path graph from `src_mac`'s edge
   // switch to every destination's edge switch in one pass — the primaries share a
-  // single cached SSSP tree. Destinations that cannot be served (unknown MAC,
+  // single cached SSSP tree — and exports each as its wire links plus primary and
+  // backup (dumbnet-check's input). Destinations that cannot be served (unknown MAC,
   // disconnected switch) are silently skipped; the returned vector holds one entry
   // per successful destination, in input order. Errors only when `src_mac` itself
   // is unknown.
-  Result<std::vector<WirePathGraph>> PrecomputePathGraphs(
+  Result<std::vector<PathGraphExport>> PrecomputePathGraphs(
       uint64_t src_mac, const std::vector<uint64_t>& dst_macs);
 
   // Routing-cache observability (tests + benchmarks).

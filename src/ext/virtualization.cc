@@ -1,6 +1,6 @@
 #include "src/ext/virtualization.h"
 
-#include <algorithm>
+#include "src/analysis/invariants.h"
 
 namespace dumbnet {
 
@@ -43,23 +43,13 @@ Result<WirePathGraph> VirtualNetwork::FilterPathGraph(const WirePathGraph& graph
   WirePathGraph out;
   out.src_uid = graph.src_uid;
   out.dst_uid = graph.dst_uid;
-  auto path_ok = [this](const std::vector<uint64_t>& path) {
-    return std::all_of(path.begin(), path.end(),
-                       [this](uint64_t uid) { return SwitchAllowed(uid); });
-  };
-  if (path_ok(graph.primary)) {
-    out.primary = graph.primary;
-  }
-  if (path_ok(graph.backup)) {
-    out.backup = graph.backup;
-  }
   for (const WireLink& l : graph.links) {
     if (SwitchAllowed(l.uid_a) && SwitchAllowed(l.uid_b)) {
       out.links.push_back(l);
     }
   }
-  if (out.primary.empty()) {
-    return Error(ErrorCode::kUnavailable, "no tenant-visible primary path");
+  if (Status s = AuditWirePathGraph(out); !s.ok()) {
+    return Error(ErrorCode::kUnavailable, "slice cuts the path graph: " + s.error().message());
   }
   return out;
 }

@@ -35,8 +35,9 @@ class VirtualNetwork {
   // offer different topologies based on permission").
   TopoDb FilterView(const TopoDb& full) const;
 
-  // Drops disallowed vertices/links/paths from a path graph before it is handed
-  // to a tenant application.
+  // Drops links touching disallowed switches from a path graph before it is
+  // handed to a tenant application; fails when what is left no longer connects
+  // src to dst (or strands a link away from src).
   Result<WirePathGraph> FilterPathGraph(const WirePathGraph& graph) const;
 
  private:

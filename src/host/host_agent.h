@@ -52,7 +52,7 @@ struct HostAgentStats {
   uint64_t patches_applied = 0;
   uint64_t floods_sent = 0;
   uint64_t dropped_malformed = 0;
-  uint64_t verify_failures = 0;
+  uint64_t verify_failures = 0;    // SendOnPath routes the PathVerifier rejected
   uint64_t link_repairs = 0;       // RepairAfterLinkChange invocations
   uint64_t reroutes = 0;           // flows moved to a new route by a repair
   uint64_t path_divergence = 0;    // provenance mismatches on received data

@@ -9,12 +9,10 @@ Status PathVerifier::CheckSwitch(uint64_t uid, std::vector<uint64_t>& visited) c
     return Error(ErrorCode::kPermissionDenied,
                  "policy forbids switch " + std::to_string(uid));
   }
-  if (policy_.forbid_loops) {
-    if (std::find(visited.begin(), visited.end(), uid) != visited.end()) {
-      return Error(ErrorCode::kInvalidArgument, "path revisits a switch");
-    }
-    visited.push_back(uid);
+  if (std::find(visited.begin(), visited.end(), uid) != visited.end()) {
+    return Error(ErrorCode::kInvalidArgument, "path revisits a switch");
   }
+  visited.push_back(uid);
   return Status::Ok();
 }
 
@@ -60,59 +58,6 @@ Status PathVerifier::VerifyUidPath(const std::vector<uint64_t>& uid_path) const 
     }
   }
   return Status::Ok();
-}
-
-Status PathVerifier::VerifyTags(uint64_t src_uid, const TagList& tags) const {
-  if (tags.empty()) {
-    return Error(ErrorCode::kInvalidArgument, "empty tag list");
-  }
-  if (tags.size() > policy_.max_path_length) {
-    return Error(ErrorCode::kOutOfRange, "tag list exceeds maximum length");
-  }
-  auto cur = db_->IndexOf(src_uid);
-  if (!cur.ok()) {
-    return Error(ErrorCode::kNotFound, "unknown source switch");
-  }
-  const Topology& mirror = db_->mirror();
-  std::vector<uint64_t> visited;
-  visited.reserve(tags.size());
-  uint32_t sw = cur.value();
-  if (Status s = CheckSwitch(db_->UidOf(sw), visited); !s.ok()) {
-    return s;
-  }
-  for (size_t i = 0; i < tags.size(); ++i) {
-    PortNum tag = tags[i];
-    if (tag == kPathEndTag) {
-      return Error(ErrorCode::kMalformed, "unexpected path terminator mid-path");
-    }
-    if (tag == kIdQueryTag) {
-      return Error(ErrorCode::kPermissionDenied, "application routes may not query IDs");
-    }
-    LinkIndex li = mirror.LinkAtPort(sw, tag);
-    const bool last = (i + 1 == tags.size());
-    if (li == kInvalidLink || !mirror.link_at(li).up) {
-      if (last) {
-        // Final hop exits to a host; the cached mirror does not model host links,
-        // so an unwired final port is acceptable.
-        return Status::Ok();
-      }
-      return Error(ErrorCode::kUnavailable, "tag crosses a down or unknown link");
-    }
-    const Endpoint& peer = mirror.link_at(li).Peer(NodeId::Switch(sw));
-    if (!peer.node.is_switch()) {
-      if (last) {
-        return Status::Ok();
-      }
-      return Error(ErrorCode::kInvalidArgument, "path exits fabric before final tag");
-    }
-    sw = peer.node.index;
-    if (Status s = CheckSwitch(db_->UidOf(sw), visited); !s.ok()) {
-      return s;
-    }
-  }
-  // All tags crossed switch-to-switch links: the "destination" is a switch, which
-  // is not a valid host route.
-  return Error(ErrorCode::kInvalidArgument, "path ends at a switch, not a host");
 }
 
 }  // namespace dumbnet

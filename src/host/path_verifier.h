@@ -1,7 +1,8 @@
-// Path verifier (paper Section 6.1, item 3): checks a route before it enters the
-// PathTable, so application-supplied routes (custom routing functions, tenant
-// traffic in a virtualized deployment) cannot violate security policy or inject
-// loops. Table 2 benchmarks this check at path length 16.
+// Path verifier (paper Section 6.1, item 3): checks an application-supplied
+// route (HostAgent::SendOnPath: custom routing functions, tenant traffic in a
+// virtualized deployment) before it is sent, so it cannot violate security
+// policy or inject loops. Routes the host compiles itself (TopoCache::
+// ComputeRoutes) are trusted. Table 2 benchmarks this check at path length 16.
 #ifndef DUMBNET_SRC_HOST_PATH_VERIFIER_H_
 #define DUMBNET_SRC_HOST_PATH_VERIFIER_H_
 
@@ -9,7 +10,6 @@
 #include <functional>
 #include <vector>
 
-#include "src/routing/tags.h"
 #include "src/routing/topo_db.h"
 #include "src/util/result.h"
 
@@ -17,7 +17,6 @@ namespace dumbnet {
 
 struct VerifyPolicy {
   size_t max_path_length = 32;
-  bool forbid_loops = true;
   // Per-switch admission (network virtualization hooks in here); null = allow all.
   std::function<bool(uint64_t switch_uid)> switch_allowed;
 };
@@ -29,14 +28,9 @@ class PathVerifier {
       : db_(db), policy_(std::move(policy)) {}
 
   // Verifies a UID-level path: consecutive switches must share an up link, the
-  // path must be loop-free (if required), within length bounds, and every switch
-  // admitted by policy.
+  // path must be loop-free, within length bounds, and every switch admitted by
+  // policy.
   Status VerifyUidPath(const std::vector<uint64_t>& uid_path) const;
-
-  // Verifies a raw tag list by walking it through the topology starting at
-  // `src_uid` (the sender's edge switch). The final tag must leave the fabric at a
-  // host port or be checked by the caller; intermediate tags must cross up links.
-  Status VerifyTags(uint64_t src_uid, const TagList& tags) const;
 
  private:
   Status CheckSwitch(uint64_t uid, std::vector<uint64_t>& visited) const;

@@ -19,8 +19,7 @@ struct PayloadSizeVisitor {
   int64_t operator()(const PathResponsePayload& p) const {
     int64_t n = 24;
     if (p.graph != nullptr) {
-      n += static_cast<int64_t>(p.graph->links.size()) * 18 +
-           static_cast<int64_t>(p.graph->primary.size() + p.graph->backup.size()) * 8;
+      n += static_cast<int64_t>(p.graph->links.size()) * 18;
     }
     return n;
   }

@@ -17,6 +17,7 @@
 
 #include "src/routing/graph.h"
 #include "src/routing/shortest_path.h"
+#include "src/routing/wire_types.h"
 #include "src/topo/topology.h"
 #include "src/util/rng.h"
 
@@ -41,6 +42,14 @@ struct PathGraph {
   std::vector<uint32_t> vertices;
   // Induced up links among `vertices` (inter-switch only).
   std::vector<LinkIndex> links;
+};
+
+// A path graph in UID form as the controller exports it (PrecomputePathGraphs,
+// .pg files): the links a host receives, plus Algorithm 1's primary and backup.
+// Hosts never see the two paths; dumbnet-check verifies them.
+struct PathGraphExport : WirePathGraph {
+  std::vector<uint64_t> primary;  // switch UIDs, src first
+  std::vector<uint64_t> backup;   // empty when the controller ships no backup
 };
 
 // Reusable buffers for path-graph construction: Dijkstra/BFS scratch, the per-link

@@ -30,13 +30,12 @@ struct HostLocation {
   bool operator==(const HostLocation&) const = default;
 };
 
-// Portable path graph (Section 4.3): what a PathResponse carries.
+// Portable path graph (Section 4.3): what a PathResponse carries. The host
+// merges the links into its TopoCache and computes its own routes over them.
 struct WirePathGraph {
   uint64_t src_uid = 0;
   uint64_t dst_uid = 0;
-  std::vector<uint64_t> primary;  // switch UIDs, src first
-  std::vector<uint64_t> backup;
-  std::vector<WireLink> links;    // induced subgraph links
+  std::vector<WireLink> links;  // induced subgraph links
 };
 
 }  // namespace dumbnet

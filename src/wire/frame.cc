@@ -102,16 +102,13 @@ bool GetWireLinks(ByteReader& r, std::vector<WireLink>* links) {
 void PutGraph(ByteWriter& w, const WirePathGraph& g) {
   w.U64(g.src_uid);
   w.U64(g.dst_uid);
-  PutUidVec(w, g.primary);
-  PutUidVec(w, g.backup);
   PutWireLinks(w, g.links);
 }
 
 bool GetGraph(ByteReader& r, WirePathGraph* g) {
   g->src_uid = r.U64();
   g->dst_uid = r.U64();
-  return GetUidVec(r, &g->primary) && GetUidVec(r, &g->backup) &&
-         GetWireLinks(r, &g->links);
+  return GetWireLinks(r, &g->links);
 }
 
 // ---------------------------------------------------------------------------------

@@ -34,7 +34,8 @@ namespace dumbnet {
 namespace wire {
 
 constexpr uint16_t kFrameMagic = 0x444E;  // "DN"
-constexpr uint8_t kFrameVersion = 1;
+// 2 since path responses carry links only: a version-1 peer would misparse them.
+constexpr uint8_t kFrameVersion = 2;
 constexpr size_t kFrameHeaderBytes = 8;
 // A path response carrying a dense path graph for a large fabric is the biggest
 // legitimate body by far; 8 MB leaves two orders of magnitude of headroom while

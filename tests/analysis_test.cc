@@ -45,9 +45,9 @@ Topology SquareTopo() {
 
 uint64_t Uid(const Topology& t, uint32_t sw) { return t.switch_at(sw).uid; }
 
-// The (sound) path graph a controller would hand H0 for reaching H1.
-WirePathGraph SquarePathGraph(const Topology& t) {
-  WirePathGraph g;
+// The (sound) path graph a controller would export for H0 reaching H1.
+PathGraphExport SquarePathGraph(const Topology& t) {
+  PathGraphExport g;
   g.src_uid = Uid(t, 0);
   g.dst_uid = Uid(t, 2);
   g.primary = {Uid(t, 0), Uid(t, 1), Uid(t, 2)};
@@ -106,16 +106,18 @@ TEST(WirePathGraphAuditTest, SoundGraphPasses) {
   EXPECT_TRUE(AuditWirePathGraph(SquarePathGraph(t)).ok());
 }
 
-TEST(WirePathGraphAuditTest, EndpointMismatchFlagged) {
+TEST(WirePathGraphAuditTest, DisconnectedDstFlagged) {
   Topology t = SquareTopo();
-  WirePathGraph g = SquarePathGraph(t);
-  g.primary.back() = Uid(t, 3);  // ends at the wrong switch
-  EXPECT_FALSE(AuditWirePathGraph(g).ok());
+  PathGraphExport g = SquarePathGraph(t);
+  g.links = {WireLink{Uid(t, 0), 1, Uid(t, 1), 1}};  // nothing reaches S2
+  auto s = AuditWirePathGraph(g);
+  ASSERT_FALSE(s.ok());
+  EXPECT_EQ(s.error().code(), ErrorCode::kNotFound);
 }
 
 TEST(WirePathGraphAuditTest, DanglingLinkFlagged) {
   Topology t = SquareTopo();
-  WirePathGraph g = SquarePathGraph(t);
+  PathGraphExport g = SquarePathGraph(t);
   // A link between two switches nothing else references: disconnected from src.
   g.links.push_back(WireLink{991188, 1, 991189, 1});
   auto s = AuditWirePathGraph(g);
@@ -123,16 +125,9 @@ TEST(WirePathGraphAuditTest, DanglingLinkFlagged) {
   EXPECT_NE(s.error().message().find("dangling"), std::string::npos);
 }
 
-TEST(WirePathGraphAuditTest, MissingHopLinkFlagged) {
-  Topology t = SquareTopo();
-  WirePathGraph g = SquarePathGraph(t);
-  g.links.erase(g.links.begin());  // primary hop u0->u1 now has no link
-  EXPECT_FALSE(AuditWirePathGraph(g).ok());
-}
-
 TEST(WirePathGraphAuditTest, PortConflictFlagged) {
   Topology t = SquareTopo();
-  WirePathGraph g = SquarePathGraph(t);
+  PathGraphExport g = SquarePathGraph(t);
   // Second link claims S0 port 1, already used by the first.
   g.links.push_back(WireLink{Uid(t, 0), 1, Uid(t, 2), 4});
   auto s = AuditWirePathGraph(g);
@@ -327,7 +322,7 @@ TEST(AuditMacroTest, CleanTrafficTripsNothing) {
 
 TEST(PathGraphSerializeTest, RoundTrips) {
   Topology t = SquareTopo();
-  std::vector<WirePathGraph> graphs = {SquarePathGraph(t)};
+  std::vector<PathGraphExport> graphs = {SquarePathGraph(t)};
   graphs[0].backup.clear();  // exercise the optional-backup form
   std::string text = SerializeWirePathGraphs(graphs);
   auto parsed = ParseWirePathGraphs(text);
@@ -364,23 +359,38 @@ TEST(FabricCheckTest, DownUplinkAndUnreachableHostFlagged) {
   EXPECT_TRUE(HasFinding(CheckTopology(t2), "host-unreachable"));
 }
 
+TEST(FabricCheckTest, PathEndpointMismatchFlagged) {
+  Topology t = SquareTopo();
+  PathGraphExport g = SquarePathGraph(t);
+  g.primary.back() = Uid(t, 3);  // ends at the wrong switch
+  EXPECT_TRUE(HasFinding(CheckPathGraphs(t, {g}, {}), "pathgraph-malformed"));
+}
+
+TEST(FabricCheckTest, PathHopWithoutLinkFlagged) {
+  Topology t = SquareTopo();
+  PathGraphExport g = SquarePathGraph(t);
+  g.links.erase(g.links.begin());  // primary hop u0->u1 now has no link
+  EXPECT_TRUE(AuditWirePathGraph(g).ok());  // the links alone still connect src to dst
+  EXPECT_TRUE(HasFinding(CheckPathGraphs(t, {g}, {}), "pathgraph-malformed"));
+}
+
 TEST(FabricCheckTest, PrimaryLoopFlagged) {
   Topology t = SquareTopo();
-  WirePathGraph g = SquarePathGraph(t);
+  PathGraphExport g = SquarePathGraph(t);
   g.primary = {Uid(t, 0), Uid(t, 1), Uid(t, 0), Uid(t, 1), Uid(t, 2)};
   EXPECT_TRUE(HasFinding(CheckPathGraphs(t, {g}, {}), "primary-loop"));
 }
 
 TEST(FabricCheckTest, LinkConflictFlagged) {
   Topology t = SquareTopo();
-  WirePathGraph g = SquarePathGraph(t);
+  PathGraphExport g = SquarePathGraph(t);
   g.links[0].port_b = 3;  // fabric wires S1's side on port 1, not 3
   EXPECT_TRUE(HasFinding(CheckPathGraphs(t, {g}, {}), "link-conflict"));
 }
 
 TEST(FabricCheckTest, BackupSharingFailedPrimaryLinkFlagged) {
   Topology t = SquareTopo();
-  WirePathGraph g = SquarePathGraph(t);
+  PathGraphExport g = SquarePathGraph(t);
   g.backup = g.primary;  // degenerate backup riding the same hops
   t.SetLinkUp(t.LinkAtPort(0, 1), false);
   auto findings = CheckPathGraphs(t, {g}, {});
@@ -390,7 +400,7 @@ TEST(FabricCheckTest, BackupSharingFailedPrimaryLinkFlagged) {
 
 TEST(FabricCheckTest, TagBudgetFlagged) {
   Topology t = SquareTopo();
-  WirePathGraph g = SquarePathGraph(t);
+  PathGraphExport g = SquarePathGraph(t);
   FabricCheckOptions opts;
   opts.max_tag_depth = 3;  // primary needs 3 hops + ø = 4 header bytes
   EXPECT_TRUE(HasFinding(CheckPathGraphs(t, {g}, opts), "tag-budget-exceeded"));
@@ -401,26 +411,26 @@ TEST(FabricCheckTest, TagBudgetFlagged) {
 struct CliCase {
   const char* name;
   const char* expected_check;
-  void (*corrupt)(Topology& topo, std::vector<WirePathGraph>& graphs);
+  void (*corrupt)(Topology& topo, std::vector<PathGraphExport>& graphs);
 };
 
 TEST(DumbnetCheckCliTest, DetectsEverySeededCorruption) {
   const CliCase cases[] = {
       {"uplink_down", "host-uplink-down",
-       [](Topology& topo, std::vector<WirePathGraph>&) {
+       [](Topology& topo, std::vector<PathGraphExport>&) {
          topo.SetLinkUp(topo.host_at(1).link, false);
        }},
       {"primary_loop", "primary-loop",
-       [](Topology& topo, std::vector<WirePathGraph>& graphs) {
+       [](Topology& topo, std::vector<PathGraphExport>& graphs) {
          graphs[0].primary = {Uid(topo, 0), Uid(topo, 1), Uid(topo, 0),
                               Uid(topo, 1), Uid(topo, 2)};
        }},
       {"dangling_link", "link-conflict",
-       [](Topology&, std::vector<WirePathGraph>& graphs) {
+       [](Topology&, std::vector<PathGraphExport>& graphs) {
          graphs[0].links.push_back(WireLink{991188, 1, 991189, 1});
        }},
       {"backup_shares_failed", "backup-shares-failed-link",
-       [](Topology& topo, std::vector<WirePathGraph>& graphs) {
+       [](Topology& topo, std::vector<PathGraphExport>& graphs) {
          graphs[0].backup = graphs[0].primary;
          topo.SetLinkUp(topo.LinkAtPort(0, 1), false);
        }},
@@ -428,7 +438,7 @@ TEST(DumbnetCheckCliTest, DetectsEverySeededCorruption) {
   for (const CliCase& c : cases) {
     SCOPED_TRACE(c.name);
     Topology topo = SquareTopo();
-    std::vector<WirePathGraph> graphs = {SquarePathGraph(topo)};
+    std::vector<PathGraphExport> graphs = {SquarePathGraph(topo)};
     c.corrupt(topo, graphs);
 
     const std::string dir = ::testing::TempDir();
@@ -577,82 +587,82 @@ TEST(BenchCompareTest, MissingAndParamMismatchedRowsAreFindings) {
 }
 
 // ---------------------------------------------------------------------------
-// Semantic path-graph verifier (Section 4.3 / Algorithm 1).
+// Algorithm 1 semantics of the path-graph checker (Section 4.3).
 // ---------------------------------------------------------------------------
 
 TEST(VerifyPathGraphTest, SoundGraphPasses) {
   Topology t = SquareTopo();
-  auto findings = VerifyPathGraphSemantics(t, {SquarePathGraph(t)});
+  auto findings = CheckPathGraphs(t, {SquarePathGraph(t)});
   EXPECT_TRUE(findings.empty()) << findings.size() << " findings, first: "
                                 << (findings.empty() ? "" : findings[0].detail);
 }
 
 TEST(VerifyPathGraphTest, UnknownSwitchFlagged) {
   Topology t = SquareTopo();
-  WirePathGraph g = SquarePathGraph(t);
+  PathGraphExport g = SquarePathGraph(t);
   g.primary[1] = 991199;  // no such switch in the snapshot
-  EXPECT_TRUE(HasFinding(VerifyPathGraphSemantics(t, {g}), "pathgraph-unknown-switch"));
+  EXPECT_TRUE(HasFinding(CheckPathGraphs(t, {g}), "pathgraph-unknown-switch"));
 }
 
 TEST(VerifyPathGraphTest, BackupLoopFlagged) {
   Topology t = SquareTopo();
-  WirePathGraph g = SquarePathGraph(t);
+  PathGraphExport g = SquarePathGraph(t);
   g.backup = {Uid(t, 0), Uid(t, 3), Uid(t, 0), Uid(t, 3), Uid(t, 2)};
-  EXPECT_TRUE(HasFinding(VerifyPathGraphSemantics(t, {g}), "backup-loop"));
+  EXPECT_TRUE(HasFinding(CheckPathGraphs(t, {g}), "backup-loop"));
 }
 
 TEST(VerifyPathGraphTest, BrokenEdgeFlagged) {
   Topology t = SquareTopo();
-  WirePathGraph g = SquarePathGraph(t);
+  PathGraphExport g = SquarePathGraph(t);
   g.primary = {Uid(t, 0), Uid(t, 2)};  // no direct S0<->S2 link exists
-  EXPECT_TRUE(HasFinding(VerifyPathGraphSemantics(t, {g}), "path-broken-edge"));
+  EXPECT_TRUE(HasFinding(CheckPathGraphs(t, {g}), "path-broken-edge"));
 }
 
 TEST(VerifyPathGraphTest, MissingDetourVertexFlagged) {
   Topology t = SquareTopo();
-  WirePathGraph g = SquarePathGraph(t);
+  PathGraphExport g = SquarePathGraph(t);
   // Strip S3 from the graph entirely: no backup, no links touching it. S3 is
   // 1+1 hops from the (only) window's endpoints, well under budget s+eps = 4,
   // so Algorithm 1 requires it as a member.
   g.backup.clear();
   g.links = {WireLink{Uid(t, 0), 1, Uid(t, 1), 1}, WireLink{Uid(t, 1), 2, Uid(t, 2), 1}};
-  EXPECT_TRUE(HasFinding(VerifyPathGraphSemantics(t, {g}), "detour-incomplete"));
+  EXPECT_TRUE(HasFinding(CheckPathGraphs(t, {g}), "detour-incomplete"));
 }
 
 TEST(VerifyPathGraphTest, NonEpsGoodDetourFlagged) {
   Topology t = SquareTopo();
-  WirePathGraph g = SquarePathGraph(t);
+  PathGraphExport g = SquarePathGraph(t);
   // Keep S3 a member (the S2<->S3 link stays) but drop the S3<->S0 link that
   // completes the detour: the fabric can route around the S0..S2 window via
   // S0-S3-S2, the cached subgraph no longer can.
   g.backup.clear();
   g.links = {WireLink{Uid(t, 0), 1, Uid(t, 1), 1}, WireLink{Uid(t, 1), 2, Uid(t, 2), 1},
              WireLink{Uid(t, 2), 2, Uid(t, 3), 1}};
-  auto findings = VerifyPathGraphSemantics(t, {g});
+  auto findings = CheckPathGraphs(t, {g});
   EXPECT_TRUE(HasFinding(findings, "detour-not-eps-good"));
   EXPECT_FALSE(HasFinding(findings, "detour-incomplete"));
 }
 
 TEST(VerifyPathGraphTest, StrandedVertexFlagged) {
   Topology t = SquareTopo();
-  WirePathGraph g = SquarePathGraph(t);
+  PathGraphExport g = SquarePathGraph(t);
   // S3 stays a member via the backup path, but the graph advertises no links
   // touching it: a packet failed over onto the backup would strand there.
   g.links = {WireLink{Uid(t, 0), 1, Uid(t, 1), 1}, WireLink{Uid(t, 1), 2, Uid(t, 2), 1}};
-  EXPECT_TRUE(HasFinding(VerifyPathGraphSemantics(t, {g}), "vertex-cannot-reach-dst"));
+  EXPECT_TRUE(HasFinding(CheckPathGraphs(t, {g}), "vertex-cannot-reach-dst"));
 }
 
 TEST(VerifyPathGraphTest, BackupOverlapScored) {
   Topology t = SquareTopo();
-  WirePathGraph g = SquarePathGraph(t);
+  PathGraphExport g = SquarePathGraph(t);
   g.backup = g.primary;  // total overlap
   // Default tolerance (1.0) accepts even total overlap...
-  EXPECT_FALSE(HasFinding(VerifyPathGraphSemantics(t, {g}), "backup-overlap"));
+  EXPECT_FALSE(HasFinding(CheckPathGraphs(t, {g}), "backup-overlap"));
   // ...a tightened one rejects it, and accepts the disjoint original.
-  PathGraphVerifyOptions strict;
+  FabricCheckOptions strict;
   strict.max_backup_overlap = 0.5;
-  EXPECT_TRUE(HasFinding(VerifyPathGraphSemantics(t, {g}, strict), "backup-overlap"));
-  EXPECT_FALSE(HasFinding(VerifyPathGraphSemantics(t, {SquarePathGraph(t)}, strict),
+  EXPECT_TRUE(HasFinding(CheckPathGraphs(t, {g}, strict), "backup-overlap"));
+  EXPECT_FALSE(HasFinding(CheckPathGraphs(t, {SquarePathGraph(t)}, strict),
                           "backup-overlap"));
 }
 
@@ -669,7 +679,7 @@ TEST(VerifyPathGraphTest, ControllerGeneratedGraphsVerifyClean) {
   auto graphs = fabric.controller().PrecomputePathGraphs(fabric.agent(0).mac(), dst_macs);
   ASSERT_TRUE(graphs.ok());
   ASSERT_FALSE(graphs.value().empty());
-  auto findings = VerifyPathGraphSemantics(fabric.topo(), graphs.value());
+  auto findings = CheckPathGraphs(fabric.topo(), graphs.value());
   EXPECT_TRUE(findings.empty())
       << findings.size() << " findings, first: " << findings[0].detail;
   // And still clean after a failure + patch cycle: once the fabric broadcast
@@ -679,13 +689,13 @@ TEST(VerifyPathGraphTest, ControllerGeneratedGraphsVerifyClean) {
   fabric.Run();
   auto after = fabric.controller().PrecomputePathGraphs(fabric.agent(0).mac(), dst_macs);
   ASSERT_TRUE(after.ok());
-  auto post = VerifyPathGraphSemantics(fabric.topo(), after.value());
+  auto post = CheckPathGraphs(fabric.topo(), after.value());
   EXPECT_TRUE(post.empty()) << post.size() << " findings, first: " << post[0].detail;
 }
 
-TEST(DumbnetCheckCliTest, VerifyModeAndJsonOutput) {
+TEST(DumbnetCheckCliTest, SemanticFindingAndJsonOutput) {
   Topology topo = SquareTopo();
-  WirePathGraph bad = SquarePathGraph(topo);
+  PathGraphExport bad = SquarePathGraph(topo);
   bad.backup = {Uid(topo, 0), Uid(topo, 3), Uid(topo, 0), Uid(topo, 3), Uid(topo, 2)};
   const std::string dir = ::testing::TempDir();
   const std::string topo_path = dir + "/verify.topo";
@@ -694,12 +704,7 @@ TEST(DumbnetCheckCliTest, VerifyModeAndJsonOutput) {
   ASSERT_TRUE(SaveTopology(topo, topo_path).ok());
   ASSERT_TRUE(SaveWirePathGraphs({bad}, pg_path).ok());
 
-  // Without --verify-pathgraph the structural checks alone miss the loop.
-  std::ostringstream quiet;
-  EXPECT_EQ(RunDumbnetCheck(topo_path, {pg_path}, {}, quiet), 0);
-
   FabricCheckOptions opts;
-  opts.verify_semantics = true;
   opts.json_path = json_path;
   std::ostringstream out;
   EXPECT_EQ(RunDumbnetCheck(topo_path, {pg_path}, opts, out), 1);

@@ -232,7 +232,7 @@ TEST_F(ControllerTest, PrecomputePathGraphsServesEveryKnownDestination) {
   auto graphs = controller_->PrecomputePathGraphs(src.mac(), dst_macs);
   ASSERT_TRUE(graphs.ok());
   EXPECT_EQ(graphs.value().size(), 10u);
-  for (const WirePathGraph& wg : graphs.value()) {
+  for (const PathGraphExport& wg : graphs.value()) {
     EXPECT_TRUE(AuditWirePathGraph(wg).ok());
     ASSERT_FALSE(wg.primary.empty());
     EXPECT_EQ(wg.primary.front(), wg.src_uid);
@@ -268,7 +268,7 @@ TEST_F(ControllerTest, SsspCacheHitsOnRepeatAndInvalidatesOnLinkEvent) {
   EXPECT_EQ(controller_->sssp_cache_stats().misses, misses0 + 2);
   uint64_t spine_uid = fabric_->topo().switch_at(spines_[0]).uid;
   uint64_t leaf_uid = fabric_->topo().switch_at(leaves_[0]).uid;
-  for (const WirePathGraph& wg : graphs.value()) {
+  for (const PathGraphExport& wg : graphs.value()) {
     for (const WireLink& wl : wg.links) {
       EXPECT_FALSE((wl.uid_a == spine_uid && wl.uid_b == leaf_uid) ||
                    (wl.uid_a == leaf_uid && wl.uid_b == spine_uid))
@@ -304,7 +304,7 @@ TEST_F(ControllerTest, PrecomputePathGraphsOutputIsPinned) {
       digest = footprint::FpKey(digest, uid);
     }
   };
-  for (const WirePathGraph& wg : graphs.value()) {
+  for (const PathGraphExport& wg : graphs.value()) {
     digest = footprint::FpKey(digest, wg.src_uid, wg.dst_uid);
     mix_uids(wg.primary);
     mix_uids(wg.backup);
@@ -488,16 +488,14 @@ TEST_F(RouteCacheTest, MissOnACachedSwitchIsRoutedWithoutAsking) {
 }
 
 TEST_F(RouteCacheTest, OneQueryRoutesEveryHostBehindASwitch) {
-  // Host 3's cache picks a first path other than the controller's backup
-  // (checked below), so the backup's links are a fallback no entry uses yet.
   constexpr uint32_t kSrc = 3;
   HostAgent& src = fabric_->agent(kSrc);
   const std::vector<uint32_t> dsts = HostsBehindUncachedSwitch(*fabric_, kSrc);
   ASSERT_EQ(dsts.size(), 3u);
-  std::vector<uint64_t> ctrl_backup;
+  std::vector<WireLink> answer_links;
   src.SetControlHandler([&](const Packet& pkt) {
     if (const auto* resp = pkt.As<PathResponsePayload>()) {
-      ctrl_backup = resp->graph->backup;
+      answer_links = resp->graph->links;
     }
     return false;
   });
@@ -517,13 +515,12 @@ TEST_F(RouteCacheTest, OneQueryRoutesEveryHostBehindASwitch) {
   EXPECT_EQ(fabric_->controller().stats().queries_served - served_before, 1u);
   EXPECT_EQ(received, 3);
   EXPECT_EQ(src.parked_packets(), 0u);
-  ASSERT_FALSE(ctrl_backup.empty());
+  ASSERT_FALSE(answer_links.empty());
   for (uint32_t d : dsts) {
     const uint64_t mac = fabric_->agent(d).mac();
     const PathTableEntry* entry = src.path_table().Find(mac);
     ASSERT_NE(entry, nullptr) << "host " << d;
     ASSERT_EQ(entry->paths.size(), 1u);
-    ASSERT_NE(entry->paths.front().uid_path, ctrl_backup);
     // Every sibling's route is the merged graph's route to the shared switch,
     // ending at that sibling's own port.
     auto merged = src.topo_cache().ComputeRoutes(src.self_location().switch_uid, mac, 1);
@@ -532,9 +529,11 @@ TEST_F(RouteCacheTest, OneQueryRoutesEveryHostBehindASwitch) {
     EXPECT_EQ(entry->paths.front().tags, merged.value().front().tags) << "host " << d;
     EXPECT_EQ(entry->paths.front().tags.back(), fabric_->agent(d).self_location().port);
   }
-  // The backup's links were merged with the rest: it compiles over cached, up
-  // links, so it is there for all three when their route dies.
-  EXPECT_TRUE(src.topo_cache().db().CompileTagsForUidPath(ctrl_backup, 1).ok());
+  // Every link of the answer (detours and backup included) was merged and is up
+  // in the cache, so it is there for all three when their route dies.
+  for (const WireLink& l : answer_links) {
+    EXPECT_TRUE(src.topo_cache().db().CompileTagsForUidPath({l.uid_a, l.uid_b}, 1).ok());
+  }
   // The answer cancelled the retry timer: the run ended before it was due.
   EXPECT_TRUE(fabric_->sim().Empty());
   EXPECT_LT(fabric_->Now(), start + HostAgentConfig().request_timeout);
@@ -711,7 +710,7 @@ TEST(RouteQualityTest, CacheRoutesMatchControllerPrimaries) {
     auto graphs = fabric.controller().PrecomputePathGraphs(src.mac(), dst_macs);
     ASSERT_TRUE(graphs.ok());
     std::map<uint64_t, std::vector<uint64_t>> ctrl_primary;  // dst switch -> primary
-    for (const WirePathGraph& wg : graphs.value()) {
+    for (const PathGraphExport& wg : graphs.value()) {
       ctrl_primary[wg.dst_uid] = wg.primary;
     }
     for (uint64_t mac : dst_macs) {

@@ -135,8 +135,6 @@ class VirtTest : public ::testing::Test {
     WirePathGraph g;
     g.src_uid = 100;
     g.dst_uid = 103;
-    g.primary = {100, 101, 103};
-    g.backup = {100, 102, 103};
     g.links = {WireLink{100, 1, 101, 1}, WireLink{101, 2, 103, 1},
                WireLink{100, 2, 102, 1}, WireLink{102, 2, 103, 2}};
     ASSERT_TRUE(db_.MergePathGraph(g).ok());
@@ -167,9 +165,15 @@ TEST_F(VirtTest, FilterPathGraphDropsForbiddenParts) {
   VirtualNetwork tenant({100, 101, 103}, {50, 51});
   auto filtered = tenant.FilterPathGraph(graph_);
   ASSERT_TRUE(filtered.ok());
-  EXPECT_EQ(filtered.value().primary, (std::vector<uint64_t>{100, 101, 103}));
-  EXPECT_TRUE(filtered.value().backup.empty());  // backup used 102
-  EXPECT_EQ(filtered.value().links.size(), 2u);
+  // The two links through 102 are gone; 100-101-103 still connects src to dst.
+  EXPECT_EQ(filtered.value().links,
+            (std::vector<WireLink>{WireLink{100, 1, 101, 1}, WireLink{101, 2, 103, 1}}));
+}
+
+TEST_F(VirtTest, FilterPathGraphRejectsASliceThatDisconnectsDst) {
+  // Both endpoints are in the slice, but every link between them is not.
+  VirtualNetwork tenant({100, 103}, {50, 51});
+  EXPECT_EQ(tenant.FilterPathGraph(graph_).error().code(), ErrorCode::kUnavailable);
 }
 
 TEST_F(VirtTest, TenantPathVerification) {

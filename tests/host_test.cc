@@ -116,8 +116,6 @@ WirePathGraph DiamondGraph() {
   WirePathGraph g;
   g.src_uid = 100;
   g.dst_uid = 103;
-  g.primary = {100, 101, 103};
-  g.backup = {100, 102, 103};
   g.links = {WireLink{100, 1, 101, 1}, WireLink{101, 2, 103, 1},
              WireLink{100, 2, 102, 1}, WireLink{102, 2, 103, 2}};
   return g;
@@ -156,13 +154,12 @@ TEST(TopoCacheTest, UnknownAttachPointDoesNotResolve) {
   EXPECT_FALSE(cache.ResolveEdge(100, 9).ok());
 }
 
-// A path graph without detours: the primary plus a longer, link-disjoint backup.
+// A path graph without detours: the links of the primary 100-101-103 and of a
+// longer, link-disjoint backup 100-102-104-103.
 WirePathGraph PrimaryAndBackupGraph() {
   WirePathGraph g;
   g.src_uid = 100;
   g.dst_uid = 103;
-  g.primary = {100, 101, 103};
-  g.backup = {100, 102, 104, 103};
   g.links = {WireLink{100, 1, 101, 1}, WireLink{101, 2, 103, 1},
              WireLink{100, 2, 102, 1}, WireLink{102, 2, 104, 1},
              WireLink{104, 2, 103, 2}};
@@ -178,7 +175,7 @@ TEST(TopoCacheTest, StarvedKOneEntryReroutesOverTheBackupsLinks) {
   auto routes = cache.ComputeRoutes(100, 55, 1);
   ASSERT_TRUE(routes.ok());
   ASSERT_EQ(routes.value().size(), 1u);
-  EXPECT_EQ(routes.value()[0].uid_path, graph.primary);
+  EXPECT_EQ(routes.value()[0].uid_path, (std::vector<uint64_t>{100, 101, 103}));
   PathTable table(1);
   PathTableEntry entry;
   entry.dst = HostLocation{55, 103, 7};
@@ -193,7 +190,7 @@ TEST(TopoCacheTest, StarvedKOneEntryReroutesOverTheBackupsLinks) {
   routes = cache.ComputeRoutes(100, 55, 1);
   ASSERT_TRUE(routes.ok());
   ASSERT_EQ(routes.value().size(), 1u);
-  EXPECT_EQ(routes.value()[0].uid_path, graph.backup);
+  EXPECT_EQ(routes.value()[0].uid_path, (std::vector<uint64_t>{100, 102, 104, 103}));
   EXPECT_EQ(routes.value()[0].tags, (TagList{2, 2, 2, 7}));
 }
 
@@ -245,7 +242,6 @@ TEST(TopoCacheTest, MemoizedRoutesFollowEveryCacheChange) {
   WirePathGraph detour;
   detour.src_uid = 100;
   detour.dst_uid = 103;
-  detour.primary = {100, 104, 103};
   detour.links = {WireLink{100, 3, 104, 1}, WireLink{104, 2, 103, 3}};
   ASSERT_TRUE(cache.Integrate(detour, HostLocation{55, 103, 7}).ok());
   ASSERT_EQ(cache.ComputeRoutes(100, 55, 4).value().size(), 3u);
@@ -353,21 +349,6 @@ TEST_F(VerifierTest, PolicyFiltersSwitches) {
   PathVerifier v(&cache_.db(), policy);
   EXPECT_EQ(v.VerifyUidPath({100, 101, 103}).error().code(), ErrorCode::kPermissionDenied);
   EXPECT_TRUE(v.VerifyUidPath({100, 102, 103}).ok());
-}
-
-TEST_F(VerifierTest, VerifyTagsWalksTopology) {
-  PathVerifier v(&cache_.db(), VerifyPolicy{});
-  // 1 (100->101), 2 (101->103), 7 (exit to host).
-  EXPECT_TRUE(v.VerifyTags(100, {1, 2, 7}).ok());
-  // A tag crossing a down link fails.
-  cache_.db().SetLinkState(100, 1, false);
-  EXPECT_FALSE(v.VerifyTags(100, {1, 2, 7}).ok());
-}
-
-TEST_F(VerifierTest, VerifyTagsRejectsSpecials) {
-  PathVerifier v(&cache_.db(), VerifyPolicy{});
-  EXPECT_FALSE(v.VerifyTags(100, {kIdQueryTag, 1, 7}).ok());
-  EXPECT_FALSE(v.VerifyTags(100, {1, kPathEndTag, 7}).ok());
 }
 
 // --- HostAgent basics (no controller) ------------------------------------------------

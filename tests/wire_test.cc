@@ -72,8 +72,6 @@ std::vector<Packet> SamplePackets() {
   auto graph = std::make_shared<WirePathGraph>();
   graph->src_uid = 0xFACE;
   graph->dst_uid = 0xCAFE;
-  graph->primary = {0xFACE, 0xBEAD, 0xCAFE};
-  graph->backup = {0xFACE, 0xCAFE};
   graph->links = {{0xFACE, 1, 0xBEAD, 2}, {0xBEAD, 3, 0xCAFE, 4}};
   path_resp.graph = graph;
   out.push_back(MakeDumbNetPacket(0x111, 0x707, {1}, path_resp));
@@ -210,7 +208,7 @@ TEST(FrameTest, PacketFramesMatchGoldenBytes) {
   const Packet armed = SamplePackets()[0];
   ASSERT_TRUE(armed.provenance.armed());
   EXPECT_EQ(Hex(EncodePacketFrame(armed)),
-            "4e4401047f0000000202000000000000010100000000000000980400010203ff"
+            "4e4402047f0000000202000000000000010100000000000000980400010203ff"
             "87d6120000000000590000000000000002000000cefa000000000000adbe0000"
             "0000000002000000cefa0000000000000301adbe000000000000020400070000"
             "000000000009000000000000000300000000000000010903000000000000bbaa"
@@ -219,15 +217,24 @@ TEST(FrameTest, PacketFramesMatchGoldenBytes) {
   Packet unarmed = armed;
   unarmed.provenance.Clear();
   EXPECT_EQ(Hex(EncodePacketFrame(unarmed)),
-            "4e4401045b0000000202000000000000010100000000000000980400010203ff"
+            "4e4402045b0000000202000000000000010100000000000000980400010203ff"
             "87d6120000000000590000000000000000000000000000000007000000000000"
             "0009000000000000000300000000000000010903000000000000bbaa00000000"
             "000001");
 
   for (const Packet& pkt : SamplePackets()) {
+    if (pkt.As<PathResponsePayload>() != nullptr) {
+      // Links only: no primary or backup UID list follows dst_uid.
+      EXPECT_EQ(Hex(EncodePacketFrame(pkt)),
+                "4e44020481000000070700000000000011010000000000000098020001ff0000"
+                "0000000000000000000000000000000000000000000006080800000000000008"
+                "08000000000000cefa0000000000000401cefa000000000000feca0000000000"
+                "0002000000cefa00000000000001adbe00000000000002adbe00000000000003"
+                "feca00000000000004");
+    }
     if (pkt.As<BootstrapPayload>() != nullptr) {
       EXPECT_EQ(Hex(EncodePacketFrame(pkt)),
-                "4e4401048600000009090000000000001101000000000000009803000203ff00"
+                "4e4402048600000009090000000000001101000000000000009803000203ff00"
                 "0000000000000000000000000000000000000000000000070909000000000000"
                 "cefa0000000000000511010000000000001101000000000000feca0000000000"
                 "000603000203ff01020000001101000000000000feca00000000000006090900"

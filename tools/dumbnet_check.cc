@@ -5,13 +5,13 @@
 // simulator:
 //
 //   dumbnet-check fabric.topo [pathgraphs.pg ...] [--max-tag-depth N]
-//                 [--verify-pathgraph] [--json findings.json]
+//                 [--json findings.json]
 //                 [--pathgraph-s N] [--pathgraph-epsilon N]
 //                 [--max-backup-overlap F]
 //
-// --verify-pathgraph adds the semantic verifier (Section 4.3 / Algorithm 1):
-// loop-free backups, real-edge paths, detour completeness and epsilon-goodness
-// per window, subgraph reachability to the destination, and the backup
+// Path graphs are checked against the fabric and Algorithm 1 (Section 4.3):
+// loop-free real-edge paths, detour completeness and epsilon-goodness per
+// window, subgraph reachability to the destination, and the backup
 // link-disjointness score. --json writes all findings machine-readably.
 //
 // Bench mode — compares a benchmark JSON report (bench/* --json output) against
@@ -35,7 +35,7 @@ namespace {
 
 int Usage() {
   std::cerr << "usage: dumbnet-check <topology-file> [pathgraph-file ...]\n"
-               "                     [--max-tag-depth N] [--verify-pathgraph]\n"
+               "                     [--max-tag-depth N]\n"
                "                     [--json <findings.json>]\n"
                "                     [--pathgraph-s N] [--pathgraph-epsilon N]\n"
                "                     [--max-backup-overlap <frac>]\n"
@@ -43,9 +43,9 @@ int Usage() {
                "                     --bench-baseline <baseline.json>\n"
                "\n"
                "Fabric mode checks a serialized state for: structural validity,\n"
-               "unreachable hosts, port conflicts and dangling links, loops in\n"
-               "primary paths, backups sharing a failed link with their primary,\n"
-               "and tag stacks exceeding the one-byte header budget.\n"
+               "unreachable hosts, port conflicts and dangling links, loops and\n"
+               "failed links on primary and backup paths, tag stacks exceeding\n"
+               "the one-byte header budget, and Algorithm 1's detour windows.\n"
                "Bench mode flags metrics worse than the baseline by more than\n"
                "20%; time-like units regress by growing, rates and ratios by\n"
                "shrinking.\n";
@@ -120,8 +120,6 @@ int main(int argc, char** argv) {
         return 2;
       }
       opts.max_tag_depth = static_cast<size_t>(depth);
-    } else if (arg == "--verify-pathgraph") {
-      opts.verify_semantics = true;
     } else if (arg == "--json") {
       if (i + 1 >= argc) {
         return Usage();
@@ -136,15 +134,14 @@ int main(int argc, char** argv) {
         std::cerr << "dumbnet-check: " << arg << " must be >= 0\n";
         return 2;
       }
-      (arg == "--pathgraph-s" ? opts.verify.s : opts.verify.epsilon) =
-          static_cast<uint32_t>(value);
+      (arg == "--pathgraph-s" ? opts.s : opts.epsilon) = static_cast<uint32_t>(value);
     } else if (arg == "--max-backup-overlap") {
       if (i + 1 >= argc) {
         return Usage();
       }
       char* end = nullptr;
-      opts.verify.max_backup_overlap = std::strtod(argv[++i], &end);
-      if (end == argv[i] || opts.verify.max_backup_overlap < 0.0) {
+      opts.max_backup_overlap = std::strtod(argv[++i], &end);
+      if (end == argv[i] || opts.max_backup_overlap < 0.0) {
         std::cerr << "dumbnet-check: --max-backup-overlap must be a fraction >= 0\n";
         return 2;
       }

@@ -368,10 +368,6 @@ SeedResult RunSeed(uint64_t seed, const Options& opts,
       for (const auto& f : dumbnet::CheckPathGraphs(fabric.topo(), graphs.value())) {
         out.failures.push_back("pathgraph " + f.check + ": " + f.detail);
       }
-      for (const auto& f :
-           dumbnet::VerifyPathGraphSemantics(fabric.topo(), graphs.value())) {
-        out.failures.push_back("pathgraph-semantics " + f.check + ": " + f.detail);
-      }
     }
   }
 
