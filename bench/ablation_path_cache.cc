@@ -10,7 +10,9 @@
 // single-route cache (no detour subgraph, no backup): the poorer the cache, the
 // more the host must lean on the controller after a failure. A host keeps no
 // separate backup route: the backup's links land in its TopoCache, which
-// recomputes a destination once every cached route to it has died.
+// recomputes a destination once every cached route to it has died. With
+// detours on, the controller ships the induced subgraph, which already holds
+// the backup's vertices, so `send_backup` only matters without detours.
 //
 // Exits 1 when the printed expectation fails: a row that caches >= 2 routes or
 // holds the backup's links must recover without asking the controller, and the
@@ -120,7 +122,6 @@ int main() {
   };
   const Row rows[] = {
       {"full path graph (k=4+backup)", 4, 2, true, true, true},
-      {"no backup (k=4 + detours)", 4, 2, true, false, true},
       {"thin graph (epsilon=0)", 4, 0, true, true, true},
       {"backup only (no detours)", 4, 2, false, true, true},
       {"k=1 + backup links (no detours)", 1, 2, false, true, true},

@@ -2,15 +2,12 @@
 // event core (timer wheel + pooled callbacks) and the routing compute path
 // (CSR graph + scratch SSSP + tree-shared batch path graphs).
 //
-// To keep the speedup numbers honest and machine-portable, the *pre-change*
-// implementations are embedded here verbatim (the priority-queue simulator core
-// and the allocating per-destination path-graph pipeline) and both generations
-// run back-to-back in the same process. The reported `speedup` metrics are
-// ratios, so a committed baseline stays meaningful across machines;
-// tools/dumbnet-check gates on them.
+// Rates are machine-bound, so they are compared only against another tree run
+// on the same machine: tools/ab_gate.py times events_per_sec and
+// path_graphs_per_sec of a base checkout and this one in interleaved pairs.
 //
-//   events_per_sec        cancel-heavy drain, new core vs legacy priority queue
-//   path_graphs_per_sec   one-source/many-destination batch vs legacy loop
+//   events_per_sec        cancel-heavy drain through the timer wheel
+//   path_graphs_per_sec   one-source/many-destination tree-shared batch
 //   bring_up_wall         full discovery + bootstrap wall-clock, 1k/4k/16k hosts
 //   host_routes_per_sec   TopoCache::ComputeRoutes over every edge-switch pair
 //   packet_path_*         warm fat-tree ping mesh: wall ns per switch hop, events/s
@@ -19,15 +16,13 @@
 #include <algorithm>
 #include <chrono>
 #include <cstdio>
-#include <deque>
 #include <functional>
-#include <queue>
-#include <set>
 #include <string>
 #include <thread>
 #include <vector>
 
 #include "bench/bench_util.h"
+#include "src/analysis/audit.h"
 #include "src/analysis/contracts.h"
 #include "src/core/fabric.h"
 #include "src/host/topo_cache.h"
@@ -62,263 +57,21 @@ double WallSeconds(const std::function<void()>& fn) {
 }
 
 // ---------------------------------------------------------------------------
-// Legacy event core: the std::priority_queue-of-std::function simulator this
-// repo shipped before the timer wheel, trimmed to what the workload exercises.
-// Cancellation went through a flat id list probed linearly on every pop.
-// ---------------------------------------------------------------------------
-namespace legacy {
-
-class Simulator {
- public:
-  uint64_t ScheduleAt(TimeNs at, std::function<void()> fn) {
-    if (at < now_) {
-      at = now_;
-    }
-    uint64_t id = next_id_++;
-    queue_.push(Event{at, next_seq_++, id, std::move(fn)});
-    return id;
-  }
-  uint64_t ScheduleAfter(TimeNs delay, std::function<void()> fn) {
-    return ScheduleAt(now_ + delay, std::move(fn));
-  }
-  void Cancel(uint64_t id) { cancelled_.push_back(id); }
-  TimeNs Now() const { return now_; }
-
-  uint64_t Run() {
-    uint64_t ran = 0;
-    while (!queue_.empty()) {
-      Event ev = std::move(const_cast<Event&>(queue_.top()));
-      queue_.pop();
-      if (IsCancelled(ev.id)) {
-        continue;
-      }
-      now_ = ev.at;
-      ev.fn();
-      ++ran;
-    }
-    return ran;
-  }
-
- private:
-  struct Event {
-    TimeNs at;
-    uint64_t seq;
-    uint64_t id;
-    std::function<void()> fn;
-    bool operator>(const Event& other) const {
-      if (at != other.at) {
-        return at > other.at;
-      }
-      return seq > other.seq;
-    }
-  };
-
-  bool IsCancelled(uint64_t id) {
-    auto it = std::find(cancelled_.begin(), cancelled_.end(), id);
-    if (it == cancelled_.end()) {
-      return false;
-    }
-    *it = cancelled_.back();
-    cancelled_.pop_back();
-    return true;
-  }
-
-  std::priority_queue<Event, std::vector<Event>, std::greater<Event>> queue_;
-  std::vector<uint64_t> cancelled_;
-  TimeNs now_ = 0;
-  uint64_t next_seq_ = 0;
-  uint64_t next_id_ = 1;
-};
-
-// The pre-change routing stack, embedded verbatim: a vector-of-vectors
-// adjacency rebuilt per call, a full graph copy for the backup penalisation,
-// deque-based allocating BFS, and an allocating Dijkstra — i.e. the seed
-// repo's SwitchGraph/BfsDistances/ShortestPath/BuildPathGraph pipeline.
-class SwitchGraph {
- public:
-  explicit SwitchGraph(const Topology& topo) {
-    adj_.resize(topo.switch_count());
-    for (LinkIndex li = 0; li < topo.link_count(); ++li) {
-      const Link& l = topo.link_at(li);
-      if (!l.up || !l.a.node.is_switch() || !l.b.node.is_switch()) {
-        continue;
-      }
-      adj_[l.a.node.index].push_back(AdjEdge{l.b.node.index, l.a.port, l.b.port, li, 1.0});
-      adj_[l.b.node.index].push_back(AdjEdge{l.a.node.index, l.b.port, l.a.port, li, 1.0});
-    }
-  }
-
-  size_t size() const { return adj_.size(); }
-  const std::vector<AdjEdge>& Neighbors(uint32_t s) const { return adj_[s]; }
-
-  void ScaleLinkWeight(LinkIndex link, double factor) {
-    for (auto& edges : adj_) {
-      for (AdjEdge& e : edges) {
-        if (e.link == link) {
-          e.weight *= factor;
-        }
-      }
-    }
-  }
-
- private:
-  std::vector<std::vector<AdjEdge>> adj_;
-};
-
-std::vector<uint32_t> BfsDistances(const SwitchGraph& graph, uint32_t src) {
-  std::vector<uint32_t> dist(graph.size(), UINT32_MAX);
-  std::deque<uint32_t> q;
-  dist[src] = 0;
-  q.push_back(src);
-  while (!q.empty()) {
-    uint32_t u = q.front();
-    q.pop_front();
-    for (const AdjEdge& e : graph.Neighbors(u)) {
-      if (dist[e.to] == UINT32_MAX) {
-        dist[e.to] = dist[u] + 1;
-        q.push_back(e.to);
-      }
-    }
-  }
-  return dist;
-}
-
-struct DijkstraItem {
-  double cost;
-  uint64_t tiebreak;
-  uint32_t vertex;
-  bool operator>(const DijkstraItem& other) const {
-    if (cost != other.cost) {
-      return cost > other.cost;
-    }
-    return tiebreak > other.tiebreak;
-  }
-};
-
-Result<SwitchPath> ShortestPath(const SwitchGraph& graph, uint32_t src, uint32_t dst,
-                                Rng* rng) {
-  std::vector<double> cost(graph.size(), kInfCost);
-  std::vector<uint32_t> parent(graph.size(), kNoVertex);
-  std::priority_queue<DijkstraItem, std::vector<DijkstraItem>, std::greater<DijkstraItem>>
-      pq;
-  cost[src] = 0.0;
-  pq.push({0.0, 0, src});
-  while (!pq.empty()) {
-    double c = pq.top().cost;
-    uint32_t u = pq.top().vertex;
-    pq.pop();
-    if (c > cost[u]) {
-      continue;
-    }
-    if (u == dst) {
-      break;
-    }
-    for (const AdjEdge& e : graph.Neighbors(u)) {
-      double nc = c + e.weight;
-      bool better = nc < cost[e.to];
-      bool tie = !better && nc == cost[e.to] && rng != nullptr && rng->Bernoulli(0.5);
-      if (better || tie) {
-        cost[e.to] = nc;
-        parent[e.to] = u;
-        pq.push({nc, rng != nullptr ? rng->Next64() : 0, e.to});
-      }
-    }
-  }
-  if (cost[dst] == kInfCost) {
-    return Error(ErrorCode::kUnavailable, "destination unreachable");
-  }
-  SwitchPath path;
-  for (uint32_t v = dst; v != kNoVertex; v = parent[v]) {
-    path.push_back(v);
-    if (v == src) {
-      break;
-    }
-  }
-  std::reverse(path.begin(), path.end());
-  return path;
-}
-
-Result<PathGraph> BuildPathGraph(const Topology& topo, uint32_t src_switch,
-                                 uint32_t dst_switch, const PathGraphParams& params,
-                                 Rng* rng) {
-  SwitchGraph graph(topo);  // rebuilt per call, as the old controller did
-  PathGraph out;
-  out.src_switch = src_switch;
-  out.dst_switch = dst_switch;
-
-  auto primary = ShortestPath(graph, src_switch, dst_switch, rng);
-  if (!primary.ok()) {
-    return primary.error();
-  }
-  out.primary = std::move(primary.value());
-
-  {
-    SwitchGraph penalized = graph;
-    for (size_t i = 0; i + 1 < out.primary.size(); ++i) {
-      for (const AdjEdge& e : graph.Neighbors(out.primary[i])) {
-        if (e.to == out.primary[i + 1]) {
-          penalized.ScaleLinkWeight(e.link, params.backup_penalty);
-        }
-      }
-    }
-    auto backup = ShortestPath(penalized, src_switch, dst_switch, rng);
-    if (backup.ok()) {
-      out.backup = std::move(backup.value());
-    }
-  }
-
-  std::set<uint32_t> vertex_set(out.primary.begin(), out.primary.end());
-  vertex_set.insert(out.backup.begin(), out.backup.end());
-  const size_t l = out.primary.size();
-  const uint32_t s = std::max<uint32_t>(1, params.s);
-  const uint32_t step = std::max<uint32_t>(1, s / 2);
-  for (size_t i = 0; i < l; i += step) {
-    uint32_t a = out.primary[i];
-    uint32_t b = out.primary[std::min(i + s, l - 1)];
-    std::vector<uint32_t> da = BfsDistances(graph, a);
-    std::vector<uint32_t> db = BfsDistances(graph, b);
-    uint32_t budget = s + params.epsilon;
-    for (uint32_t x = 0; x < graph.size(); ++x) {
-      if (da[x] != UINT32_MAX && db[x] != UINT32_MAX && da[x] + db[x] <= budget) {
-        vertex_set.insert(x);
-      }
-    }
-    if (i + s >= l - 1) {
-      break;
-    }
-  }
-  out.vertices.assign(vertex_set.begin(), vertex_set.end());
-  std::set<LinkIndex> link_set;
-  for (uint32_t v : out.vertices) {
-    for (const AdjEdge& e : graph.Neighbors(v)) {
-      if (vertex_set.count(e.to) > 0) {
-        link_set.insert(e.link);
-      }
-    }
-  }
-  out.links.assign(link_set.begin(), link_set.end());
-  return out;
-}
-
-}  // namespace legacy
-
-// ---------------------------------------------------------------------------
 // Workload 1: cancel-heavy event drain. The retransmit-timer pattern that
 // dominates transport runs: schedule a far-out timeout, beat it with an ack,
 // cancel, repeat — with a window of timers outstanding at all times.
 // ---------------------------------------------------------------------------
 struct CancelDrainResult {
-  double events_per_sec_new = 0;
-  double events_per_sec_legacy = 0;
-  uint64_t pool_slots = 0;  // new core's final slot-pool size (memory bound)
+  double events_per_sec = 0;
+  uint64_t pool_slots = 0;  // final slot-pool size (memory bound)
 };
 
 CancelDrainResult RunCancelDrain(uint64_t total_events) {
   CancelDrainResult r;
   const uint64_t window = 512;  // outstanding timeouts at any moment
 
-  double new_secs = WallSeconds([&] {
-    dumbnet::Simulator sim;
+  double secs = WallSeconds([&] {
+    Simulator sim;
     std::vector<EventHandle> timers(window);
     uint64_t fired = 0;
     std::function<void(uint64_t)> tick = [&](uint64_t i) {
@@ -337,25 +90,7 @@ CancelDrainResult RunCancelDrain(uint64_t total_events) {
     sim.Run();
     r.pool_slots = sim.mem_stats().pool_slots;
   });
-  r.events_per_sec_new = static_cast<double>(2 * total_events) / new_secs;
-
-  double legacy_secs = WallSeconds([&] {
-    legacy::Simulator sim;
-    std::vector<uint64_t> timers(window, 0);
-    uint64_t fired = 0;
-    std::function<void(uint64_t)> tick = [&](uint64_t i) {
-      if (i >= total_events) {
-        return;
-      }
-      sim.Cancel(timers[i % window]);
-      timers[i % window] =
-          sim.ScheduleAfter(Ms(50) + static_cast<TimeNs>(i % 97), [&fired] { ++fired; });
-      sim.ScheduleAfter(Us(1), [&tick, i] { tick(i + 1); });
-    };
-    sim.ScheduleAt(0, [&tick] { tick(0); });
-    sim.Run();
-  });
-  r.events_per_sec_legacy = static_cast<double>(2 * total_events) / legacy_secs;
+  r.events_per_sec = static_cast<double>(2 * total_events) / secs;
   return r;
 }
 
@@ -364,9 +99,9 @@ CancelDrainResult RunCancelDrain(uint64_t total_events) {
 // controller does when precomputing routes for a host's flow fan-out.
 // ---------------------------------------------------------------------------
 struct BatchResult {
-  double per_sec_legacy = 0;
-  double per_sec_new = 0;  // tree + scratch
+  double per_sec = 0;
   size_t graphs = 0;
+  size_t failures = 0;
 };
 
 BatchResult RunPathGraphBatch(const Topology& topo, uint32_t src,
@@ -374,42 +109,21 @@ BatchResult RunPathGraphBatch(const Topology& topo, uint32_t src,
   BatchResult r;
   r.graphs = dsts.size() * static_cast<size_t>(repeats);
   PathGraphParams params;
-
-  size_t built_legacy = 0;
-  double legacy_secs = WallSeconds([&] {
-    Rng rng(42);
-    for (int it = 0; it < repeats; ++it) {
-      for (uint32_t dst : dsts) {
-        auto pg = legacy::BuildPathGraph(topo, src, dst, params, &rng);
-        if (pg.ok()) {
-          ++built_legacy;
-        }
-      }
-    }
-  });
-  r.per_sec_legacy = static_cast<double>(r.graphs) / legacy_secs;
-
   SwitchGraph graph(topo);
-  size_t built_new = 0;
-  double new_secs = WallSeconds([&] {
+  double secs = WallSeconds([&] {
     Rng rng(42);
     SsspScratch tree_scratch;
     for (int it = 0; it < repeats; ++it) {
       SsspTree tree = BuildSsspTree(graph, src, &rng, &tree_scratch);
       auto graphs = BuildPathGraphBatch(topo, graph, tree, dsts, params, &rng);
       for (const auto& pg : graphs) {
-        if (pg.ok()) {
-          ++built_new;
+        if (!pg.ok()) {
+          ++r.failures;
         }
       }
     }
   });
-  r.per_sec_new = static_cast<double>(r.graphs) / new_secs;
-
-  if (built_legacy != built_new) {
-    std::printf("WARNING: legacy built %zu graphs, new built %zu\n", built_legacy,
-                built_new);
-  }
+  r.per_sec = static_cast<double>(r.graphs) / secs;
   return r;
 }
 
@@ -670,20 +384,14 @@ int main(int argc, char** argv) {
   CancelDrainResult drain;
   const uint64_t drain_allocs =
       HotAllocsDuring([&] { drain = RunCancelDrain(total_events); });
-  double drain_speedup = drain.events_per_sec_new / drain.events_per_sec_legacy;
   std::printf("\ncancel-heavy drain (%lu ticks, window 512):\n",
               static_cast<unsigned long>(total_events));
-  std::printf("  new core     %12.0f events/s (slot pool: %lu slots)\n",
-              drain.events_per_sec_new, static_cast<unsigned long>(drain.pool_slots));
-  std::printf("  legacy core  %12.0f events/s\n", drain.events_per_sec_legacy);
-  std::printf("  speedup      %12.2fx\n", drain_speedup);
+  std::printf("  %12.0f events/s (slot pool: %lu slots)\n", drain.events_per_sec,
+              static_cast<unsigned long>(drain.pool_slots));
   bench::JsonReporter::Params drain_params = {
       {"events", std::to_string(total_events)}, {"window", "512"}};
-  report.Add("perf_core", "events_per_sec", drain.events_per_sec_new, "events/s",
+  report.Add("perf_core", "events_per_sec", drain.events_per_sec, "events/s",
              drain_params);
-  report.Add("perf_core", "events_per_sec_legacy", drain.events_per_sec_legacy,
-             "events/s", drain_params);
-  report.Add("perf_core", "event_drain_speedup", drain_speedup, "ratio", drain_params);
   report.Add("perf_core", "event_pool_slots", static_cast<double>(drain.pool_slots),
              "slots", drain_params);
   report.Add("perf_core", "hot_scope_allocs", static_cast<double>(drain_allocs),
@@ -704,20 +412,15 @@ int main(int argc, char** argv) {
   BatchResult batch;
   const uint64_t batch_allocs = HotAllocsDuring(
       [&] { batch = RunPathGraphBatch(topo, cube.value().At(0, 0, 0), dsts, repeats); });
-  double batch_speedup = batch.per_sec_new / batch.per_sec_legacy;
   std::printf("\npath-graph batch (8-cube, %zu dsts x %d repeats):\n", dsts.size(),
               repeats);
-  std::printf("  legacy loop  %12.0f graphs/s\n", batch.per_sec_legacy);
-  std::printf("  new batch    %12.0f graphs/s (%.2fx)\n", batch.per_sec_new,
-              batch_speedup);
-  bench::JsonReporter::Params batch_params = {
-      {"topology", "cube8"}, {"dsts", std::to_string(dsts.size())}};
-  report.Add("perf_core", "path_graphs_per_sec", batch.per_sec_new, "graphs/s",
-             batch_params);
-  report.Add("perf_core", "path_graphs_per_sec_legacy", batch.per_sec_legacy,
-             "graphs/s", batch_params);
-  report.Add("perf_core", "path_graph_batch_speedup", batch_speedup, "ratio",
-             batch_params);
+  std::printf("  %12.0f graphs/s\n", batch.per_sec);
+  if (batch.failures != 0) {
+    std::fprintf(stderr, "path-graph batch: %zu graphs failed\n", batch.failures);
+    return 1;
+  }
+  report.Add("perf_core", "path_graphs_per_sec", batch.per_sec, "graphs/s",
+             {{"topology", "cube8"}, {"dsts", std::to_string(dsts.size())}});
   report.Add("perf_core", "hot_scope_allocs", static_cast<double>(batch_allocs),
              "allocs", {{"section", "path_graph_batch"}});
 
@@ -845,5 +548,11 @@ int main(int argc, char** argv) {
     return 1;
   }
   bench::WriteMetricsJson(args.metrics_path);
+  const uint64_t audit_failures = audit::Counters().failures;
+  if (audit_failures != 0) {
+    std::fprintf(stderr, "%lu audit checks failed\n",
+                 static_cast<unsigned long>(audit_failures));
+    return 1;
+  }
   return 0;
 }

@@ -63,7 +63,7 @@ Result<const CachedRoute*> PathTable::RouteFor(uint64_t dst_mac, uint64_t flow_i
     DN_HOT_EXEMPT("stale-binding failover: counter registration may allocate");
     entry.flow_binding.erase(bound);
     ++stats_.rebinds;
-    DN_COUNTER_INC("host.reroutes");
+    DN_COUNTER_INC("host.rebinds");
   }
 
   // First packet of a flow (or post-failover rebind): chooser, RNG pick, and
@@ -124,7 +124,7 @@ std::vector<uint64_t> PathTable::InvalidateEdge(uint64_t a, uint64_t b) {
       // flows rebind (counted once per entry, not per flow, to stay cheap).
       entry.flow_binding.clear();
       ++stats_.rebinds;
-      DN_COUNTER_INC("host.reroutes");
+      DN_COUNTER_INC("host.rebinds");
     }
     if (entry.paths.empty()) {
       starved.push_back(mac);

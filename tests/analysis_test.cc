@@ -5,16 +5,12 @@
 // stacks, dangling WireLinks, stale cache entries — and must flag it.
 #include <gtest/gtest.h>
 
-#include <sys/wait.h>
-
-#include <cstdio>
 #include <fstream>
 #include <sstream>
 #include <string>
 #include <vector>
 
 #include "src/analysis/audit.h"
-#include "src/analysis/bench_compare.h"
 #include "src/analysis/fabric_check.h"
 #include "src/analysis/invariant_auditor.h"
 #include "src/analysis/invariants.h"
@@ -471,119 +467,6 @@ TEST(DumbnetCheckCliTest, MissingFilesExitTwo) {
   const std::string topo_path = ::testing::TempDir() + "/ok.topo";
   ASSERT_TRUE(SaveTopology(topo, topo_path).ok());
   EXPECT_EQ(RunDumbnetCheck(topo_path, {"/nonexistent/graphs.pg"}, {}, out), 2);
-}
-
-// ---------------------------------------------------------------------------
-// Benchmark regression gate (bench_compare).
-// ---------------------------------------------------------------------------
-
-TEST(BenchCompareTest, ParsesReporterOutput) {
-  const std::string json = R"([
-  {"bench": "perf_core", "metric": "events_per_sec", "value": 1.25e+06, "unit": "events/s", "params": {"events": "150000", "window": "512"}},
-  {"bench": "perf_core", "metric": "bring_up_wall", "value": 0.25, "unit": "s", "params": {}}
-])";
-  auto rows = ParseBenchJson(json);
-  ASSERT_TRUE(rows.ok());
-  ASSERT_EQ(rows.value().size(), 2u);
-  EXPECT_EQ(rows.value()[0].bench, "perf_core");
-  EXPECT_EQ(rows.value()[0].metric, "events_per_sec");
-  EXPECT_DOUBLE_EQ(rows.value()[0].value, 1.25e6);
-  EXPECT_EQ(rows.value()[0].unit, "events/s");
-  ASSERT_EQ(rows.value()[0].params.size(), 2u);
-  EXPECT_EQ(rows.value()[0].params[0],
-            (std::pair<std::string, std::string>{"events", "150000"}));
-  EXPECT_DOUBLE_EQ(rows.value()[1].value, 0.25);
-  EXPECT_TRUE(rows.value()[1].params.empty());
-}
-
-TEST(BenchCompareTest, RejectsMalformedJson) {
-  EXPECT_FALSE(ParseBenchJson("").ok());
-  EXPECT_FALSE(ParseBenchJson("{}").ok());
-  EXPECT_FALSE(ParseBenchJson("[{\"bench\": }]").ok());
-  EXPECT_FALSE(ParseBenchJson("[{\"bench\": \"x\"").ok());
-  EXPECT_TRUE(ParseBenchJson("[]").ok());
-}
-
-BenchRow MakeRow(const std::string& metric, double value, const std::string& unit) {
-  BenchRow row;
-  row.bench = "perf_core";
-  row.metric = metric;
-  row.value = value;
-  row.unit = unit;
-  return row;
-}
-
-TEST(BenchCompareTest, DirectionFollowsUnit) {
-  // Rate dropped 50%: regression.
-  auto f1 = CompareBenchRows({MakeRow("rate", 100, "graphs/s")},
-                             {MakeRow("rate", 50, "graphs/s")}, 0.20);
-  ASSERT_EQ(f1.size(), 1u);
-  EXPECT_EQ(f1[0].check, "bench-regression");
-  // Rate rose: fine.
-  EXPECT_TRUE(CompareBenchRows({MakeRow("rate", 100, "graphs/s")},
-                               {MakeRow("rate", 200, "graphs/s")}, 0.20)
-                  .empty());
-  // Time grew 50%: regression.
-  EXPECT_EQ(CompareBenchRows({MakeRow("wall", 1.0, "s")},
-                             {MakeRow("wall", 1.5, "s")}, 0.20)
-                .size(),
-            1u);
-  // Time shrank: fine.
-  EXPECT_TRUE(CompareBenchRows({MakeRow("wall", 1.0, "s")},
-                               {MakeRow("wall", 0.5, "s")}, 0.20)
-                  .empty());
-}
-
-TEST(BenchCompareTest, ToleranceIsRespected) {
-  // 15% worse under a 20% tolerance: no finding.
-  EXPECT_TRUE(CompareBenchRows({MakeRow("rate", 100, "graphs/s")},
-                               {MakeRow("rate", 85, "graphs/s")}, 0.20)
-                  .empty());
-  // Same at 10% tolerance: finding.
-  EXPECT_EQ(CompareBenchRows({MakeRow("rate", 100, "graphs/s")},
-                             {MakeRow("rate", 85, "graphs/s")}, 0.10)
-                .size(),
-            1u);
-}
-
-// The gate's tolerance is fixed at the 0.20 default: dumbnet-check has no
-// option to loosen it, so a stray "--bench-tolerance nan" cannot switch it off.
-TEST(BenchCompareTest, CheckToolRejectsToleranceOption) {
-  const std::string cmd = std::string("'") + DUMBNET_CHECK_BINARY +
-                          "' --bench-json a.json --bench-baseline b.json"
-                          " --bench-tolerance 0.02 2>&1";
-  FILE* pipe = popen(cmd.c_str(), "r");
-  ASSERT_NE(pipe, nullptr);
-  std::string output;
-  char buf[256];
-  while (std::fgets(buf, sizeof(buf), pipe) != nullptr) {
-    output += buf;
-  }
-  const int status = pclose(pipe);
-  ASSERT_TRUE(WIFEXITED(status));
-  EXPECT_EQ(WEXITSTATUS(status), 2);
-  EXPECT_NE(output.find("unknown option '--bench-tolerance'"), std::string::npos)
-      << output;
-}
-
-TEST(BenchCompareTest, MissingAndParamMismatchedRowsAreFindings) {
-  BenchRow base = MakeRow("rate", 100, "graphs/s");
-  base.params = {{"topology", "cube8"}};
-  // Same metric but different params: not a match.
-  BenchRow other = MakeRow("rate", 100, "graphs/s");
-  other.params = {{"topology", "cube10"}};
-  auto findings = CompareBenchRows({base}, {other}, 0.20);
-  ASSERT_EQ(findings.size(), 1u);
-  EXPECT_EQ(findings[0].check, "bench-missing");
-  // Params in a different order: still a match.
-  BenchRow base2 = MakeRow("rate", 100, "graphs/s");
-  base2.params = {{"a", "1"}, {"b", "2"}};
-  BenchRow cur2 = MakeRow("rate", 100, "graphs/s");
-  cur2.params = {{"b", "2"}, {"a", "1"}};
-  EXPECT_TRUE(CompareBenchRows({base2}, {cur2}, 0.20).empty());
-  // Extra rows in the current run are not findings.
-  EXPECT_TRUE(CompareBenchRows({base}, {base, MakeRow("new_metric", 5, "ratio")}, 0.20)
-                  .empty());
 }
 
 // ---------------------------------------------------------------------------

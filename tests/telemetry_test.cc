@@ -122,6 +122,41 @@ TEST(MetricsRegistry, RuntimeDisableStopsMacroRecording) {
 
 // --- Log-bucketed histogram accuracy ------------------------------------------------
 
+// The registry's host counters agree with the stats fabricbench reports: a
+// failover that starves a k=1 entry both rebinds (PathTable) and reroutes
+// (HostAgent), and each lands under its own name.
+TEST(MetricsRegistry, HostRerouteCountersMatchAgentStats) {
+  auto tb = MakePaperTestbed();
+  ASSERT_TRUE(tb.ok());
+  HostAgentConfig config;
+  config.k_paths = 1;
+  const auto before = MetricsRegistry::Global().Snapshot();
+  SimulatedFabric fabric(std::move(tb.value().topo), config);
+  fabric.BringUpAdopted(/*controller_host=*/25);
+  const uint64_t dst = fabric.agent(12).mac();
+  ASSERT_TRUE(fabric.agent(0).Send(dst, /*flow_id=*/1, DataPayload{}).ok());
+  fabric.Run();
+  auto route = fabric.agent(0).path_table().RouteFor(dst, /*flow_id=*/1);
+  ASSERT_TRUE(route.ok());
+  const uint32_t first = fabric.topo().SwitchByUid(route.value()->uid_path[0]).value();
+  const LinkIndex cut = fabric.topo().LinkAtPort(first, route.value()->tags.front());
+  ASSERT_NE(cut, kInvalidLink);
+  fabric.topo().SetLinkUp(cut, false);
+  fabric.Run();
+  const auto delta = Diff(before, MetricsRegistry::Global().Snapshot());
+
+  uint64_t reroutes = 0;
+  uint64_t rebinds = 0;
+  for (uint32_t h = 0; h < fabric.host_count(); ++h) {
+    reroutes += fabric.agent(h).stats().reroutes;
+    rebinds += fabric.agent(h).path_table().stats().rebinds;
+  }
+  EXPECT_GT(reroutes, 0u);
+  EXPECT_GT(rebinds, 0u);
+  EXPECT_DOUBLE_EQ(delta.Value("host.reroutes"), static_cast<double>(reroutes));
+  EXPECT_DOUBLE_EQ(delta.Value("host.rebinds"), static_cast<double>(rebinds));
+}
+
 TEST(LogHistogramAccuracy, PercentilesMatchExactWithinBound) {
   // Deterministic long-tailed stream spanning several binary decades.
   Rng rng(12345);
