@@ -9,14 +9,29 @@
 
 namespace dumbnet {
 
+// The interned unit: one db structure and the routing state derived from it.
+// Caches on one thread whose structures are equal hold one structure and one
+// unit, so its switch graph is built once and each Yen run is made once.
 struct RouteSnapshot {
-  explicit RouteSnapshot(SwitchGraph g) : graph(std::move(g)), hash(graph.ContentHash()) {}
+  RouteSnapshot(const TopoDb::SharedStructure& s, uint64_t h)
+      : structure(s), edits(s->edits), hash(h), graph(s->mirror) {}
 
-  const SwitchGraph graph;
+  // The structure this unit was made for, or null once it died or was edited
+  // in place (its owner no longer shared it).
+  TopoDb::SharedStructure Live() const {
+    TopoDb::SharedStructure s = structure.lock();
+    return s != nullptr && s->edits == edits ? s : nullptr;
+  }
+
+  // Weak, so a unit does not stop the structure's sole owner from editing it
+  // in place.
+  const std::weak_ptr<const TopoDb::Structure> structure;
+  const uint64_t edits;
   const uint64_t hash;
+  const SwitchGraph graph;
   // KShortestPaths results on `graph`, keyed on (src_idx, dst_idx, k). Exact:
   // Yen draws no randomness, and every mirror mutation bumps the db version,
-  // which moves the cache to another snapshot.
+  // which moves the cache to another unit.
   std::map<std::tuple<uint32_t, uint32_t, uint32_t>, Result<std::vector<SwitchPath>>> memo;
 };
 
@@ -25,25 +40,33 @@ namespace {
 constexpr const char kFpSharedKspMemo[] =
     "memo of a pure function of an immutable snapshot: every writer stores the same paths";
 
-// Live snapshots by content hash. Per thread: a wire-runtime process runs one
-// node per thread, and the memo is written without a lock. Entries are weak,
-// so a snapshot dies with its last cache; dead entries are swept in bulk.
-class SnapshotInterner {
+// Live units by structure content hash. Per thread: a wire-runtime process runs
+// one node per thread, and the memo is written without a lock. Entries are
+// weak, so a unit dies with its last cache; dead entries are swept in bulk.
+class StructureInterner {
  public:
-  std::shared_ptr<RouteSnapshot> Intern(SwitchGraph graph) {
-    const uint64_t hash = graph.ContentHash();
+  // The live unit whose structure equals `mine`, or a new unit for `mine`.
+  std::shared_ptr<RouteSnapshot> Intern(const TopoDb::SharedStructure& mine) {
+    const uint64_t hash = mine->ContentHash();
     auto [lo, hi] = table_.equal_range(hash);
     for (auto it = lo; it != hi; ++it) {
-      if (auto live = it->second.lock(); live != nullptr && live->graph == graph) {
-        return live;
+      std::shared_ptr<RouteSnapshot> unit = it->second.lock();
+      if (unit == nullptr) {
+        continue;
+      }
+      if (auto live = unit->Live(); live != nullptr && (live == mine || *live == *mine)) {
+        return unit;
       }
     }
     if (table_.size() >= sweep_at_) {
-      std::erase_if(table_, [](const auto& entry) { return entry.second.expired(); });
+      std::erase_if(table_, [](const auto& entry) {
+        std::shared_ptr<RouteSnapshot> unit = entry.second.lock();
+        return unit == nullptr || unit->Live() == nullptr;
+      });
       sweep_at_ = std::max<size_t>(kMinSweep, 2 * table_.size());
     }
-    // Not make_shared: the weak entry must not pin the snapshot's storage.
-    std::shared_ptr<RouteSnapshot> fresh(new RouteSnapshot(std::move(graph)));
+    // Not make_shared: the weak entry must not pin the unit's storage.
+    std::shared_ptr<RouteSnapshot> fresh(new RouteSnapshot(mine, hash));
     table_.emplace(hash, fresh);
     return fresh;
   }
@@ -80,8 +103,11 @@ Result<std::pair<uint64_t, uint64_t>> TopoCache::ResolveEdge(uint64_t switch_uid
 
 RouteSnapshot& TopoCache::Snapshot() const {
   if (snapshot_ == nullptr || graph_version_ != db_.version()) {
-    static thread_local SnapshotInterner interner;
-    snapshot_ = interner.Intern(SwitchGraph(db_.mirror()));
+    static thread_local StructureInterner interner;
+    snapshot_ = interner.Intern(db_.structure());
+    if (TopoDb::SharedStructure live = snapshot_->Live(); live != db_.structure()) {
+      db_.ShareStructure(std::move(live));  // drops this cache's equal copy
+    }
     graph_version_ = db_.version();
   }
   return *snapshot_;
@@ -148,11 +174,12 @@ Result<std::vector<CachedRoute>> TopoCache::ComputeRoutes(uint64_t src_uid,
 
 size_t TopoCache::ApproxBytes() const {
   // Switches: uid + index maps; links: endpoints + state; hosts: location records.
+  auto share = [](size_t bytes, long holders) { return bytes / static_cast<size_t>(holders); };
   size_t shared_hosts = 0;
   if (const auto& base = db_.host_base(); base != nullptr) {
-    shared_hosts = base->size() * 24 / static_cast<size_t>(base.use_count());
+    shared_hosts = share(base->size() * 24, base.use_count());
   }
-  return db_.switch_count() * 24 + db_.link_count() * 20 +
+  return share(db_.switch_count() * 24 + db_.link_count() * 20, db_.structure().use_count()) +
          db_.overlay_host_count() * 24 + shared_hosts;
 }
 

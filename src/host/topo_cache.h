@@ -19,8 +19,8 @@
 
 namespace dumbnet {
 
-// One routing snapshot: the adjacency of a mirror state plus the Yen runs made
-// on it (defined in topo_cache.cc).
+// The interned unit: a db structure, its adjacency and the Yen runs made on it
+// (defined in topo_cache.cc).
 struct RouteSnapshot;
 
 class TopoCache {
@@ -50,9 +50,9 @@ class TopoCache {
   // unreachable within the cache. The switch paths are computed once per
   // (graph snapshot, source switch, destination switch, k) and memoized; the
   // tags are compiled on every call with the destination's current port.
-  // Snapshots are interned by content per thread: caches whose mirrors give
-  // equal adjacencies share one snapshot and its memo, since Yen is a pure
-  // function of the adjacency.
+  // Structures are interned by content per thread: caches whose structures
+  // are equal come to hold one structure, one adjacency and one memo, since
+  // Yen is a pure function of the adjacency.
   Result<std::vector<CachedRoute>> ComputeRoutes(uint64_t src_uid, uint64_t dst_mac,
                                                  uint32_t k) const;
 
@@ -66,28 +66,29 @@ class TopoCache {
 
   const RouteStats& route_stats() const { return route_stats_; }
 
-  // The adjacency ComputeRoutes runs on. Caches on one thread whose mirrors
-  // have equal adjacencies return the same object.
+  // The adjacency ComputeRoutes runs on. Caches on one thread whose structures
+  // are equal return the same object, and hold the same structure after it.
   const SwitchGraph& RoutingGraph() const;
 
   // Rough memory footprint in bytes (Section 7.3 discusses cache cost). The
-  // shared host directory is charged as an equal share per holder, so summing
-  // over every host's cache counts it once.
+  // shared host directory and the shared structure are each charged as an
+  // equal share per holder, so summing over every host's cache counts each
+  // once.
   size_t ApproxBytes() const;
 
  private:
   Result<CachedRoute> CompileUidPath(const std::vector<uint64_t>& uid_path,
                                      PortNum final_port) const;
-  // The routing snapshot for db_.mirror(), re-interned only when the db
+  // The interned unit for db_'s structure, re-interned only when the db
   // version moved (the controller's RoutingGraph() pattern). ComputeRoutes is
   // hot during bring-up — every response triggers route builds over an
-  // unchanged mirror — so the snapshot is cached across those const calls.
+  // unchanged mirror — so the unit is cached across those const calls.
+  // Interning swaps db_'s structure for an equal one already interned.
   RouteSnapshot& Snapshot() const;
 
   TopoDb db_;
-  // Shared with every cache on this thread whose mirror has the same
-  // adjacency, and with copies of this cache until either side's db version
-  // moves on.
+  // Shared with every cache on this thread whose structure is equal, and with
+  // copies of this cache until either side's db version moves on.
   mutable std::shared_ptr<RouteSnapshot> snapshot_;
   mutable uint64_t graph_version_ = UINT64_MAX;
   mutable RouteStats route_stats_;

@@ -1,7 +1,5 @@
 #include "src/routing/graph.h"
 
-#include <bit>
-
 namespace dumbnet {
 
 namespace {
@@ -62,25 +60,6 @@ void SwitchGraph::Build(const Topology& topo, const std::vector<LinkIndex>* allo
           AdjEdge{l.a.node.index, l.b.port, l.a.port, li, 1.0};
     }
   });
-}
-
-uint64_t SwitchGraph::ContentHash() const {
-  // FNV-1a over the fields (AdjEdge has padding, so not over its bytes).
-  uint64_t h = 0xcbf29ce484222325ULL;
-  auto mix = [&h](uint64_t v) {
-    h ^= v;
-    h *= 0x100000001b3ULL;
-  };
-  for (uint32_t off : offsets_) {
-    mix(off);
-  }
-  for (const AdjEdge& e : edges_) {
-    mix(e.to);
-    mix((static_cast<uint64_t>(e.out_port) << 8) | e.in_port);
-    mix(e.link);
-    mix(std::bit_cast<uint64_t>(e.weight));
-  }
-  return h;
 }
 
 void SwitchGraph::ScaleLinkWeight(LinkIndex link, double factor) {

@@ -27,8 +27,6 @@ struct AdjEdge {
   PortNum in_port = 0;    // port on the peer
   LinkIndex link = kInvalidLink;
   double weight = 1.0;
-
-  bool operator==(const AdjEdge&) const = default;
 };
 
 // Immutable adjacency snapshot. Rebuild after topology mutations (cheap: O(V+E)).
@@ -62,13 +60,6 @@ class SwitchGraph {
 
   // Total directed edge count (2x the undirected link count).
   size_t edge_count() const { return edges_.size(); }
-
-  // Content identity: equal graphs give every routing algorithm here equal
-  // results, vertex for vertex (TopoCache shares snapshots on it).
-  bool operator==(const SwitchGraph& other) const {
-    return offsets_ == other.offsets_ && edges_ == other.edges_;
-  }
-  uint64_t ContentHash() const;
 
   // Multiplies the weight of every adjacency that uses `link` by `factor`;
   // used to repel the backup path from the primary (Section 4.3).

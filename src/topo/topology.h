@@ -66,6 +66,8 @@ struct Link {
   // whole point of a gray failure is that nothing notices at the physical layer.
   uint32_t loss_ppm = 0;
 
+  bool operator==(const Link&) const = default;
+
   // Returns the endpoint opposite to `from`.
   const Endpoint& Peer(const NodeId& from) const { return from == a.node ? b : a; }
   const Endpoint& Side(const NodeId& of) const { return of == a.node ? a : b; }
@@ -76,11 +78,15 @@ struct SwitchInfo {
   uint8_t num_ports = 0;
   // Port -> link index; kInvalidLink when nothing is plugged in. Index 0 unused.
   std::vector<LinkIndex> port_link;
+
+  bool operator==(const SwitchInfo&) const = default;
 };
 
 struct HostInfo {
   uint64_t mac = 0;    // host identity (we use a synthetic 48-bit MAC)
   LinkIndex link = kInvalidLink;
+
+  bool operator==(const HostInfo&) const = default;
 };
 
 // The physical network. Mutations (failing and restoring links) notify registered
@@ -170,6 +176,13 @@ class Topology {
 
   // True if every pair of switches with any link up is connected through up links.
   bool IsConnected() const;
+
+  // True if both hold the same switches, hosts and links, each with the same
+  // state and properties. Observers are not content.
+  bool SameContent(const Topology& other) const {
+    return id_space_ == other.id_space_ && switches_ == other.switches_ &&
+           hosts_ == other.hosts_ && links_ == other.links_;
+  }
 
  private:
   uint64_t switch_uid_base() const;
